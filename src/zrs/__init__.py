@@ -33,8 +33,6 @@ from .classifier import (
     classify,
     exceptional_points,
     find_poles,
-    region,
-    similarity_class,
     spectral_singularities,
 )
 from .metric import Applicability, MetricSpec
@@ -77,8 +75,6 @@ __all__ = [
     "find_poles",
     "spectral_singularities",
     "exceptional_points",
-    "similarity_class",
-    "region",
     "classify",
     "boundedness_scan",
     "Applicability",

@@ -19,9 +19,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import InternalInconsistency
+from .interaction import _is_hermitian
 from .pauli import SIGMA0
 from .smatrix import build
-from .tolerances import base_tol
 
 
 class Sheet(Enum):
@@ -67,12 +67,12 @@ class SpectralClassification:
     has_negative_eigenvalues: bool
 
 
-def _real_axis_margin(k0):
-    return 1000 * base_tol() * (1 + abs(k0))
+def _is_real(z, tol):
+    return abs(z.imag) <= 1000 * tol * (1 + abs(z))
 
 
-def _sheet_of(k0):
-    if abs(k0.imag) <= _real_axis_margin(k0):
+def _sheet_of(k0, tol):
+    if _is_real(k0, tol):
         return Sheet.REAL_AXIS
     if k0.imag > 0:
         return Sheet.PHYSICAL
@@ -92,47 +92,20 @@ def find_poles(s):
         Finite poles first (ordered by real then imaginary part), then the
         pole at infinity if there is one.
     """
-    tol = base_tol()
-    c0, c1, c2 = s.p_coeffs
-    scale_all = max(1.0, abs(c0), abs(c1), abs(c2))
-    deg2 = abs(c2) > 100 * tol * max(1.0, abs(c0), abs(c1))
-    deg1 = not deg2 and abs(c1) > 100 * tol * max(1.0, abs(c0))
-    origin_root = abs(c0) <= 100 * tol * max(1.0, abs(c1), abs(c2))
-
-    roots = []
-    if deg2:
-        disc = c1 * c1 - 4 * c2 * c0
-        if abs(disc) <= 100 * tol * scale_all**2:
-            r = -c1 / (2 * c2)
-            if origin_root and abs(c1) <= 100 * tol * max(1.0, abs(c2)):
-                r = 0j
-            roots.append((r, 2))
-        else:
-            sq = np.sqrt(disc)
-            # pick the larger numerator so neither root loses precision
-            q = -(c1 + sq) / 2 if abs(c1 + sq) >= abs(c1 - sq) else -(c1 - sq) / 2
-            small = 0j if origin_root else c0 / q
-            roots.append((q / c2, 1))
-            roots.append((small, 1))
-    elif deg1:
-        roots.append((0j if origin_root else -c0 / c1, 1))
-
-    g0, g1, g2, g3 = s.gamma
-    scalar = max(abs(g1), abs(g2), abs(g3)) <= 100 * tol * max(1.0, abs(g0))
-
     reports = []
-    for loc, mult in roots:
-        order = min(mult, 1) if scalar else mult
+    for loc, mult in s.roots:
+        order = min(mult, 1) if s.scalar else mult
         if loc == 0:
             order -= 1
         if order <= 0:
             continue
         # adding 0.0 clears negative zeros left by the quadratic formula
         loc = complex(loc.real + 0.0, loc.imag + 0.0)
-        reports.append(PoleReport(loc, order, _sheet_of(loc), loc * loc))
+        reports.append(PoleReport(loc, order, _sheet_of(loc, s.tol), loc * loc))
     reports.sort(key=lambda r: (r.location.real, r.location.imag))
 
-    if not deg2 and not deg1 and np.abs(s.interaction.matrix).max() > tol:
+    # a constant p leaves S either constant or growing linearly in k
+    if s.degree == 0 and not s.is_constant()[0]:
         reports.append(PoleReport(None, 1, Sheet.INFINITY, None))
     return reports
 
@@ -151,7 +124,7 @@ def spectral_singularities(s, poles=None):
     )
     values = []
     for z in raw:
-        if values and abs(z - values[-1]) <= 1000 * base_tol() * (1 + abs(z)):
+        if values and abs(z - values[-1]) <= 1000 * s.tol * (1 + abs(z)):
             continue
         values.append(z)
     return values, at_infinity
@@ -167,7 +140,7 @@ def exceptional_points(s, poles=None):
     """
     if poles is None:
         poles = find_poles(s)
-    tol = base_tol()
+    tol = s.tol
     T = s.interaction.matrix
     out = []
     for p in poles:
@@ -193,45 +166,50 @@ def exceptional_points(s, poles=None):
     return out
 
 
-def _is_real(z):
-    return abs(z.imag) <= 1000 * base_tol() * (1 + abs(z))
+def _metric_certificate(gamma, tol):
+    """Whether gamma0 is real and sum gamma_j^2 real and positive.
+
+    Under this certificate S has one imaginary pole when det T vanishes and
+    two otherwise. Returns (failure, expected): the first failed condition
+    and None, or None and that pole count.
+    """
+    g0, g1, g2, g3 = gamma
+    sq = g1 * g1 + g2 * g2 + g3 * g3
+    if abs(g0.imag) > 100 * tol * (1 + abs(g0)):
+        return "gamma0 not real", None
+    if abs(sq.imag) > 100 * tol * (1 + abs(sq)):
+        return "sum of gamma_j^2 not real", None
+    if sq.real <= 100 * tol:
+        return "sum of gamma_j^2 not positive", None
+    det = g0 * g0 - sq
+    return None, 1 if abs(det) <= 100 * tol * (1 + abs(g0)) ** 2 else 2
 
 
-def _similarity(interaction, s, poles, sing_values, sing_at_inf, excs):
-    tol = base_tol()
+def _similarity(s, poles, sing_values, sing_at_inf, excs):
     finite = [p for p in poles if p.sheet is not Sheet.INFINITY]
     physical = [p for p in finite if p.sheet is Sheet.PHYSICAL]
-    if interaction.is_hermitian():
+    if _is_hermitian(s.interaction.matrix, s.tol):
         return Similarity.SELF_ADJOINT
     if sing_values or sing_at_inf or excs:
         return Similarity.NOT_SIMILAR
-    if any(not _is_real(p.z) for p in physical):
+    if any(not _is_real(p.z, s.tol) for p in physical):
         return Similarity.NOT_SIMILAR
     if not physical:
         # S is holomorphic and bounded on the upper half-plane
         return Similarity.SIMILAR_TO_SELF_ADJOINT
-    # remaining poles are imaginary; a real gamma0 with a real positive
-    # square of the gamma space part certifies a real negative spectrum
-    g0, g1, g2, g3 = s.gamma
-    sq = g1 * g1 + g2 * g2 + g3 * g3
-    certificate = (
-        abs(g0.imag) <= 100 * tol * (1 + abs(g0))
-        and abs(sq.imag) <= 100 * tol * (1 + abs(sq))
-        and sq.real > 100 * tol
-    )
-    if certificate:
-        expected = 2 if abs(s.det_t) > 100 * tol * (1 + abs(g0)) ** 2 else 1
-        on_axis = all(
-            abs(p.location.real) <= _real_axis_margin(p.location) and p.order == 1
-            for p in finite
-        )
+    # the remaining poles are imaginary; the certificate makes their
+    # spectrum real and negative when S has exactly the expected ones
+    failure, expected = _metric_certificate(s.gamma, s.tol)
+    if failure is None:
+        # i k0 is real for a pole k0 on the imaginary axis
+        on_axis = all(_is_real(1j * p.location, s.tol) and p.order == 1 for p in finite)
         if on_axis and len(finite) == expected:
             return Similarity.SIMILAR_TO_SELF_ADJOINT
     return Similarity.UNDETERMINED
 
 
-def _region(eigenvalues, sing_values, sing_at_inf, excs, similarity):
-    if any(not _is_real(z) for z in eigenvalues):
+def _region(eigenvalues, sing_values, sing_at_inf, excs, similarity, tol):
+    if any(not _is_real(z, tol) for z in eigenvalues):
         return Region.I
     if sing_values or sing_at_inf or excs:
         return Region.II
@@ -255,9 +233,9 @@ def classify(interaction):
     eigenvalues = tuple(p.z for p in poles if p.sheet is Sheet.PHYSICAL)
     sing_values, sing_at_inf = spectral_singularities(s, poles)
     excs = tuple(exceptional_points(s, poles))
-    similarity = _similarity(interaction, s, poles, sing_values, sing_at_inf, excs)
-    region = _region(eigenvalues, sing_values, sing_at_inf, excs, similarity)
-    has_negative = any(_is_real(z) and z.real < 0 for z in eigenvalues)
+    similarity = _similarity(s, poles, sing_values, sing_at_inf, excs)
+    region = _region(eigenvalues, sing_values, sing_at_inf, excs, similarity, s.tol)
+    has_negative = any(_is_real(z, s.tol) and z.real < 0 for z in eigenvalues)
     return SpectralClassification(
         poles=tuple(poles),
         eigenvalues=eigenvalues,
@@ -267,23 +245,6 @@ def classify(interaction):
         similarity=similarity,
         region=region,
         has_negative_eigenvalues=has_negative,
-    )
-
-
-def similarity_class(interaction):
-    """Similarity verdict plus a negative-eigenvalue flag."""
-    c = classify(interaction)
-    return c.similarity, c.has_negative_eigenvalues
-
-
-def region(classification):
-    """Region of a classification (recomputed from its fields)."""
-    return _region(
-        classification.eigenvalues,
-        classification.spectral_singularities,
-        classification.singularity_at_infinity,
-        classification.exceptional_points,
-        classification.similarity,
     )
 
 

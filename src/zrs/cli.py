@@ -12,11 +12,13 @@ and, for sweep --family FrakTPath only,
 
 Output is canonical single-line JSON (sorted keys, no whitespace, complex
 numbers as [re, im]) or CSV for sweeps. Exit codes: 0 success including
-structured pole / not-applicable answers, 2 malformed input, 3 coefficients
-with no boundary matrix, 4 sweep grid guard violations.
+structured pole / not-applicable answers, 2 malformed input (including
+non-finite numbers, bad probe ranges and a malformed ZRS_TOLERANCE), 3
+coefficients with no boundary matrix, 4 sweep grid guard violations.
 """
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -36,6 +38,7 @@ from .metric import (
 )
 from .resolvent import similarity_integral_probe
 from .smatrix import build
+from .tolerances import base_tol
 
 MAX_GRID = 10_000_000
 
@@ -91,7 +94,7 @@ def _pair(z):
 
 
 def _dump(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _emit(obj):
@@ -124,7 +127,13 @@ def _cell(value, where):
         )
     ):
         raise SchemaError(f"{where} must be [re, im]")
-    return complex(value[0], value[1])
+    try:
+        z = complex(value[0], value[1])
+    except OverflowError:  # an integer literal beyond the float range
+        raise SchemaError(f"{where} must be finite")
+    if not cmath.isfinite(z):
+        raise SchemaError(f"{where} must be finite")
+    return z
 
 
 def _parse_matrix(raw, where):
@@ -161,34 +170,24 @@ def _path_from(data):
     return [_parse_matrix(t, f"field 'ts'[{i}]") for i, t in enumerate(ts)]
 
 
-def _parse_k(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise SchemaError("--k must be RE,IM")
+def _parse_numbers(text, option, form):
+    """Finite floats from an option value shaped like form, e.g. "A:B"."""
+    sep = "," if "," in form else ":"
+    parts = text.split(sep)
+    if len(parts) != form.count(sep) + 1:
+        raise SchemaError(f"{option} must be {form}")
     try:
-        return complex(float(parts[0]), float(parts[1]))
+        values = [float(part) for part in parts]
     except ValueError:
-        raise SchemaError("--k must be RE,IM")
+        raise SchemaError(f"{option} must be {form}")
+    if not all(math.isfinite(x) for x in values):
+        raise SchemaError(f"{option} must be finite")
+    return values
 
 
-def _parse_dir(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise SchemaError("--dir must be RE,IM")
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise SchemaError("--dir must be RE,IM")
-
-
-def _parse_range(text, option):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise SchemaError(f"{option} must be A:B")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise SchemaError(f"{option} must be A:B")
+def _parse_complex(text, option):
+    re, im = _parse_numbers(text, option, "RE,IM")
+    return complex(re, im)
 
 
 def _classification_payload(c):
@@ -221,7 +220,7 @@ def _cmd_classify(args):
 
 
 def _cmd_eval(args):
-    k = _parse_k(args.k)
+    k = _parse_complex(args.k, "--k")
     interaction = _interaction_from(_read_payload(args))
     s = build(interaction)
     try:
@@ -269,7 +268,10 @@ def _cmd_metric(args):
 def _grid(start, stop, step):
     if step <= 0:
         raise _GuardError("--param step must be positive")
-    count = math.floor((stop - start) / step + 1 + 1e-9)
+    span = (stop - start) / step
+    if math.isinf(span):
+        raise _GuardError(f"parameter grid from {start} to {stop} by {step} overflows")
+    count = math.floor(span + 1 + 1e-9)
     if count < 1:
         raise _GuardError("empty parameter grid")
     if count > MAX_GRID:
@@ -330,8 +332,8 @@ def _sweep_points(args):
         return [(complex(i), ("matrix", m)) for i, m in enumerate(matrices)]
     if not args.param:
         raise SchemaError("--param is required for this family")
-    start, stop, step = _parse_param(args.param)
-    direction = _parse_dir(args.dir)
+    start, stop, step = _parse_numbers(args.param, "--param", "START:STOP:STEP")
+    direction = _parse_complex(args.dir, "--dir")
     points = []
     for t in _grid(start, stop, step):
         if family == "Delta":
@@ -346,16 +348,6 @@ def _sweep_points(args):
                 (complex(t), ("abcd", (-phase, -1, 1, phase.conjugate())))
             )
     return points
-
-
-def _parse_param(text):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise SchemaError("--param must be START:STOP:STEP")
-    try:
-        return float(parts[0]), float(parts[1]), float(parts[2])
-    except ValueError:
-        raise SchemaError("--param must be START:STOP:STEP")
 
 
 def _cmd_sweep(args):
@@ -385,9 +377,13 @@ def _cmd_sweep(args):
 
 def _cmd_probe(args):
     interaction = _interaction_from(_read_payload(args))
-    xi_range = _parse_range(args.xi, "--xi")
-    if args.epsilon <= 0:
-        raise SchemaError("--epsilon must be positive")
+    xi_range = _parse_numbers(args.xi, "--xi", "A:B")
+    if not xi_range[0] < xi_range[1]:
+        raise SchemaError("--xi must be A:B with A < B")
+    if not 0 < args.epsilon < math.inf:
+        raise SchemaError("--epsilon must be positive and finite")
+    if not 16 <= args.n <= MAX_GRID:
+        raise SchemaError(f"--n must be between 16 and {MAX_GRID}")
     value = similarity_integral_probe(
         interaction, args.epsilon, xi_range, n=args.n
     )
@@ -451,6 +447,11 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    try:
+        base_tol()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     try:
         return args.handler(args)
     except SchemaError as exc:

@@ -79,6 +79,8 @@ class Interaction:
         m = np.array(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError(f"expected a finite 2x2 matrix, got {m.tolist()}")
         m.setflags(write=False)
         self.matrix = m
         self.gamma = decompose(m)
@@ -139,13 +141,17 @@ class Interaction:
 
     def is_hermitian(self):
         """Whether the boundary matrix is (numerically) self-adjoint."""
-        diff = np.abs(self.matrix - self.matrix.conj().T).max()
-        scale = 1 + np.abs(self.matrix).max()
-        return bool(diff <= base_tol() * scale)
+        return _is_hermitian(self.matrix, base_tol())
 
     def __repr__(self):
         rows = self.matrix.tolist()
         return f"Interaction(matrix={rows!r})"
+
+
+def _is_hermitian(matrix, tol):
+    diff = np.abs(matrix - matrix.conj().T).max()
+    scale = 1 + np.abs(matrix).max()
+    return bool(diff <= tol * scale)
 
 
 FRIEDRICHS = Interaction(np.zeros((2, 2)))

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import DegenerateGamma, NotApplicable
 from .pauli import SIGMA0, SIGMA1, SIGMA2, SIGMA3
 from .smatrix import build
-from .classifier import find_poles
+from .classifier import _metric_certificate, find_poles
+from .interaction import _is_hermitian
 from .tolerances import base_tol
 
 
@@ -48,21 +49,15 @@ def check_applicability(interaction):
     Returns (Applicability, reason). The reason is None when applicable and
     names the failed condition otherwise.
     """
-    tol = base_tol()
-    if interaction.is_hermitian():
+    s = build(interaction)
+    if _is_hermitian(interaction.matrix, s.tol):
         return Applicability.NOT_APPLICABLE, "already self-adjoint"
-    g0, g1, g2, g3 = interaction.gamma
-    if abs(g0.imag) > 100 * tol * (1 + abs(g0)):
-        return Applicability.NOT_APPLICABLE, "gamma0 not real"
-    sq = g1 * g1 + g2 * g2 + g3 * g3
-    if abs(sq.imag) > 100 * tol * (1 + abs(sq)):
-        return Applicability.NOT_APPLICABLE, "sum of gamma_j^2 not real"
-    if sq.real <= 100 * tol:
-        return Applicability.NOT_APPLICABLE, "sum of gamma_j^2 not positive"
-    if any(p.order >= 2 for p in find_poles(build(interaction))):
+    failure, expected = _metric_certificate(s.gamma, s.tol)
+    if failure is not None:
+        return Applicability.NOT_APPLICABLE, failure
+    if any(p.order >= 2 for p in find_poles(s)):
         return Applicability.NOT_APPLICABLE, "pole of order 2"
-    det = g0 * g0 - sq
-    if abs(det) <= 100 * tol * (1 + abs(g0)) ** 2:
+    if expected == 1:
         return Applicability.ONE_IMAGINARY_POLE, None
     return Applicability.TWO_IMAGINARY_POLES, None
 

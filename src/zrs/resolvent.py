@@ -24,7 +24,6 @@ from scipy.integrate import quad, simpson
 
 from .errors import AtEigenvalue, NonConvergent
 from .smatrix import build
-from .tolerances import base_tol
 
 # W = sigma0 + i sigma2
 _W = np.array([[1, 1], [-1, 1]], dtype=complex)
@@ -151,8 +150,7 @@ def resolvent_diff_norm(interaction, k, g):
     s = build(interaction)
     F = f_transform(g, k)
     pk = s.p(k)
-    tol = base_tol()
-    if abs(pk) <= tol * (1 + abs(k) ** 2) * max(1.0, abs(s.det_t)):
+    if abs(pk) <= s.tol * (1 + abs(k) ** 2) * max(1.0, abs(s.det_t)):
         raise AtEigenvalue(f"p({k}) within tolerance of zero")
     theta = 2 * (1 + 1j * k)
     M = s.interaction.matrix - theta * s.det_t * np.eye(2)
@@ -188,7 +186,7 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     theta = 2 * (1 + 1j * k)
     p = c0 + (c1 + c2 * k) * k
     scaled = np.abs(p) / ((1 + np.abs(k) ** 2) * max(1.0, abs(D)))
-    if scaled.min() <= base_tol():
+    if scaled.min() <= s.tol:
         raise AtEigenvalue("sweep line passes through a pole")
     T = s.interaction.matrix
     m00 = T[0, 0] - theta * D

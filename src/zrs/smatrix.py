@@ -18,9 +18,8 @@ from .errors import AtPole, DegenerateSystem, OnImaginaryAxis
 from .pauli import SIGMA0, PauliVector, compose, det_pauli
 from .tolerances import base_tol
 
-# Structure of p at the origin, decided once per evaluation at the current
-# tolerance: no root there, a simple root, a double root with scalar T
-# (constant S), or a genuine double root.
+# Structure of p at the origin: no root there, a simple root, a double root
+# with scalar T (constant S), or a genuine double root.
 _NO_ORIGIN_ROOT = "none"
 _SIMPLE_ORIGIN_ROOT = "simple"
 _SCALAR_DOUBLE = "scalar"
@@ -44,6 +43,19 @@ class SMatrixFn:
         root that has escaped to infinity (vanishing denominator).
     p_coeffs : tuple
         (c0, c1, c2) with p(k) = c0 + c1 k + c2 k^2.
+    tol : float
+        Base tolerance, read once when the function is built; every
+        decision about the structure of p below is taken at it.
+    degree : int
+        Effective degree of p, leading coefficients below 100 tol dropped.
+    roots : tuple
+        (root, multiplicity) pairs of p in the k variable; a root at the
+        origin is exactly 0j.
+    scalar : bool
+        Whether the boundary matrix is a multiple of sigma0.
+    origin_structure : str
+        Structure of p at the origin: "none", "simple", "scalar" (double
+        root with scalar T, so S is constant) or "double".
     """
 
     def __init__(self, interaction):
@@ -52,7 +64,7 @@ class SMatrixFn:
         g0, g1, g2, g3 = self.gamma
         self.det_t = det_pauli(self.gamma)
         self.xi = np.sqrt(complex(g1 * g1 + g2 * g2 + g3 * g3))
-        tol = base_tol()
+        self.tol = tol = base_tol()
         scale = max(1.0, abs(g0), abs(self.xi))
         self.theta_plus = None
         self.theta_minus = None
@@ -62,28 +74,45 @@ class SMatrixFn:
             self.theta_minus = 1 / (g0 - self.xi)
         D = self.det_t
         self.p_coeffs = (1 - 4 * g0 + 4 * D, 4j * (2 * D - g0), -4 * D)
+        c0, c1, c2 = self.p_coeffs
+
+        origin_root = abs(c0) <= 100 * tol * max(1.0, abs(c1), abs(c2))
+        simple_origin = abs(c1) > 100 * tol * max(1.0, abs(c2))
+        self.scalar = max(abs(g1), abs(g2), abs(g3)) <= 100 * tol * max(1.0, abs(g0))
+        if abs(c2) > 100 * tol * max(1.0, abs(c0), abs(c1)):
+            self.degree = 2
+            disc = c1 * c1 - 4 * c2 * c0
+            if abs(disc) <= 100 * tol * max(1.0, abs(c0), abs(c1), abs(c2)) ** 2:
+                double = 0j if origin_root and not simple_origin else -c1 / (2 * c2)
+                self.roots = ((double, 2),)
+            else:
+                sq = np.sqrt(disc)
+                # pick the larger numerator so neither root loses precision
+                q = -(c1 + sq) / 2 if abs(c1 + sq) >= abs(c1 - sq) else -(c1 - sq) / 2
+                self.roots = ((q / c2, 1), (0j if origin_root else c0 / q, 1))
+        elif abs(c1) > 100 * tol * max(1.0, abs(c0)):
+            self.degree = 1
+            self.roots = ((0j if origin_root else -c0 / c1, 1),)
+        else:
+            self.degree = 0
+            self.roots = ()
+
+        if not origin_root:
+            self.origin_structure = _NO_ORIGIN_ROOT
+        elif simple_origin:
+            self.origin_structure = _SIMPLE_ORIGIN_ROOT
+        elif self.scalar:
+            # c0 and c1 both vanish, so p = c2 k^2 with c2 away from zero
+            # (all three coefficients cannot vanish together)
+            self.origin_structure = _SCALAR_DOUBLE
+        else:
+            self.origin_structure = _DOUBLE_ORIGIN_ROOT
 
     def p(self, k):
         """Characteristic polynomial det(sigma0 - theta_k T) at k."""
         c0, c1, c2 = self.p_coeffs
         k = complex(k)
         return c0 + (c1 + c2 * k) * k
-
-    def _origin_structure(self):
-        tol = base_tol()
-        c0, c1, c2 = self.p_coeffs
-        if abs(c0) > 100 * tol * max(1.0, abs(c1), abs(c2)):
-            return _NO_ORIGIN_ROOT
-        if abs(c1) > 100 * tol * max(1.0, abs(c2)):
-            return _SIMPLE_ORIGIN_ROOT
-        # c0 and c1 both vanish, so p = c2 k^2 with c2 away from zero
-        # (all three coefficients cannot vanish together).
-        D = self.det_t
-        m0 = self.interaction.matrix - 2 * D * SIGMA0
-        scale = max(1.0, np.abs(self.interaction.matrix).max(), abs(D))
-        if np.abs(m0).max() <= 100 * tol * scale:
-            return _SCALAR_DOUBLE
-        return _DOUBLE_ORIGIN_ROOT
 
     def evaluate(self, k):
         """S(k) as a 2x2 ndarray.
@@ -93,12 +122,12 @@ class SMatrixFn:
         returned instead.
         """
         k = complex(k)
-        tol = base_tol()
+        tol = self.tol
         c0, c1, c2 = self.p_coeffs
         D = self.det_t
         theta_k = 2 * (1 + 1j * k)
         num = 4j * (self.interaction.matrix - theta_k * D * SIGMA0)
-        structure = self._origin_structure()
+        structure = self.origin_structure
         if structure == _NO_ORIGIN_ROOT:
             pk = c0 + (c1 + c2 * k) * k
             if abs(pk) <= tol * (1 + abs(k) ** 2) * max(1.0, abs(D)):
@@ -123,12 +152,12 @@ class SMatrixFn:
         determinant path is available and the raw polynomial otherwise.
         """
         k = complex(k)
-        tol = base_tol()
+        tol = self.tol
         g0, g1, g2, g3 = self.gamma
         D = self.det_t
         theta_k = 2 * (1 + 1j * k)
         c0, c1, c2 = self.p_coeffs
-        structure = self._origin_structure()
+        structure = self.origin_structure
         if structure == _SCALAR_DOUBLE:
             return PauliVector(1 + 8 * D / c2, 0j, 0j, 0j)
         if structure == _SIMPLE_ORIGIN_ROOT:
@@ -167,7 +196,7 @@ class SMatrixFn:
         half-identity (S = -sigma0), and gamma0 = 1/4 with the space part
         of gamma squaring to 1/16 (S = sigma0 - 4T).
         """
-        tol = base_tol()
+        tol = self.tol
         T = self.interaction.matrix
         if np.abs(T).max() <= tol:
             return True, SIGMA0.copy()

@@ -9,8 +9,6 @@ from zrs.classifier import (
     classify,
     exceptional_points,
     find_poles,
-    region,
-    similarity_class,
     spectral_singularities,
 )
 from zrs.interaction import FRIEDRICHS, KREIN, Interaction
@@ -191,20 +189,10 @@ def test_symmetric_real_axis_pair_is_deduplicated():
     assert values == pytest.approx([1.5])
 
 
-def test_region_recompute_matches():
-    for i in (
-        Interaction.from_abcd(-1, 0, 0, 0),
-        Interaction.from_abcd(0, 0, 0, 1j),
-        phase_family(0.7),
-        phase_family(np.pi),
-    ):
-        c = classify(i)
-        assert region(c) is c.region
-
-
 def test_similarity_class_helper():
-    sim, neg = similarity_class(Interaction.from_gamma(PauliVector(1 / 8, 1 / 4, 1j / 8, 0)))
-    assert sim is Similarity.SIMILAR_TO_SELF_ADJOINT and neg is True
+    c = classify(Interaction.from_gamma(PauliVector(1 / 8, 1 / 4, 1j / 8, 0)))
+    assert c.similarity is Similarity.SIMILAR_TO_SELF_ADJOINT
+    assert c.has_negative_eigenvalues is True
 
 
 def test_boundedness_scan():

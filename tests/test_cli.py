@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from zrs.cli import CSV_COLUMNS, main
+import zrs.cli
+from zrs.cli import CSV_COLUMNS, MAX_GRID, _dump, main
 
 DELTA_ATTRACTIVE = '{"form": "abcd", "a": [-1, 0], "b": [0, 0], "c": [0, 0], "d": [0, 0]}'
 DELTA_REPULSIVE = '{"form": "abcd", "a": [1, 0], "b": [0, 0], "c": [0, 0], "d": [0, 0]}'
@@ -17,10 +18,18 @@ TWO_POLE_METRIC = (
 )
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def run_cli(argv, stdin_text, monkeypatch, capsys):
+    """Run the CLI in process; JSON output must parse as strict JSON."""
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
     code = main(argv)
     out, err = capsys.readouterr()
+    if "csv" not in argv:
+        for line in out.splitlines():
+            json.loads(line, parse_constant=_reject_constant)
     return code, out, err
 
 
@@ -204,6 +213,14 @@ def test_probe_reports_evidence(monkeypatch, capsys):
 
 
 def test_exit_code_2_on_malformed_input(monkeypatch, capsys):
+    def no_probe(*args, **kwargs):
+        raise AssertionError("probe ran on rejected arguments")
+
+    monkeypatch.setattr(zrs.cli, "similarity_integral_probe", no_probe)
+    nan_cell = '{"form": "abcd", "a": [NaN, 0], "b": [0, 0], "c": [0, 0], "d": [0, 0]}'
+    inf_cell = '{"form": "frakT", "t": [[[1, 0], [0, Infinity]], [[0, 0], [1, 0]]]}'
+    huge_cell = '{"form": "abcd", "a": [1%s, 0], "b": [0, 0], "c": [0, 0], "d": [0, 0]}' % ("0" * 400)
+    path = '{"form": "frakT_path", "ts": [[[[0, 0], [0, 0]], [[0, 0], [-Infinity, 0]]]]}'
     cases = [
         (["classify"], "not json"),
         (["classify"], '{"form": "abcd", "a": [1, 0]}'),
@@ -215,6 +232,25 @@ def test_exit_code_2_on_malformed_input(monkeypatch, capsys):
         (["probe", "--epsilon", "1", "--xi", "zero:1"], DELTA_REPULSIVE),
         (["sweep", "--family", "Delta"], ""),
         (["sweep", "--family", "FrakTPath"], '{"form": "frakT_path", "ts": []}'),
+        # non-finite numbers
+        (["classify"], nan_cell),
+        (["eval", "--k=1,0"], inf_cell),
+        (["metric"], huge_cell),
+        (["sweep", "--family", "FrakTPath"], path),
+        (["eval", "--k", "nan,0"], DELTA_REPULSIVE),
+        (["eval", "--k", "0,1e400"], DELTA_REPULSIVE),
+        (["sweep", "--family", "Delta", "--param", "0:1:1", "--dir", "nan,0"], ""),
+        (["sweep", "--family", "Delta", "--param", "0:inf:1"], ""),
+        (["sweep", "--family", "Delta", "--param", "0:nan:1"], ""),
+        # probe ranges
+        (["probe", "--epsilon", "0.1", "--xi=10:-10"], DELTA_ATTRACTIVE),
+        (["probe", "--epsilon", "0.1", "--xi=1:1"], DELTA_ATTRACTIVE),
+        (["probe", "--epsilon", "0.1", "--xi=0:inf"], DELTA_ATTRACTIVE),
+        (["probe", "--epsilon", "nan", "--xi=-1:1"], DELTA_ATTRACTIVE),
+        (["probe", "--epsilon", "inf", "--xi=-1:1"], DELTA_ATTRACTIVE),
+        (["probe", "--epsilon", "0", "--xi=-1:1"], DELTA_ATTRACTIVE),
+        (["probe", "--epsilon", "0.1", "--xi=-1:1", "--n", "3"], DELTA_ATTRACTIVE),
+        (["probe", "--epsilon", "0.1", "--xi=-1:1", "--n", str(MAX_GRID + 1)], DELTA_ATTRACTIVE),
     ]
     for argv, text in cases:
         code, _, err = run_cli(argv, text, monkeypatch, capsys)
@@ -250,6 +286,18 @@ def test_exit_code_4_on_grid_guards(monkeypatch, capsys):
     )
     assert code == 4
     assert "limit" in err
+    code, _, err = run_cli(
+        ["sweep", "--family", "Delta", "--param", "0:1e308:1e-300"], "", monkeypatch, capsys
+    )
+    assert code == 4
+    assert "overflows" in err
+
+
+def test_dump_rejects_non_finite_numbers():
+    assert _dump({"x": [0.5, -0.0]}) == '{"x":[0.5,-0.0]}'
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            _dump({"x": bad})
 
 
 def test_unknown_subcommand_exits_2(monkeypatch, capsys):

@@ -99,6 +99,16 @@ def test_matrix_is_read_only():
         i.matrix[0, 0] = 9
 
 
+def test_rejects_shape_and_non_finite_entries():
+    with pytest.raises(ValueError, match="2x2"):
+        Interaction.from_matrix(np.zeros((3, 3)))
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            Interaction.from_matrix([[0, bad], [0, 0]])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            Interaction.from_abcd(bad, 0, 0, 0)
+
+
 def test_from_gamma_round_trip():
     i = Interaction.from_abcd(0.3, -0.2 + 0.1j, 0.5, 1.1j)
     assert np.allclose(Interaction.from_gamma(i.gamma).matrix, i.matrix)
