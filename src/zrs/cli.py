@@ -30,7 +30,6 @@ from .errors import AtPole, NotApplicable, NotRepresentable, ZrsError
 from .interaction import Interaction
 from .metric import (
     Applicability,
-    check_applicability,
     construct,
     cosh_chi_from_poles,
     metric_matrix,
@@ -228,44 +227,35 @@ def _cmd_eval(args):
     except AtPole:
         _emit({"k": _pair(k), "pole": True})
         return 0
-    _emit(
-        {
-            "k": _pair(k),
-            "s": [[_pair(m[0, 0]), _pair(m[0, 1])], [_pair(m[1, 0]), _pair(m[1, 1])]],
-        }
-    )
+    _emit({"k": _pair(k), "s": [[_pair(z) for z in row] for row in m]})
     return 0
 
 
 def _cmd_metric(args):
     interaction = _interaction_from(_read_payload(args))
-    applicability, reason = check_applicability(interaction)
-    if applicability is Applicability.NOT_APPLICABLE:
-        _emit({"applicable": False, "reason": reason})
+    try:
+        spec = construct(interaction)
+    except NotApplicable as exc:
+        _emit({"applicable": False, "reason": str(exc)})
         return 0
-    spec = construct(interaction)
     E = metric_matrix(spec)
-    residual = verify_intertwining(interaction, spec)
-    if applicability is Applicability.TWO_IMAGINARY_POLES:
-        cosh_chi = _f(cosh_chi_from_poles(interaction))
-    else:
-        cosh_chi = None
+    two_poles = spec.applicability is Applicability.TWO_IMAGINARY_POLES
     _emit(
         {
             "alpha": [_f(x) for x in spec.alpha],
             "applicable": True,
-            "applicability": applicability.value,
+            "applicability": spec.applicability.value,
             "chi": _f(spec.chi),
-            "cosh_chi_from_poles": cosh_chi,
-            "e": [[_pair(E[0, 0]), _pair(E[0, 1])], [_pair(E[1, 0]), _pair(E[1, 1])]],
-            "intertwining_residual": _f(residual),
+            "cosh_chi_from_poles": _f(cosh_chi_from_poles(spec)) if two_poles else None,
+            "e": [[_pair(z) for z in row] for row in E],
+            "intertwining_residual": _f(verify_intertwining(spec)),
             "kappa": _f(spec.kappa),
         }
     )
     return 0
 
 
-def _grid(start, stop, step):
+def _grid_size(start, stop, step):
     if step <= 0:
         raise _GuardError("--param step must be positive")
     span = (stop - start) / step
@@ -276,7 +266,7 @@ def _grid(start, stop, step):
         raise _GuardError("empty parameter grid")
     if count > MAX_GRID:
         raise _GuardError(f"parameter grid has {count} points, limit is {MAX_GRID}")
-    return [start + j * step for j in range(count)]
+    return count
 
 
 class _GuardError(Exception):
@@ -325,29 +315,41 @@ def _csv_cell(value):
     return str(value)
 
 
+_COUPLINGS = {  # abcd coefficients of each coupling family's swept coupling z
+    "Delta": lambda z: (z, 0, 0, 0),
+    "Mixed": lambda z: (0, z, 0, 0),
+    "DeltaPrime": lambda z: (0, 0, 0, z),
+}
+
+
+def _example_v_point(t):
+    phase = complex(math.cos(t), math.sin(t))
+    return complex(t), Interaction.from_abcd, (-phase, -1, 1, phase.conjugate())
+
+
 def _sweep_points(args):
-    family = args.family
-    if family == "FrakTPath":
+    """Lazy (param, constructor, arguments) of each sweep point.
+
+    Whatever rejects the sweep as a whole is checked before this returns.
+    """
+    if args.family == "FrakTPath":
         matrices = _path_from(_read_payload(args))
-        return [(complex(i), ("matrix", m)) for i, m in enumerate(matrices)]
+        return ((complex(i), Interaction.from_matrix, (m,)) for i, m in enumerate(matrices))
     if not args.param:
         raise SchemaError("--param is required for this family")
     start, stop, step = _parse_numbers(args.param, "--param", "START:STOP:STEP")
     direction = _parse_complex(args.dir, "--dir")
-    points = []
-    for t in _grid(start, stop, step):
-        if family == "Delta":
-            points.append((t * direction, ("abcd", (t * direction, 0, 0, 0))))
-        elif family == "Mixed":
-            points.append((t * direction, ("abcd", (0, t * direction, 0, 0))))
-        elif family == "DeltaPrime":
-            points.append((t * direction, ("abcd", (0, 0, 0, t * direction))))
-        else:  # ExampleV
-            phase = complex(math.cos(t), math.sin(t))
-            points.append(
-                (complex(t), ("abcd", (-phase, -1, 1, phase.conjugate())))
-            )
-    return points
+    count = _grid_size(start, stop, step)
+    ts = (start + j * step for j in range(count))
+    if args.family == "ExampleV":
+        return map(_example_v_point, ts)
+    # the couplings are linear in t: finite at both ends, finite throughout
+    for t in (start, start + (count - 1) * step):
+        if not cmath.isfinite(t * direction):
+            raise _GuardError(f"coupling t * dir is not finite at t = {t}")
+    couplings = _COUPLINGS[args.family]
+    zs = (t * direction for t in ts)
+    return ((z, Interaction.from_abcd, couplings(z)) for z in zs)
 
 
 def _cmd_sweep(args):
@@ -356,18 +358,11 @@ def _cmd_sweep(args):
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-    for index, (param, spec) in enumerate(points):
-        classification = None
-        error = None
+    for index, (param, constructor, arguments) in enumerate(points):
         try:
-            if spec[0] == "matrix":
-                interaction = Interaction.from_matrix(spec[1])
-            else:
-                interaction = Interaction.from_abcd(*spec[1])
-            classification = classify(interaction)
+            row = _row_from(index, param, classify(constructor(*arguments)), None)
         except ZrsError as exc:
-            error = type(exc).__name__
-        row = _row_from(index, param, classification, error)
+            row = _row_from(index, param, None, type(exc).__name__)
         if writer is not None:
             writer.writerow([_csv_cell(row[col]) for col in CSV_COLUMNS])
         else:

@@ -44,9 +44,7 @@ def gamma_from_abcd(a, b, c, d):
     Independent of the matrix assembly in Interaction.from_abcd; used to
     cross-check it.
     """
-    p = PotentialABCD(complex(a), complex(b), complex(c), complex(d))
-    xi = p.xi
-    _check_xi(p, xi)
+    p, xi = _potential(a, b, c, d)
     g0 = (xi - 2 * (p.a + p.d)) / (4 * xi)
     g1 = (4 + p.det) / (4 * xi)
     g2 = -1j * (p.b - p.c) / (2 * xi)
@@ -54,12 +52,19 @@ def gamma_from_abcd(a, b, c, d):
     return PauliVector(g0, g1, g2, g3)
 
 
-def _check_xi(p, xi):
-    scale = (1 + abs(p.a) + abs(p.b) + abs(p.c) + abs(p.d)) ** 2
-    if abs(xi) <= base_tol() * scale:
-        raise NotRepresentable(
-            f"normalization Xi = {xi} vanishes for coefficients {p}"
-        )
+def _potential(a, b, c, d):
+    """PotentialABCD and Xi of the coefficients; NotRepresentable where Xi vanishes."""
+    p = PotentialABCD(complex(a), complex(b), complex(c), complex(d))
+    xi = p.xi
+    try:
+        size = 1 + abs(p.a) + abs(p.b) + abs(p.c) + abs(p.d)
+        # size * size overflows to inf where size ** 2 raises OverflowError
+        vanishes = abs(xi) <= base_tol() * size * size
+    except OverflowError:  # a modulus beyond the float range
+        vanishes = True
+    if vanishes:
+        raise NotRepresentable(f"normalization Xi = {xi} vanishes for coefficients {p}")
+    return p, xi
 
 
 class Interaction:
@@ -96,9 +101,7 @@ class Interaction:
             If the normalization Xi vanishes (relative to the coefficient
             magnitudes), in which case no boundary matrix exists.
         """
-        p = PotentialABCD(complex(a), complex(b), complex(c), complex(d))
-        xi = p.xi
-        _check_xi(p, xi)
+        p, xi = _potential(a, b, c, d)
         det = p.det
         m = np.array(
             [

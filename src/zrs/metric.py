@@ -20,10 +20,9 @@ import numpy as np
 
 from .errors import DegenerateGamma, NotApplicable
 from .pauli import SIGMA0, SIGMA1, SIGMA2, SIGMA3
-from .smatrix import build
+from .smatrix import SMatrixFn, build
 from .classifier import _metric_certificate, find_poles
 from .interaction import _is_hermitian
-from .tolerances import base_tol
 
 
 class Applicability(Enum):
@@ -34,13 +33,13 @@ class Applicability(Enum):
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """Parameters of the metric operator E."""
+    """Parameters of the metric operator E, and the S and applicability they rest on."""
 
     alpha: np.ndarray
     chi: float
     kappa: float
-    re_gamma: np.ndarray
-    im_gamma: np.ndarray
+    applicability: Applicability
+    s: SMatrixFn
 
 
 def check_applicability(interaction):
@@ -49,8 +48,11 @@ def check_applicability(interaction):
     Returns (Applicability, reason). The reason is None when applicable and
     names the failed condition otherwise.
     """
-    s = build(interaction)
-    if _is_hermitian(interaction.matrix, s.tol):
+    return _applicability(build(interaction))
+
+
+def _applicability(s):
+    if _is_hermitian(s.interaction.matrix, s.tol):
         return Applicability.NOT_APPLICABLE, "already self-adjoint"
     failure, expected = _metric_certificate(s.gamma, s.tol)
     if failure is not None:
@@ -63,32 +65,33 @@ def check_applicability(interaction):
 
 
 def construct(interaction):
-    """MetricSpec for an applicable interaction.
+    """MetricSpec for an applicable interaction, decided on one build of S.
 
     Raises
     ------
     NotApplicable
-        If check_applicability rejects the interaction.
+        If check_applicability rejects the interaction, with its reason.
     DegenerateGamma
         If the real and imaginary parts of the gamma space part are
         collinear, leaving no axis for sigma_alpha.
     """
-    applicability, reason = check_applicability(interaction)
+    s = build(interaction)
+    applicability, reason = _applicability(s)
     if applicability is Applicability.NOT_APPLICABLE:
         raise NotApplicable(reason)
-    space = interaction.gamma.space_part()
+    space = s.gamma.space_part()
     u = space.real
     v = space.imag
     cross = np.cross(u, v)
     norm_u = float(np.linalg.norm(u))
     norm_v = float(np.linalg.norm(v))
     norm_cross = float(np.linalg.norm(cross))
-    if norm_cross <= 0.1 * base_tol() * (1 + norm_u * norm_v):
+    if norm_cross <= 0.1 * s.tol * (1 + norm_u * norm_v):
         raise DegenerateGamma("Re gamma and Im gamma are collinear")
     alpha = -cross / norm_cross
     kappa = norm_v / norm_u
     chi = math.atanh(kappa)
-    return MetricSpec(alpha=alpha, chi=chi, kappa=kappa, re_gamma=u, im_gamma=v)
+    return MetricSpec(alpha=alpha, chi=chi, kappa=kappa, applicability=applicability, s=s)
 
 
 def metric_matrix(spec):
@@ -98,33 +101,31 @@ def metric_matrix(spec):
     return math.cosh(spec.chi) * SIGMA0 + math.sinh(spec.chi) * sigma_alpha
 
 
-def verify_intertwining(interaction, spec):
-    """Max-norm residual of T* E - E T.
+def verify_intertwining(spec):
+    """Max-norm residual of T* E - E T, for the T the spec was built from.
 
     Returns inf instead of raising when E fails to be positive definite
     hermitian, so a caller can always log the number.
     """
     E = metric_matrix(spec)
-    tol = base_tol()
-    if np.abs(E - E.conj().T).max() > 100 * tol * (1 + np.abs(E).max()):
+    if np.abs(E - E.conj().T).max() > 100 * spec.s.tol * (1 + np.abs(E).max()):
         return math.inf
     if np.linalg.eigvalsh(E).min() <= 0:
         return math.inf
-    T = interaction.matrix
+    T = spec.s.interaction.matrix
     return float(np.abs(T.conj().T @ E - E @ T).max())
 
 
-def cosh_chi_from_poles(interaction):
+def cosh_chi_from_poles(spec):
     """cosh(chi) recovered from the two imaginary poles of S.
 
-    Equals |Re gamma| / |(k_minus - k_plus) det T|. Only defined in the
-    two-pole case; raises NotApplicable otherwise.
+    Equals |Re gamma| / |(k_minus - k_plus) det T| from the poles of spec.s,
+    not spec.chi. Defined in the two-pole case only; raises NotApplicable otherwise.
     """
-    applicability, reason = check_applicability(interaction)
-    if applicability is not Applicability.TWO_IMAGINARY_POLES:
-        raise NotApplicable(reason or "needs two imaginary poles")
-    s = build(interaction)
+    if spec.applicability is not Applicability.TWO_IMAGINARY_POLES:
+        raise NotApplicable("needs two imaginary poles")
+    s = spec.s
     k_plus = 1j * (1 - s.theta_plus / 2)
     k_minus = 1j * (1 - s.theta_minus / 2)
-    norm_u = float(np.linalg.norm(interaction.gamma.space_part().real))
+    norm_u = float(np.linalg.norm(s.gamma.space_part().real))
     return norm_u / abs((k_minus - k_plus) * s.det_t)

@@ -256,11 +256,11 @@ def test_criterion_06_metric_construction():
         kind, reason = check_applicability(interaction)
         assert kind is not Applicability.NOT_APPLICABLE, reason
         spec = construct(interaction)
-        worst_residual = max(worst_residual, verify_intertwining(interaction, spec))
+        worst_residual = max(worst_residual, verify_intertwining(spec))
         assert np.linalg.eigvalsh(metric_matrix(spec)).min() > 0
         if kind is Applicability.TWO_IMAGINARY_POLES:
             two_pole += 1
-            diff = abs(cosh_chi_from_poles(interaction) - math.cosh(spec.chi))
+            diff = abs(cosh_chi_from_poles(spec) - math.cosh(spec.chi))
             worst_route = max(worst_route, diff)
 
     check(golden)

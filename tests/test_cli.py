@@ -1,12 +1,19 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import zrs.classifier
 import zrs.cli
+import zrs.interaction
+import zrs.metric
+import zrs.smatrix
 from zrs.cli import CSV_COLUMNS, MAX_GRID, _dump, main
 
 DELTA_ATTRACTIVE = '{"form": "abcd", "a": [-1, 0], "b": [0, 0], "c": [0, 0], "d": [0, 0]}'
@@ -105,10 +112,66 @@ def test_metric_two_pole_payload(monkeypatch, capsys):
     assert e[0][1] == pytest.approx([0.0, 0.0])
 
 
+def _frakt(t):
+    return json.dumps({"form": "frakT", "t": t})
+
+
 def test_metric_not_applicable(monkeypatch, capsys):
-    code, out, _ = run_cli(["metric"], DELTA_ATTRACTIVE, monkeypatch, capsys)
+    cases = [
+        (DELTA_ATTRACTIVE, "already self-adjoint"),
+        # gamma = (0.1 + 0.2i, 0.5, 0.3i, 0)
+        (_frakt([[[0.1, 0.2], [0.8, 0]], [[0.2, 0], [0.1, 0.2]]]), "gamma0 not real"),
+        # gamma = (0.2, 0.5 + 0.1i, 0, 0)
+        (_frakt([[[0.2, 0], [0.5, 0.1]], [[0.5, 0.1], [0.2, 0]]]), "sum of gamma_j^2 not real"),
+        # gamma = (0.3, 0.2, 0.5i, 0)
+        (_frakt([[[0.3, 0], [0.7, 0]], [[-0.3, 0], [0.3, 0]]]), "sum of gamma_j^2 not positive"),
+        # gamma = (1e4, 5e-5, 3e-5i, 0): the two roots collapse numerically
+        (_frakt([[[1e4, 0], [8e-5, 0]], [[2e-5, 0], [1e4, 0]]]), "pole of order 2"),
+    ]
+    for payload, reason in cases:
+        code, out, err = run_cli(["metric"], payload, monkeypatch, capsys)
+        assert (code, err) == (0, "")
+        assert out == '{"applicable":false,"reason":"%s"}\n' % reason
+
+
+def test_metric_one_pole_and_degenerate_outputs(monkeypatch, capsys):
+    # gamma = (0.4, 0.5, 0.3i, 0) has det T = 0: one imaginary pole
+    one_pole = _frakt([[[0.4, 0], [0.8, 0]], [[0.2, 0], [0.4, 0]]])
+    code, out, err = run_cli(["metric"], one_pole, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"alpha":[0.0,0.0,-1.0],"applicability":"OneImaginaryPole","applicable":true,'
+        '"chi":0.6931471805599455,"cosh_chi_from_poles":null,'
+        '"e":[[[0.5,0.0],[0.0,0.0]],[[0.0,0.0],[2.0000000000000004,0.0]]],'
+        '"intertwining_residual":1.1102230246251565e-16,"kappa":0.6000000000000001}\n'
+    )
+    # gamma = (0.5, 0.3 (1 + 5e-10 i), 0, 0): Re and Im parts collinear
+    collinear = _frakt([[[0.5, 0], [0.3, 1.5e-10]], [[0.3, 1.5e-10], [0.5, 0]]])
+    code, out, err = run_cli(["metric"], collinear, monkeypatch, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: Re gamma and Im gamma are collinear\n"
+
+
+def test_metric_request_builds_s_once(monkeypatch, capsys):
+    counts = {"build": 0, "base_tol": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (zrs.cli, zrs.metric, zrs.classifier, zrs.smatrix, zrs.interaction):
+        for name in counts:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    code, out, _ = run_cli(["metric"], TWO_POLE_METRIC, monkeypatch, capsys)
     assert code == 0
-    assert out == '{"applicable":false,"reason":"already self-adjoint"}\n'
+    assert json.loads(out)["applicability"] == "TwoImaginaryPoles"
+    assert counts["build"] == 1
+    # once for main's validation, once for the build
+    assert counts["base_tol"] <= 2
 
 
 def test_sweep_delta_json(monkeypatch, capsys):
@@ -171,6 +234,46 @@ def test_sweep_matrix_path(monkeypatch, capsys):
     assert [r["param_re"] for r in rows] == [0.0, 1.0]
     assert all(r["similarity"] == "SelfAdjoint" for r in rows)
     assert all(r["pole1_sheet"] is None for r in rows)
+
+
+def test_sweep_streams_its_rows(monkeypatch, capsys):
+    class Stop(Exception):
+        pass
+
+    classify = zrs.cli.classify
+    seen = []
+
+    def classify_once(interaction):
+        if seen:
+            raise Stop
+        seen.append(interaction)
+        return classify(interaction)
+
+    monkeypatch.setattr(zrs.cli, "classify", classify_once)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    argv = ["sweep", "--family", "Delta", "--param", "0:199999:1", "--format", "csv"]
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert lines[1].startswith("0,0.0,0.0,")
+    assert len(lines) == 2
+    assert peak < 1_000_000, peak
+
+
+def test_sweep_marks_huge_couplings_not_representable(monkeypatch, capsys):
+    code, out, err = run_cli(
+        ["sweep", "--family", "Delta", "--param=0:1e200:1e200"], "", monkeypatch, capsys
+    )
+    assert (code, err) == (0, "")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r["error"] for r in rows] == [None, "NotRepresentable"]
+    assert rows[1]["param_re"] == 1e200
 
 
 def test_sweep_csv_matches_json(monkeypatch, capsys):
@@ -267,10 +370,13 @@ def test_exit_code_2_on_missing_input_file(monkeypatch, capsys):
 
 
 def test_exit_code_3_on_unrepresentable_coefficients(monkeypatch, capsys):
-    payload = '{"form": "abcd", "a": [-2, 0], "b": [0, 0], "c": [0, 0], "d": [0, 0]}'
-    code, _, err = run_cli(["classify"], payload, monkeypatch, capsys)
-    assert code == 3
-    assert err.startswith("error:")
+    payload = '{"form": "abcd", "a": [%s], "b": [0, 0], "c": [0, 0], "d": [0, 0]}'
+    # Xi vanishes at a = -2; the larger couplings are too large to normalise,
+    # their magnitude squared (or magnitude) beyond the float range
+    for a in ("-2, 0", "1e200, 0", "1.5e308, 1.5e308"):
+        code, _, err = run_cli(["classify"], payload % a, monkeypatch, capsys)
+        assert code == 3
+        assert err.startswith("error:")
 
 
 def test_exit_code_4_on_grid_guards(monkeypatch, capsys):
@@ -291,6 +397,14 @@ def test_exit_code_4_on_grid_guards(monkeypatch, capsys):
     )
     assert code == 4
     assert "overflows" in err
+    code, out, err = run_cli(
+        ["sweep", "--family", "Delta", "--param=0:1e300:5e299", "--dir", "1e10,0", "--format", "csv"],
+        "",
+        monkeypatch,
+        capsys,
+    )
+    assert (code, out) == (4, "")
+    assert "not finite" in err
 
 
 def test_dump_rejects_non_finite_numbers():
@@ -307,11 +421,15 @@ def test_unknown_subcommand_exits_2(monkeypatch, capsys):
 
 
 def test_module_entry_point():
+    # the child imports the zrs this process imports, wherever that is
+    src = str(Path(zrs.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "zrs.cli", "classify"],
         input=DELTA_ATTRACTIVE,
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     data = json.loads(proc.stdout)

@@ -36,14 +36,15 @@ def test_golden_two_pole_case():
     kind, reason = check_applicability(GOLDEN)
     assert kind is Applicability.TWO_IMAGINARY_POLES and reason is None
     spec = construct(GOLDEN)
+    assert spec.applicability is kind
     assert np.allclose(spec.alpha, [0, 0, -1])
     assert spec.kappa == pytest.approx(0.5)
     assert spec.chi == pytest.approx(math.atanh(0.5))
     E = metric_matrix(spec)
     assert np.allclose(E, np.diag([1.0, 3.0]) / math.sqrt(3), atol=1e-15)
-    assert verify_intertwining(GOLDEN, spec) < 1e-15
-    assert cosh_chi_from_poles(GOLDEN) == pytest.approx(2 / math.sqrt(3), abs=1e-12)
-    assert cosh_chi_from_poles(GOLDEN) == pytest.approx(math.cosh(spec.chi), abs=1e-12)
+    assert verify_intertwining(spec) < 1e-15
+    assert cosh_chi_from_poles(spec) == pytest.approx(2 / math.sqrt(3), abs=1e-12)
+    assert cosh_chi_from_poles(spec) == pytest.approx(math.cosh(spec.chi), abs=1e-12)
 
 
 def test_one_pole_case():
@@ -51,9 +52,10 @@ def test_one_pole_case():
     kind, reason = check_applicability(i)
     assert kind is Applicability.ONE_IMAGINARY_POLE and reason is None
     spec = construct(i)
-    assert verify_intertwining(i, spec) < 1e-14
+    assert spec.applicability is kind
+    assert verify_intertwining(spec) < 1e-14
     with pytest.raises(NotApplicable):
-        cosh_chi_from_poles(i)
+        cosh_chi_from_poles(spec)
 
 
 def test_rejects_self_adjoint():
@@ -124,11 +126,11 @@ def test_random_applicable_interactions():
         kind, reason = check_applicability(i)
         assert kind is not Applicability.NOT_APPLICABLE, reason
         spec = construct(i)
-        assert verify_intertwining(i, spec) < 1e-12
+        assert verify_intertwining(spec) < 1e-12
         E = metric_matrix(spec)
         assert np.linalg.eigvalsh(E).min() > 0
         if kind is Applicability.TWO_IMAGINARY_POLES:
             two_pole += 1
-            got = cosh_chi_from_poles(i)
+            got = cosh_chi_from_poles(spec)
             assert got == pytest.approx(math.cosh(spec.chi), abs=1e-10)
     assert two_pole > 40
