@@ -5,31 +5,21 @@ from .errors import (
     AtEigenvalue,
     AtPole,
     DegenerateGamma,
-    DegenerateSystem,
     InternalInconsistency,
     NonConvergent,
     NotApplicable,
     NotRepresentable,
-    OnImaginaryAxis,
-    SingularMatrix,
     ZrsError,
 )
-from .pauli import PauliVector, compose, decompose, det_pauli, inverse_pauli
-from .interaction import FRIEDRICHS, KREIN, Interaction, PotentialABCD, gamma_from_abcd
-from .smatrix import (
-    ScatteringCoefficients,
-    SMatrixFn,
-    build,
-    scattering_coefficients,
-    smatrix_from_coefficients,
-)
+from .pauli import PauliVector, compose, decompose, det_pauli
+from .interaction import FRIEDRICHS, KREIN, Interaction, PotentialABCD
+from .smatrix import SMatrixFn, build
 from .classifier import (
     PoleReport,
     Region,
     Sheet,
     Similarity,
     SpectralClassification,
-    boundedness_scan,
     classify,
     exceptional_points,
     find_poles,
@@ -42,11 +32,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ZrsError",
-    "SingularMatrix",
     "NotRepresentable",
     "AtPole",
-    "DegenerateSystem",
-    "OnImaginaryAxis",
     "InternalInconsistency",
     "DegenerateGamma",
     "NotApplicable",
@@ -56,17 +43,12 @@ __all__ = [
     "compose",
     "decompose",
     "det_pauli",
-    "inverse_pauli",
     "PotentialABCD",
     "Interaction",
-    "gamma_from_abcd",
     "FRIEDRICHS",
     "KREIN",
     "SMatrixFn",
     "build",
-    "ScatteringCoefficients",
-    "scattering_coefficients",
-    "smatrix_from_coefficients",
     "Sheet",
     "Similarity",
     "Region",
@@ -76,7 +58,6 @@ __all__ = [
     "spectral_singularities",
     "exceptional_points",
     "classify",
-    "boundedness_scan",
     "Applicability",
     "MetricSpec",
     "TestFunction",

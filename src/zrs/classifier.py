@@ -246,30 +246,3 @@ def classify(interaction):
         region=region,
         has_negative_eigenvalues=has_negative,
     )
-
-
-def boundedness_scan(s, re_range, im_range, n=64):
-    """Grid maximum of |Re k| * ||S(k) - sigma0||_max / |4k| on a rectangle.
-
-    Finite values over a large upper half-plane window are evidence for a
-    bounded similarity transform; blowup pinpoints real-axis singularities
-    and non-real eigenvalues. Evidence only, not a certificate.
-    """
-    if n < 4:
-        raise ValueError("need at least a 4x4 grid")
-    re = np.linspace(re_range[0], re_range[1], n)
-    im = np.linspace(im_range[0], im_range[1], n)
-    K = re[None, :] + 1j * im[:, None]
-    theta = 2 * (1 + 1j * K)
-    c0, c1, c2 = s.p_coeffs
-    P = c0 + (c1 + c2 * K) * K
-    T = s.interaction.matrix
-    D = s.det_t
-    m = np.maximum(
-        np.maximum(np.abs(T[0, 0] - theta * D), np.abs(T[1, 1] - theta * D)),
-        max(abs(T[0, 1]), abs(T[1, 0])),
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = np.abs(K.real) * m / np.abs(P)
-    val = np.where(np.abs(P) == 0, np.inf, val)
-    return float(np.max(val))

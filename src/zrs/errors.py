@@ -5,24 +5,12 @@ class ZrsError(Exception):
     """Base class for all package-specific errors."""
 
 
-class SingularMatrix(ZrsError):
-    """2x2 matrix has (numerically) vanishing determinant."""
-
-
 class NotRepresentable(ZrsError):
     """Coefficient quadruple admits no boundary matrix (normalization vanishes)."""
 
 
 class AtPole(ZrsError):
     """S-matrix evaluation requested at (or too close to) a pole."""
-
-
-class DegenerateSystem(ZrsError):
-    """Linear system for reflection/transmission coefficients is singular."""
-
-
-class OnImaginaryAxis(ZrsError):
-    """Reflection/transmission coefficients undefined for purely imaginary k."""
 
 
 class InternalInconsistency(ZrsError):

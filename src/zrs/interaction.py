@@ -10,6 +10,7 @@ The coefficient form maps onto the matrix form whenever the normalization
 Xi = 4 - (ad - bc) + 2(a - d) is non-zero; there is no map back.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,28 +39,21 @@ class PotentialABCD:
         return 4 - self.det + 2 * (self.a - self.d)
 
 
-def gamma_from_abcd(a, b, c, d):
-    """Pauli coefficients of the boundary matrix, straight from (a, b, c, d).
-
-    Independent of the matrix assembly in Interaction.from_abcd; used to
-    cross-check it.
-    """
-    p, xi = _potential(a, b, c, d)
-    g0 = (xi - 2 * (p.a + p.d)) / (4 * xi)
-    g1 = (4 + p.det) / (4 * xi)
-    g2 = -1j * (p.b - p.c) / (2 * xi)
-    g3 = (p.b + p.c) / (2 * xi)
-    return PauliVector(g0, g1, g2, g3)
-
-
 def _potential(a, b, c, d):
-    """PotentialABCD and Xi of the coefficients; NotRepresentable where Xi vanishes."""
+    """PotentialABCD and Xi of the coefficients; NotRepresentable where Xi vanishes.
+
+    A non-finite coefficient raises ValueError.
+    """
     p = PotentialABCD(complex(a), complex(b), complex(c), complex(d))
+    if not all(map(cmath.isfinite, (p.a, p.b, p.c, p.d))):
+        raise ValueError(f"expected finite coefficients, got {p}")
     xi = p.xi
     try:
         size = 1 + abs(p.a) + abs(p.b) + abs(p.c) + abs(p.d)
-        # size * size overflows to inf where size ** 2 raises OverflowError
-        vanishes = abs(xi) <= base_tol() * size * size
+        # size * size overflows to inf where size ** 2 raises OverflowError;
+        # finite coefficients can still make det = inf - inf, and the NaN Xi
+        # fails the comparison, so it vanishes
+        vanishes = not abs(xi) > base_tol() * size * size
     except OverflowError:  # a modulus beyond the float range
         vanishes = True
     if vanishes:

@@ -2,16 +2,13 @@
 
 Every 2x2 complex matrix M has a unique expansion
 M = x0*sigma0 + x1*sigma1 + x2*sigma2 + x3*sigma3 with complex coefficients.
-The determinant and inverse take closed forms in these coordinates, which is
-what makes the scattering-matrix algebra below tractable.
+The determinant takes a closed form in these coordinates, which is what
+makes the scattering-matrix algebra below tractable.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import SingularMatrix
-from .tolerances import base_tol
 
 SIGMA0 = np.array([[1, 0], [0, 1]], dtype=complex)
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -71,19 +68,3 @@ def det_pauli(x):
     """Determinant x0^2 - (x1^2 + x2^2 + x3^2) in Pauli coordinates."""
     x0, x1, x2, x3 = x
     return x0 * x0 - (x1 * x1 + x2 * x2 + x3 * x3)
-
-
-def inverse_pauli(x):
-    """Inverse in Pauli coordinates: (x0, -x1, -x2, -x3) / det.
-
-    Raises
-    ------
-    SingularMatrix
-        If |det| falls below base_tol() * max(1, sum |xj|^2).
-    """
-    x0, x1, x2, x3 = x
-    det = det_pauli(x)
-    scale = max(1.0, abs(x0) ** 2 + abs(x1) ** 2 + abs(x2) ** 2 + abs(x3) ** 2)
-    if abs(det) < base_tol() * scale:
-        raise SingularMatrix(f"determinant {det} below tolerance")
-    return PauliVector(x0 / det, -x1 / det, -x2 / det, -x3 / det)

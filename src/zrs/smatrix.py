@@ -10,11 +10,11 @@ at the origin is cancelled by the explicit k factor in the numerator, so the
 evaluator deflates it instead of reporting a pole there.
 """
 
-from dataclasses import dataclass
+import cmath
 
 import numpy as np
 
-from .errors import AtPole, DegenerateSystem, OnImaginaryAxis
+from .errors import AtPole, NotRepresentable
 from .pauli import SIGMA0, PauliVector, compose, det_pauli
 from .tolerances import base_tol
 
@@ -56,15 +56,26 @@ class SMatrixFn:
     origin_structure : str
         Structure of p at the origin: "none", "simple", "scalar" (double
         root with scalar T, so S is constant) or "double".
+
+    Raises
+    ------
+    NotRepresentable
+        If det T, the coefficients of p or its discriminant overflow.
     """
 
     def __init__(self, interaction):
         self.interaction = interaction
         self.gamma = interaction.gamma
         g0, g1, g2, g3 = self.gamma
-        self.det_t = det_pauli(self.gamma)
-        self.xi = np.sqrt(complex(g1 * g1 + g2 * g2 + g3 * g3))
         self.tol = tol = base_tol()
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.det_t = D = det_pauli(self.gamma)
+            self.p_coeffs = c0, c1, c2 = (1 - 4 * g0 + 4 * D, 4j * (2 * D - g0), -4 * D)
+            disc = c1 * c1 - 4 * c2 * c0
+        if not all(map(cmath.isfinite, (D, c0, c1, c2, disc))):
+            raise NotRepresentable(f"characteristic polynomial of {interaction!r} overflows")
+        xi2 = g1 * g1 + g2 * g2 + g3 * g3
+        self.xi = np.sqrt(complex(xi2))
         scale = max(1.0, abs(g0), abs(self.xi))
         self.theta_plus = None
         self.theta_minus = None
@@ -72,17 +83,24 @@ class SMatrixFn:
             self.theta_plus = 1 / (g0 + self.xi)
         if abs(g0 - self.xi) > tol * scale:
             self.theta_minus = 1 / (g0 - self.xi)
-        D = self.det_t
-        self.p_coeffs = (1 - 4 * g0 + 4 * D, 4j * (2 * D - g0), -4 * D)
-        c0, c1, c2 = self.p_coeffs
 
         origin_root = abs(c0) <= 100 * tol * max(1.0, abs(c1), abs(c2))
         simple_origin = abs(c1) > 100 * tol * max(1.0, abs(c2))
         self.scalar = max(abs(g1), abs(g2), abs(g3)) <= 100 * tol * max(1.0, abs(g0))
         if abs(c2) > 100 * tol * max(1.0, abs(c0), abs(c1)):
             self.degree = 2
-            disc = c1 * c1 - 4 * c2 * c0
-            if abs(disc) <= 100 * tol * max(1.0, abs(c0), abs(c1), abs(c2)) ** 2:
+            # A double root needs disc to vanish at the scale of the
+            # coefficients, and the residue N = sigma0 - theta T at the merged
+            # root theta = g0 / D to pass the nilpotency test of
+            # classifier.exceptional_points, |N^2| <= 100 tol (1 + |N|)^2.
+            # With disc = -16 xi2, N = -(xi2 sigma0 + g0 gamma.sigma) / D and
+            # N^2 = xi2 ((xi2 + g0^2) sigma0 + 2 g0 gamma.sigma) / D^2, so that
+            # test is a second bound on |disc| / 16 = |xi2|, taken on xi2
+            # itself, which carries no cancellation error.
+            if abs(disc) <= 100 * tol * max(1.0, abs(c0), abs(c1), abs(c2)) ** 2 and (
+                abs(xi2) * _max_entry(xi2 + g0 * g0, 2 * g0 * g1, 2 * g0 * g2, 2 * g0 * g3)
+                <= 100 * tol * (abs(D) + _max_entry(xi2, g0 * g1, g0 * g2, g0 * g3)) ** 2
+            ):
                 double = 0j if origin_root and not simple_origin else -c1 / (2 * c2)
                 self.roots = ((double, 2),)
             else:
@@ -145,49 +163,6 @@ class SMatrixFn:
             raise AtPole(f"simple pole at the origin, k = {k}")
         return SIGMA0 + num / q
 
-    def pauli_components(self, k):
-        """Pauli coefficients of S(k), from the factored characteristic roots.
-
-        Independent of evaluate(): uses the theta-root product when the
-        determinant path is available and the raw polynomial otherwise.
-        """
-        k = complex(k)
-        tol = self.tol
-        g0, g1, g2, g3 = self.gamma
-        D = self.det_t
-        theta_k = 2 * (1 + 1j * k)
-        c0, c1, c2 = self.p_coeffs
-        structure = self.origin_structure
-        if structure == _SCALAR_DOUBLE:
-            return PauliVector(1 + 8 * D / c2, 0j, 0j, 0j)
-        if structure == _SIMPLE_ORIGIN_ROOT:
-            q = c1 + c2 * k
-            if abs(q) <= tol * (1 + abs(k)) * max(1.0, abs(c1), abs(c2)):
-                raise AtPole(f"deflated denominator vanishes at k = {k}")
-            f = 4j / q
-            return PauliVector(1 + f * (g0 - theta_k * D), f * g1, f * g2, f * g3)
-        if structure == _DOUBLE_ORIGIN_ROOT:
-            q = c2 * k
-            if abs(q) <= tol * (1 + abs(k)) * max(1.0, abs(c2)):
-                raise AtPole(f"simple pole at the origin, k = {k}")
-            f = 4j / q
-            return PauliVector(1 + f * (g0 - theta_k * D), f * g1, f * g2, f * g3)
-        if self.theta_plus is not None and self.theta_minus is not None:
-            denom = (theta_k - self.theta_plus) * (theta_k - self.theta_minus)
-            # p = D * denom in this branch
-            if abs(D * denom) <= tol * (1 + abs(k) ** 2) * max(1.0, abs(D)):
-                raise AtPole(f"p({k}) within tolerance of zero")
-            tt = self.theta_plus * self.theta_minus
-            f = 4j * k / denom
-            return PauliVector(
-                1 + f * (tt * g0 - theta_k), f * tt * g1, f * tt * g2, f * tt * g3
-            )
-        pk = c0 + (c1 + c2 * k) * k
-        if abs(pk) <= tol * (1 + abs(k) ** 2) * max(1.0, abs(D)):
-            raise AtPole(f"p({k}) = {pk} within tolerance of zero")
-        f = 4j * k / pk
-        return PauliVector(1 + f * (g0 - theta_k * D), f * g1, f * g2, f * g3)
-
     def is_constant(self):
         """Whether S(k) does not depend on k.
 
@@ -211,82 +186,11 @@ class SMatrixFn:
         return False, None
 
 
+def _max_entry(x0, x1, x2, x3):
+    """Largest entry modulus of the matrix with Pauli coefficients (x0, x1, x2, x3)."""
+    return max(abs(x0 + x3), abs(x0 - x3), abs(x1 - 1j * x2), abs(x1 + 1j * x2))
+
+
 def build(interaction):
     """S-matrix function for an interaction."""
     return SMatrixFn(interaction)
-
-
-@dataclass(frozen=True)
-class ScatteringCoefficients:
-    """Reflection and transmission data at a fixed k.
-
-    r_right, t_right come from the wave sent in from +infinity, r_left and
-    t_left from -infinity. phase is the ratio 2(1 - i conj(k)) / (2(1 + ik))
-    and delta_k the associated 2x2 determinant combination.
-    """
-
-    r_right: complex
-    t_right: complex
-    r_left: complex
-    t_left: complex
-    delta_k: complex
-    phase: complex
-
-
-def scattering_coefficients(interaction, k):
-    """Reflection/transmission coefficients of the interaction at k.
-
-    Parameters
-    ----------
-    interaction : Interaction
-    k : complex
-        Needs a nonvanishing real part; the incoming/outgoing exponentials
-        degenerate on the imaginary axis.
-
-    Raises
-    ------
-    OnImaginaryAxis
-        If Re k vanishes within tolerance.
-    DegenerateSystem
-        If the boundary-condition system is singular, which happens exactly
-        at poles of S.
-    """
-    k = complex(k)
-    tol = base_tol()
-    if abs(k.real) <= tol * (1 + abs(k)):
-        raise OnImaginaryAxis(f"coefficients undefined for k = {k}")
-    T = interaction.matrix
-    theta = 2 * (1 + 1j * k)
-    theta_bar = 2 * (1 - 1j * k.conjugate())
-    A = theta * T - SIGMA0
-    det_a = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    D = det_pauli(interaction.gamma)
-    if abs(det_a) <= tol * (1 + abs(k) ** 2) * max(1.0, abs(D)):
-        raise DegenerateSystem(f"boundary system singular at k = {k}")
-    sol = np.linalg.solve(A, SIGMA0 - theta_bar * T)
-    r_right, t_right = sol[0, 0], sol[1, 0]
-    t_left, r_left = sol[0, 1], sol[1, 1]
-    phase = theta_bar / theta
-    delta_k = (r_right + phase) * (r_left + phase) - t_right * t_left
-    return ScatteringCoefficients(r_right, t_right, r_left, t_left, delta_k, phase)
-
-
-def smatrix_from_coefficients(coeffs, k):
-    """Reassemble S(k) from reflection/transmission coefficients.
-
-    Inverse of the map behind scattering_coefficients; subject to the same
-    imaginary-axis restriction.
-    """
-    k = complex(k)
-    tol = base_tol()
-    if abs(k.real) <= tol * (1 + abs(k)):
-        raise OnImaginaryAxis(f"reconstruction undefined for k = {k}")
-    shift = 1j * k.imag / k
-    m = np.array(
-        [
-            [coeffs.r_right + shift, coeffs.t_left],
-            [coeffs.t_right, coeffs.r_left + shift],
-        ],
-        dtype=complex,
-    )
-    return -(k / k.real) * m

@@ -2,8 +2,9 @@
 
 All classification margins in the package derive from a single base tolerance.
 The default is 1e-12; set the ZRS_TOLERANCE environment variable to a finite
-positive number to override it. It is read when an S-matrix is built, and by
-other public functions when called, so a change takes effect without re-import.
+positive number to override it. It is read when an S-matrix is built, by
+Interaction.from_abcd and Interaction.is_hermitian, and by the command line at
+start, so a change takes effect without re-import.
 """
 
 import math

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import pauli_components
 from zrs.classifier import Region, Sheet, Similarity, classify
 from zrs.errors import NotRepresentable
 from zrs.interaction import Interaction
@@ -300,7 +301,7 @@ def test_criterion_07_property_suite():
         samples += 1
         via_eval = s.evaluate(k)
         via_product = product_form(m, k)
-        via_pauli = compose(s.pauli_components(k))
+        via_pauli = compose(pauli_components(s, k))
         worst_forms = max(
             worst_forms,
             rel_err(via_eval, via_product),

@@ -1,16 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from zrs.classifier import (
+    PoleReport,
     Region,
     Sheet,
     Similarity,
-    boundedness_scan,
     classify,
     exceptional_points,
     find_poles,
     spectral_singularities,
 )
+from zrs.errors import InternalInconsistency
 from zrs.interaction import FRIEDRICHS, KREIN, Interaction
 from zrs.pauli import PauliVector
 from zrs.smatrix import build
@@ -195,17 +198,60 @@ def test_similarity_class_helper():
     assert c.has_negative_eigenvalues is True
 
 
-def test_boundedness_scan():
-    # similar operator: moderate values on a window away from the axis
-    i_similar = Interaction.from_gamma(PauliVector(0.3, np.sqrt(0.0136), 0.06j, 0))
-    v1 = boundedness_scan(build(i_similar), (-5, 5), (0.05, 5), n=101)
-    # real-axis singularity at k = 2 blows up as the grid approaches it
-    i_singular = Interaction.from_abcd(0, 0, 0, 1j)
-    v2 = boundedness_scan(build(i_singular), (-5, 5), (0.001, 5), n=501)
-    assert v1 < 5
-    assert v2 > 100 * v1
+def test_near_jordan_blocks_are_consistent():
+    # gamma = (1/(2(1 + i k0)), a + d1, i a + d2, d3): an exact Jordan block
+    # with a double pole at k0 when d = 0, pulled apart by |d| = 10^e. Where
+    # the discriminant test alone calls the root double, the nilpotency
+    # certificate may disagree; the classifier must never raise on these
+    rng = np.random.default_rng(7)
+    doubles = simples = 0
+    for _ in range(3000):
+        k0 = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2))
+        a = complex(rng.normal(), rng.normal())
+        d = rng.normal(size=3) + 1j * rng.normal(size=3)
+        d *= 10.0 ** rng.integers(-11, -5) / np.linalg.norm(d)
+        g0 = 1 / (2 * (1 + 1j * k0))
+        c = classify(Interaction.from_gamma(PauliVector(g0, a + d[0], 1j * a + d[1], d[2])))
+        orders = sorted(p.order for p in c.poles if p.sheet is Sheet.PHYSICAL)
+        assert orders in ([1, 1], [2])
+        assert len(c.exceptional_points) == (orders == [2])
+        doubles += orders == [2]
+        simples += orders == [1, 1]
+    assert doubles > 300 and simples > 300
 
 
-def test_boundedness_scan_rejects_tiny_grid():
-    with pytest.raises(ValueError):
-        boundedness_scan(build(FRIEDRICHS), (-1, 1), (0.1, 1), n=3)
+def test_certificate_rejects_inconsistent_poles():
+    # the Jordan block [[1, 1], [0, 1]] has a double pole at k = i/2 with a
+    # nilpotent residue
+    s = build(Interaction.from_matrix([[1, 1], [0, 1]]))
+    k0 = 0.5j
+    assert exceptional_points(s, [PoleReport(k0, 2, Sheet.PHYSICAL, k0 * k0)]) == [k0 * k0]
+    shifted = k0 + 1e-3
+    with pytest.raises(InternalInconsistency, match="without a nilpotent residue"):
+        exceptional_points(s, [PoleReport(shifted, 2, Sheet.PHYSICAL, shifted * shifted)])
+    with pytest.raises(InternalInconsistency, match="simple pole"):
+        exceptional_points(s, [PoleReport(k0, 1, Sheet.PHYSICAL, k0 * k0)])
+
+
+def _same_up_to_order(xs, ys):
+    return len(xs) == len(ys) and any(
+        np.allclose(xs, perm, rtol=0, atol=1e-12) for perm in itertools.permutations(ys)
+    )
+
+
+def test_adjoint_has_conjugate_spectrum_and_same_verdict():
+    # A_T* has the conjugated eigenvalues of A_T and is similar to a
+    # self-adjoint operator exactly when A_T is
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        if rng.uniform() < 0.3:
+            noise = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            m = (m + m.conj().T) / 2 + 1e-9 * noise
+        i = Interaction.from_matrix(m)
+        c = classify(i)
+        a = classify(i.adjoint())
+        assert _same_up_to_order(np.conj(c.eigenvalues), a.eigenvalues)
+        assert _same_up_to_order(np.conj(c.exceptional_points), a.exceptional_points)
+        assert a.similarity is c.similarity
+        assert a.region is c.region

@@ -23,6 +23,8 @@ JORDAN = '{"form": "frakT", "t": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]}'
 TWO_POLE_METRIC = (
     '{"form": "frakT", "t": [[[0.125, 0], [0.375, 0]], [[0.125, 0], [0.125, 0]]]}'
 )
+# finite entries whose determinant and characteristic coefficients overflow
+OVERFLOW_T = "[[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]"
 
 
 def _reject_constant(name):
@@ -274,6 +276,11 @@ def test_sweep_marks_huge_couplings_not_representable(monkeypatch, capsys):
     rows = [json.loads(line) for line in out.splitlines()]
     assert [r["error"] for r in rows] == [None, "NotRepresentable"]
     assert rows[1]["param_re"] == 1e200
+    path = '{"form": "frakT_path", "ts": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], %s]}' % OVERFLOW_T
+    code, out, err = run_cli(["sweep", "--family", "FrakTPath"], path, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r["error"] for r in rows] == [None, "NotRepresentable"]
 
 
 def test_sweep_csv_matches_json(monkeypatch, capsys):
@@ -370,13 +377,26 @@ def test_exit_code_2_on_missing_input_file(monkeypatch, capsys):
 
 
 def test_exit_code_3_on_unrepresentable_coefficients(monkeypatch, capsys):
-    payload = '{"form": "abcd", "a": [%s], "b": [0, 0], "c": [0, 0], "d": [0, 0]}'
+    abcd = '{"form": "abcd", "a": [%s], "b": [%s], "c": [%s], "d": [%s]}'
+    zero = "0, 0"
     # Xi vanishes at a = -2; the larger couplings are too large to normalise,
     # their magnitude squared (or magnitude) beyond the float range
-    for a in ("-2, 0", "1e200, 0", "1.5e308, 1.5e308"):
-        code, _, err = run_cli(["classify"], payload % a, monkeypatch, capsys)
+    payloads = [abcd % (a, zero, zero, zero) for a in ("-2, 0", "1e200, 0", "1.5e308, 1.5e308")]
+    overflows = [
+        # det = inf - inf makes Xi NaN, which counts as vanishing
+        abcd % (("1e200, 0",) * 4),
+        '{"form": "frakT", "t": %s}' % OVERFLOW_T,
+    ]
+    for payload in payloads + overflows:
+        code, _, err = run_cli(["classify"], payload, monkeypatch, capsys)
         assert code == 3
         assert err.startswith("error:")
+    others = (["eval", "--k", "1,0"], ["metric"], ["probe", "--epsilon", "0.1", "--xi=-1:1", "--n", "64"])
+    for argv in others:
+        for payload in overflows:
+            code, out, err = run_cli(argv, payload, monkeypatch, capsys)
+            assert (code, out) == (3, "")
+            assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_exit_code_4_on_grid_guards(monkeypatch, capsys):

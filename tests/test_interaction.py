@@ -3,14 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import gamma_from_abcd
 from zrs.errors import NotRepresentable
-from zrs.interaction import (
-    FRIEDRICHS,
-    KREIN,
-    Interaction,
-    PotentialABCD,
-    gamma_from_abcd,
-)
+from zrs.interaction import FRIEDRICHS, KREIN, Interaction, PotentialABCD
 from zrs.pauli import compose, decompose
 
 small = st.floats(min_value=-10, max_value=10, allow_nan=False)

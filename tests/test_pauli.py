@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zrs.errors import SingularMatrix
 from zrs.pauli import (
     SIGMA0,
     SIGMA1,
@@ -13,7 +12,6 @@ from zrs.pauli import (
     compose,
     decompose,
     det_pauli,
-    inverse_pauli,
 )
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -53,20 +51,6 @@ def test_det_matches_numpy(x0, x1, x2, x3):
         np.linalg.det(compose(x)),
         atol=1e-6 * (1 + abs(x0) ** 2 + abs(x1) ** 2 + abs(x2) ** 2 + abs(x3) ** 2),
     )
-
-
-def test_inverse_matches_numpy():
-    rng = np.random.default_rng(1964)
-    for _ in range(100):
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        x = decompose(m)
-        want = np.linalg.inv(m)
-        assert np.allclose(compose(inverse_pauli(x)), want, atol=1e-10)
-
-
-def test_inverse_rejects_singular():
-    with pytest.raises(SingularMatrix):
-        inverse_pauli(decompose([[1, 1], [1, 1]]))
 
 
 def test_decompose_rejects_wrong_shape():
