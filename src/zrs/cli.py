@@ -35,7 +35,7 @@ from .metric import (
     metric_matrix,
     verify_intertwining,
 )
-from .resolvent import similarity_integral_probe
+from .resolvent import probe_nodes, similarity_integral_probe
 from .smatrix import build
 from .tolerances import base_tol
 
@@ -379,14 +379,13 @@ def _cmd_probe(args):
         raise SchemaError("--epsilon must be positive and finite")
     if not 16 <= args.n <= MAX_GRID:
         raise SchemaError(f"--n must be between 16 and {MAX_GRID}")
-    value = similarity_integral_probe(
-        interaction, args.epsilon, xi_range, n=args.n
-    )
+    n = probe_nodes(args.n)
+    value = similarity_integral_probe(interaction, args.epsilon, xi_range, n=n)
     _emit(
         {
             "epsilon": _f(args.epsilon),
             "label": "evidence",
-            "n": args.n,
+            "n": n,
             "note": PROBE_NOTE,
             "value": _f(value),
             "xi": [_f(xi_range[0]), _f(xi_range[1])],
@@ -439,9 +438,13 @@ def _build_parser():
     return parser
 
 
+# Built once: parse_args keeps no state between calls, and building the
+# parser costs several times what a classify request does.
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         base_tol()
     except ValueError as exc:

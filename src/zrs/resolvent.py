@@ -13,6 +13,9 @@ The probe integrates that quantity for two fixed unit-rate one-sided
 exponentials along the line z = xi + i*eps and scales by eps: bounded
 values as eps shrinks are consistent with a bounded similarity transform,
 while a real spectral singularity makes the probe grow like 1/eps.
+
+scipy is imported by the two functions that integrate numerically, so
+importing this module does not load it.
 """
 
 import math
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad, simpson
 
 from .errors import AtEigenvalue, NonConvergent
 from .smatrix import build
@@ -107,6 +109,8 @@ def f_transform(g, k):
         return FTransform(1j / (k - np.conj(g.k)), 0j)
     if g.kind is TestFunctionKind.MINUS_EXPONENTIAL:
         return FTransform(0j, 1j / (k - np.conj(g.k)))
+    from scipy.integrate import quad
+
     cutoff = _TRUNCATION / k.imag
     with np.errstate(over="ignore", invalid="ignore"):
         for x in (0.8 * cutoff, 0.9 * cutoff, cutoff):
@@ -158,11 +162,17 @@ def resolvent_diff_norm(interaction, k, g):
     return math.sqrt((abs(vec[0]) ** 2 + abs(vec[1]) ** 2) / k.imag)
 
 
+def probe_nodes(n):
+    """Nodes the probe integrates on when asked for n: n rounded up to odd."""
+    return n + 1 if n % 2 == 0 else n
+
+
 def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     """eps times the integral of the squared difference norm along z = xi + i eps.
 
     The test functions are the unit-rate one-sided exponentials e^{-x} on
     (0, inf) and e^{x} on (-inf, 0); k is the principal square root of z.
+    The integral is taken on probe_nodes(n) nodes.
     Compare values across decreasing epsilon: a bounded family is evidence
     of similarity to a self-adjoint operator, growth like 1/eps locates a
     spectral singularity. Evidence only, not a certificate.
@@ -172,12 +182,16 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     AtEigenvalue
         If the sweep line passes through a pole of S.
     """
+    # scipy loads here, before any probe-sized array exists: loaded while
+    # they are live, its small objects land above them on the heap and keep
+    # their memory from being returned when they are freed
+    from scipy.integrate import simpson
+
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if n < 16:
         raise ValueError("need at least 16 quadrature nodes")
-    if n % 2 == 0:
-        n += 1
+    n = probe_nodes(n)
     s = build(interaction)
     c0, c1, c2 = s.p_coeffs
     D = s.det_t

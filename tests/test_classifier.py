@@ -13,9 +13,9 @@ from zrs.classifier import (
     find_poles,
     spectral_singularities,
 )
-from zrs.errors import InternalInconsistency
+from zrs.errors import AtPole, InternalInconsistency
 from zrs.interaction import FRIEDRICHS, KREIN, Interaction
-from zrs.pauli import PauliVector
+from zrs.pauli import PauliVector, compose
 from zrs.smatrix import build
 
 
@@ -255,3 +255,42 @@ def test_adjoint_has_conjugate_spectrum_and_same_verdict():
         assert _same_up_to_order(np.conj(c.exceptional_points), a.exceptional_points)
         assert a.similarity is c.similarity
         assert a.region is c.region
+
+
+def _complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _boundary_matrix(rng, family):
+    """A seeded T from one of four families that sit near the thresholds."""
+    if family == 0:  # generic, over six decades of scale
+        return _complex_normal(rng, (2, 2)) * 10 ** rng.uniform(-3, 3)
+    if family == 1:  # hermitian plus tiny noise
+        x = _complex_normal(rng, (2, 2))
+        return (x + x.conj().T) / 2 + 10 ** rng.uniform(-14, -6) * _complex_normal(rng, (2, 2))
+    if family == 2:  # real gamma0, space part u + iv with v orthogonal to u, |v| < |u|
+        u = rng.normal(size=3)
+        v = np.cross(u, rng.normal(size=3))
+        v *= rng.uniform() * np.linalg.norm(u) / np.linalg.norm(v)
+        gamma = PauliVector(complex(rng.normal()), *(u + 1j * v))
+        return compose(gamma) + 10 ** rng.uniform(-15, -8) * rng.normal(size=(2, 2))
+    # a pole just off the real axis: p(k) = 0 where 1 / theta_k is an eigenvalue of T
+    k = rng.normal() + 1j * rng.choice((-1, 1)) * 10 ** rng.uniform(-14, -6)
+    v = _complex_normal(rng, (2, 2))
+    eigenvalues = np.diag([1 / (2 * (1 + 1j * k)), complex(_complex_normal(rng, ()))])
+    return v @ eigenvalues @ np.linalg.inv(v)
+
+
+def test_reported_poles_are_poles_of_s():
+    rng = np.random.default_rng(3)
+    checked = 0
+    for draw in range(4000):
+        i = Interaction.from_matrix(_boundary_matrix(rng, draw % 4))
+        s = build(i)
+        for p in classify(i).poles:
+            if p.sheet is Sheet.INFINITY:
+                continue
+            with pytest.raises(AtPole):
+                s.evaluate(p.location)
+            checked += 1
+    assert checked == 8000  # two finite poles in every draw

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -320,6 +321,15 @@ def test_probe_reports_evidence(monkeypatch, capsys):
     assert data["n"] == 101
     assert data["xi"] == [-2.0, 2.0]
     assert data["value"] > 0
+    # an even n is integrated on the next odd count, and reported as such
+    code, even, _ = run_cli(
+        ["probe", "--epsilon", "1.0", "--xi=-2:2", "--n", "100"],
+        DELTA_ATTRACTIVE,
+        monkeypatch,
+        capsys,
+    )
+    assert code == 0
+    assert even == out
 
 
 def test_exit_code_2_on_malformed_input(monkeypatch, capsys):
@@ -454,3 +464,71 @@ def test_module_entry_point():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["similarity"] == "SelfAdjoint"
+
+
+def test_import_does_not_load_scipy():
+    # only probe and a custom f_transform need scipy; this process has it
+    # loaded already, so the import is checked in a fresh one
+    src = str(Path(zrs.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, zrs, zrs.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    requests = [
+        (["classify"], DELTA_ATTRACTIVE),
+        (["eval", "--k", "1,0"], DELTA_REPULSIVE),
+        (["metric"], TWO_POLE_METRIC),
+        (["sweep", "--family", "Delta", "--param", "0:1:0.5", "--format", "csv"], ""),
+    ]
+    for argv, text in requests:
+        assert run_cli(argv, text, monkeypatch, capsys)[0] == 0
+    assert built == []
+
+
+def test_parser_keeps_no_state_between_calls(monkeypatch, capsys):
+    monkeypatch.setattr(zrs.cli, "similarity_integral_probe", lambda *args, **kwargs: 1.0)
+    sweep = ["sweep", "--family", "Delta", "--param", "0:1:0.5"]
+    code, out, _ = run_cli(sweep + ["--format", "csv"], "", monkeypatch, capsys)
+    assert code == 0 and out.startswith("index,")
+    code, out, _ = run_cli(sweep, "", monkeypatch, capsys)
+    assert code == 0 and len(out.splitlines()) == 3
+    assert all(json.loads(line)["index"] == i for i, line in enumerate(out.splitlines()))
+
+    probe = ["probe", "--epsilon", "0.5", "--xi=-1:1"]
+    code, out, _ = run_cli(probe + ["--n", "101"], DELTA_REPULSIVE, monkeypatch, capsys)
+    assert code == 0 and json.loads(out)["n"] == 101
+    code, out, _ = run_cli(probe, DELTA_REPULSIVE, monkeypatch, capsys)
+    assert code == 0 and json.loads(out)["n"] == 200001
+
+    # an option error part way through a request leaves nothing behind
+    code, answer, _ = run_cli(["eval", "--k", "1,0"], DELTA_REPULSIVE, monkeypatch, capsys)
+    assert code == 0
+    for bad in (
+        ["eval", "--input", "unused.json"],
+        ["probe", "--n", "101", "--epsilon", "small", "--xi=-1:1"],
+        ["sweep", "--format", "csv", "--family", "Square"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(bad, DELTA_REPULSIVE, monkeypatch, capsys)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        code, out, _ = run_cli(["eval", "--k", "1,0"], DELTA_REPULSIVE, monkeypatch, capsys)
+        assert (code, out) == (0, answer)
+        code, out, _ = run_cli(probe, DELTA_REPULSIVE, monkeypatch, capsys)
+        assert code == 0 and json.loads(out)["n"] == 200001
