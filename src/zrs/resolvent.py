@@ -32,6 +32,8 @@ _W = np.array([[1, 1], [-1, 1]], dtype=complex)
 
 _TAIL_THRESHOLD = 1e-8
 _TRUNCATION = 40.0
+# nodes per chunk of the probe integrand: its complex temporaries are 64 KiB
+_CHUNK = 4096
 
 
 class TestFunctionKind(Enum):
@@ -177,8 +179,15 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     of similarity to a self-adjoint operator, growth like 1/eps locates a
     spectral singularity. Evidence only, not a certificate.
 
+    Memory: two float arrays of the node count (the nodes and the
+    integrand, about 16 bytes per node) plus the temporaries of one chunk
+    of _CHUNK nodes, and what scipy's simpson allocates on top.
+
     Raises
     ------
+    ValueError
+        If epsilon is not finite and positive, xi_range is not finite with
+        A < B, or n < 16.
     AtEigenvalue
         If the sweep line passes through a pole of S.
     """
@@ -187,32 +196,41 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     # their memory from being returned when they are freed
     from scipy.integrate import simpson
 
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
+    lo, hi = xi_range
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError("xi_range must be finite with A < B")
     if n < 16:
         raise ValueError("need at least 16 quadrature nodes")
     n = probe_nodes(n)
     s = build(interaction)
     c0, c1, c2 = s.p_coeffs
     D = s.det_t
-    xi = np.linspace(xi_range[0], xi_range[1], n)
-    k = np.sqrt(xi + 1j * epsilon)
-    theta = 2 * (1 + 1j * k)
-    p = c0 + (c1 + c2 * k) * k
-    scaled = np.abs(p) / ((1 + np.abs(k) ** 2) * max(1.0, abs(D)))
-    if scaled.min() <= s.tol:
-        raise AtEigenvalue("sweep line passes through a pole")
     T = s.interaction.matrix
-    m00 = T[0, 0] - theta * D
-    m11 = T[1, 1] - theta * D
     m01 = complex(T[0, 1])
     m10 = complex(T[1, 0])
-    # Frobenius norm of W M, with F g proportional to each basis vector
-    fro2 = (
-        np.abs(m00 + m10) ** 2
-        + np.abs(m01 + m11) ** 2
-        + np.abs(m10 - m00) ** 2
-        + np.abs(m11 - m01) ** 2
-    )
-    integrand = fro2 / (k.imag * np.abs(p) ** 2 * np.abs(1 - 1j * k) ** 2)
+    xi = np.linspace(lo, hi, n)
+    integrand = np.empty(n)
+    # the nodes are taken a chunk at a time so that the dozen or so
+    # temporaries below stay cache-sized instead of probe-sized
+    for a in range(0, n, _CHUNK):
+        chunk = slice(a, a + _CHUNK)
+        k = np.sqrt(xi[chunk] + 1j * epsilon)
+        theta = 2 * (1 + 1j * k)
+        p = c0 + (c1 + c2 * k) * k
+        scaled = np.abs(p) / ((1 + np.abs(k) ** 2) * max(1.0, abs(D)))
+        if scaled.min() <= s.tol:
+            raise AtEigenvalue("sweep line passes through a pole")
+        theta_d = theta * D
+        m00 = T[0, 0] - theta_d
+        m11 = T[1, 1] - theta_d
+        # Frobenius norm of W M, with F g proportional to each basis vector
+        fro2 = (
+            np.abs(m00 + m10) ** 2
+            + np.abs(m01 + m11) ** 2
+            + np.abs(m10 - m00) ** 2
+            + np.abs(m11 - m01) ** 2
+        )
+        integrand[chunk] = fro2 / (k.imag * np.abs(p) ** 2 * np.abs(1 - 1j * k) ** 2)
     return float(epsilon * simpson(integrand, x=xi))

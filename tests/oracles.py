@@ -9,16 +9,22 @@ separate route, so the tests can cross-check the package against it:
   straight from the couplings, against Interaction.from_abcd;
 * scattering_coefficients and smatrix_from_coefficients: S(k) solved from
   the boundary conditions as reflection and transmission data and
-  reassembled, against SMatrixFn.evaluate.
+  reassembled, against SMatrixFn.evaluate;
+* similarity_integral_probe(interaction, epsilon, xi_range, n): the probe
+  integrand built on the whole grid at once, against the chunked
+  resolvent.similarity_integral_probe, which must agree bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import simpson
 
-from zrs.errors import AtPole, ZrsError
+from zrs.errors import AtEigenvalue, AtPole, ZrsError
 from zrs.interaction import PotentialABCD
 from zrs.pauli import SIGMA0, PauliVector, det_pauli
+from zrs.resolvent import probe_nodes
+from zrs.smatrix import build
 from zrs.tolerances import base_tol
 
 
@@ -163,3 +169,40 @@ def smatrix_from_coefficients(coeffs, k):
         dtype=complex,
     )
     return -(k / k.real) * m
+
+
+def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
+    """The similarity probe with its integrand built on all nodes at once.
+
+    The same ufuncs in the same order as the chunked package version, on
+    probe-sized arrays; the two must return the same float.
+    """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if n < 16:
+        raise ValueError("need at least 16 quadrature nodes")
+    n = probe_nodes(n)
+    s = build(interaction)
+    c0, c1, c2 = s.p_coeffs
+    D = s.det_t
+    xi = np.linspace(xi_range[0], xi_range[1], n)
+    k = np.sqrt(xi + 1j * epsilon)
+    theta = 2 * (1 + 1j * k)
+    p = c0 + (c1 + c2 * k) * k
+    scaled = np.abs(p) / ((1 + np.abs(k) ** 2) * max(1.0, abs(D)))
+    if scaled.min() <= s.tol:
+        raise AtEigenvalue("sweep line passes through a pole")
+    T = s.interaction.matrix
+    m00 = T[0, 0] - theta * D
+    m11 = T[1, 1] - theta * D
+    m01 = complex(T[0, 1])
+    m10 = complex(T[1, 0])
+    # Frobenius norm of W M, with F g proportional to each basis vector
+    fro2 = (
+        np.abs(m00 + m10) ** 2
+        + np.abs(m01 + m11) ** 2
+        + np.abs(m10 - m00) ** 2
+        + np.abs(m11 - m01) ** 2
+    )
+    integrand = fro2 / (k.imag * np.abs(p) ** 2 * np.abs(1 - 1j * k) ** 2)
+    return float(epsilon * simpson(integrand, x=xi))

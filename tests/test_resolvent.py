@@ -1,11 +1,17 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+import oracles
+import zrs.resolvent
 from zrs.errors import AtEigenvalue, NonConvergent
 from zrs.interaction import Interaction
 from zrs.pauli import SIGMA0, PauliVector
 from zrs.resolvent import (
+    _CHUNK,
     custom,
     f_transform,
     minus_exponential,
@@ -73,7 +79,7 @@ def test_growing_function_rejected():
         f_transform(g, 2 + 0.3j)
 
 
-def test_argument_validation():
+def test_argument_validation(monkeypatch):
     with pytest.raises(ValueError):
         plus_exponential(2.0)
     with pytest.raises(ValueError):
@@ -87,6 +93,25 @@ def test_argument_validation():
         similarity_integral_probe(i, 0.0, (-1, 1))
     with pytest.raises(ValueError):
         similarity_integral_probe(i, 0.5, (-1, 1), n=8)
+
+    # the probe rejects its arguments before it builds S or any array
+    def unreachable(interaction):
+        raise AssertionError("probe went past its argument checks")
+
+    monkeypatch.setattr(zrs.resolvent, "build", unreachable)
+    for epsilon in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            similarity_integral_probe(i, epsilon, (-1, 1))
+    for xi_range in (
+        (1, -1),
+        (1, 1),
+        (-math.inf, 1),
+        (-1, math.inf),
+        (math.nan, 1),
+        (-1, math.nan),
+    ):
+        with pytest.raises(ValueError):
+            similarity_integral_probe(i, 0.1, xi_range)
 
 
 def test_norm_matches_boundary_solve():
@@ -120,6 +145,51 @@ def test_probe_through_pole_rejected():
     i = Interaction.from_gamma(PauliVector(g0, xi, 0, 0))
     with pytest.raises(AtEigenvalue):
         similarity_integral_probe(i, 2.0, (-1, 1), n=17)
+
+
+def test_probe_pole_past_first_chunk():
+    # the pole of test_probe_through_pole_rejected at xi = 0, eps = 2, on
+    # node 3 * _CHUNK: the chunks before it are integrated, and the suite
+    # turns any RuntimeWarning from them into a failure
+    g0 = (1 / 2j + 1 / 10) / 2
+    xi = (1 / 2j - 1 / 10) / 2
+    i = Interaction.from_gamma(PauliVector(g0, xi, 0, 0))
+    n = 4 * _CHUNK + 1
+    assert np.linspace(-3, 1, n)[3 * _CHUNK] == 0
+    with pytest.raises(AtEigenvalue):
+        similarity_integral_probe(i, 2.0, (-3, 1), n=n)
+
+
+def test_probe_matches_whole_grid_oracle():
+    # chunk edges move no bit: every n gives the float of the probe built
+    # on the whole grid at once
+    cases = [
+        Interaction.from_abcd(-1, 0, 0, 0),
+        Interaction.from_abcd(0, 0, 0, 1j),
+        Interaction.from_abcd(0.4, 0.2 + 0.1j, -0.3, 0.5),
+    ]
+    sizes = (17, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5, 200001)
+    for i in cases:
+        for eps, xi_range in ((0.01, (-10, 10)), (0.5, (0.5, 1.5)), (2.0, (-3, 7))):
+            for n in sizes:
+                got = similarity_integral_probe(i, eps, xi_range, n=n)
+                want = oracles.similarity_integral_probe(i, eps, xi_range, n=n)
+                assert got == want, (i.matrix, eps, xi_range, n)
+
+
+def test_probe_memory_is_two_node_arrays():
+    # a default probe keeps the nodes and the integrand (16 bytes a node,
+    # 3.2 MB) plus one chunk of temporaries and what simpson allocates;
+    # built on the whole grid at once it peaked at 28.9 MB
+    i = Interaction.from_abcd(-1, 0, 0, 0)
+    similarity_integral_probe(i, 0.1, (-10, 10), n=17)  # loads scipy
+    tracemalloc.start()
+    try:
+        similarity_integral_probe(i, 0.1, (-10, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000, peak
 
 
 def test_probe_matches_pointwise_norms():
