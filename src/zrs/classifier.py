@@ -16,11 +16,9 @@ infinity.
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import InternalInconsistency
 from .interaction import _is_hermitian
-from .pauli import SIGMA0
+from .pauli import _modulus, _square
 from .smatrix import build
 
 
@@ -141,18 +139,24 @@ def exceptional_points(s, poles=None):
     if poles is None:
         poles = find_poles(s)
     tol = s.tol
-    T = s.interaction.matrix
+    t00, t01, t10, t11 = s.interaction._entries
+    tmax = max(abs(t00), abs(t01), abs(t10), abs(t11))
     out = []
     for p in poles:
         if p.sheet is not Sheet.PHYSICAL:
             continue
         theta0 = 2 * (1 + 1j * p.location)
-        N = SIGMA0 - theta0 * T
-        nmax = np.abs(N).max()
-        scale = 1 + np.abs(T).max() * (1 + abs(theta0))
-        nilpotent = nmax > 100 * tol * scale and (
-            np.abs(N @ N).max() <= 100 * tol * (1 + nmax) ** 2
+        # N = sigma0 - theta0 T and its square, entry by entry
+        n00, n01, n10, n11 = 1 - theta0 * t00, -theta0 * t01, -theta0 * t10, 1 - theta0 * t11
+        nmax = max(_modulus(n00), _modulus(n01), _modulus(n10), _modulus(n11))
+        n2max = max(
+            _modulus(n00 * n00 + n01 * n10),
+            _modulus(n00 * n01 + n01 * n11),
+            _modulus(n10 * n00 + n11 * n10),
+            _modulus(n10 * n01 + n11 * n11),
         )
+        scale = 1 + tmax * (1 + abs(theta0))
+        nilpotent = nmax > 100 * tol * scale and n2max <= 100 * tol * _square(1 + nmax)
         if p.order >= 2 and not nilpotent:
             raise InternalInconsistency(
                 f"order-{p.order} pole at {p.location} without a nilpotent residue"
@@ -177,18 +181,18 @@ def _metric_certificate(gamma, tol):
     sq = g1 * g1 + g2 * g2 + g3 * g3
     if abs(g0.imag) > 100 * tol * (1 + abs(g0)):
         return "gamma0 not real", None
-    if abs(sq.imag) > 100 * tol * (1 + abs(sq)):
+    if abs(sq.imag) > 100 * tol * (1 + _modulus(sq)):
         return "sum of gamma_j^2 not real", None
     if sq.real <= 100 * tol:
         return "sum of gamma_j^2 not positive", None
     det = g0 * g0 - sq
-    return None, 1 if abs(det) <= 100 * tol * (1 + abs(g0)) ** 2 else 2
+    return None, 1 if _modulus(det) <= 100 * tol * _square(1 + abs(g0)) else 2
 
 
 def _similarity(s, poles, sing_values, sing_at_inf, excs):
     finite = [p for p in poles if p.sheet is not Sheet.INFINITY]
     physical = [p for p in finite if p.sheet is Sheet.PHYSICAL]
-    if _is_hermitian(s.interaction.matrix, s.tol):
+    if _is_hermitian(s.interaction._entries, s.tol):
         return Similarity.SELF_ADJOINT
     if sing_values or sing_at_inf or excs:
         return Similarity.NOT_SIMILAR

@@ -81,10 +81,8 @@ class SchemaError(Exception):
 
 
 def _f(x):
-    x = float(x)
-    if x == 0.0:
-        return 0.0
-    return x
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other float as it is
+    return float(x) + 0.0
 
 
 def _pair(z):
@@ -92,8 +90,12 @@ def _pair(z):
     return [_f(z.real), _f(z.imag)]
 
 
+# json.dumps with these options builds a new encoder on every call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def _dump(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return _ENCODER.encode(obj)
 
 
 def _emit(obj):
@@ -273,6 +275,13 @@ class _GuardError(Exception):
     pass
 
 
+# the columns of each numbered slot of a row
+_POLE_SLOTS = [tuple(f"pole{i}_{name}" for name in ("k_re", "k_im", "order", "sheet")) for i in (1, 2)]
+_EIG_SLOTS = [(f"eig{i}_re", f"eig{i}_im") for i in (1, 2)]
+_SING_SLOTS = ["sing1", "sing2"]
+_EXC_SLOTS = [("exc1_re", "exc1_im")]
+
+
 def _row_from(index, param, classification, error):
     row = dict.fromkeys(CSV_COLUMNS)
     row["index"] = index
@@ -282,37 +291,29 @@ def _row_from(index, param, classification, error):
     if classification is None:
         return row
     finite = [p for p in classification.poles if p.sheet is not Sheet.INFINITY]
-    for slot, p in zip((1, 2), finite):
-        row[f"pole{slot}_k_re"] = _f(p.location.real)
-        row[f"pole{slot}_k_im"] = _f(p.location.imag)
-        row[f"pole{slot}_order"] = p.order
-        row[f"pole{slot}_sheet"] = p.sheet.value
-    row["pole_at_infinity"] = any(
-        p.sheet is Sheet.INFINITY for p in classification.poles
-    )
-    for slot, z in zip((1, 2), classification.eigenvalues):
-        row[f"eig{slot}_re"] = _f(z.real)
-        row[f"eig{slot}_im"] = _f(z.imag)
-    for slot, x in zip((1, 2), classification.spectral_singularities):
-        row[f"sing{slot}"] = _f(x)
+    for (k_re, k_im, order, sheet), p in zip(_POLE_SLOTS, finite):
+        row[k_re] = _f(p.location.real)
+        row[k_im] = _f(p.location.imag)
+        row[order] = p.order
+        row[sheet] = p.sheet.value
+    row["pole_at_infinity"] = len(finite) < len(classification.poles)
+    for (re, im), z in zip(_EIG_SLOTS, classification.eigenvalues):
+        row[re] = _f(z.real)
+        row[im] = _f(z.imag)
+    for column, x in zip(_SING_SLOTS, classification.spectral_singularities):
+        row[column] = _f(x)
     row["singularity_at_infinity"] = classification.singularity_at_infinity
-    for slot, z in zip((1,), classification.exceptional_points):
-        row[f"exc{slot}_re"] = _f(z.real)
-        row[f"exc{slot}_im"] = _f(z.imag)
+    for (re, im), z in zip(_EXC_SLOTS, classification.exceptional_points):
+        row[re] = _f(z.real)
+        row[im] = _f(z.imag)
     row["similarity"] = classification.similarity.value
     row["region"] = classification.region.value
     row["has_negative_eigenvalues"] = classification.has_negative_eigenvalues
     return row
 
 
-def _csv_cell(value):
-    if value is None:
-        return ""
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return str(value)
+# csv writes None as an empty cell and every other value but a bool as str()
+_CSV_BOOLS = {True: "true", False: "false"}
 
 
 _COUPLINGS = {  # abcd coefficients of each coupling family's swept coupling z
@@ -364,7 +365,8 @@ def _cmd_sweep(args):
         except ZrsError as exc:
             row = _row_from(index, param, None, type(exc).__name__)
         if writer is not None:
-            writer.writerow([_csv_cell(row[col]) for col in CSV_COLUMNS])
+            # the row's keys are CSV_COLUMNS in order
+            writer.writerow([_CSV_BOOLS[v] if v.__class__ is bool else v for v in row.values()])
         else:
             _emit(row)
     return 0

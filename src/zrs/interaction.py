@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotRepresentable
-from .pauli import PauliVector, compose, decompose, det_pauli
+from .pauli import PauliVector, _decompose, _div, _modulus, compose, det_pauli
 from .tolerances import base_tol
 
 
@@ -78,11 +78,15 @@ class Interaction:
         m = np.array(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError(f"expected a finite 2x2 matrix, got {m.tolist()}")
+        rows = m.tolist()
+        (a, b), (c, d) = rows
+        if not all(map(cmath.isfinite, (a, b, c, d))):
+            raise ValueError(f"expected a finite 2x2 matrix, got {rows}")
         m.setflags(write=False)
         self.matrix = m
-        self.gamma = decompose(m)
+        # the entries of matrix as Python complex, for the scalar algebra
+        self._entries = a, b, c, d
+        self.gamma = _decompose(a, b, c, d)
         self.origin = origin
 
     @classmethod
@@ -97,13 +101,17 @@ class Interaction:
         """
         p, xi = _potential(a, b, c, d)
         det = p.det
-        m = np.array(
+        norm = 4 * xi
+        m = [
             [
-                [xi + 2 * (p.b + p.c - p.a - p.d), 4 + det - 2 * (p.b - p.c)],
-                [4 + det + 2 * (p.b - p.c), xi - 2 * (p.b + p.c + p.a + p.d)],
+                _div(xi + 2 * (p.b + p.c - p.a - p.d), norm),
+                _div(4 + det - 2 * (p.b - p.c), norm),
             ],
-            dtype=complex,
-        ) / (4 * xi)
+            [
+                _div(4 + det + 2 * (p.b - p.c), norm),
+                _div(xi - 2 * (p.b + p.c + p.a + p.d), norm),
+            ],
+        ]
         return cls(m, origin=p)
 
     @classmethod
@@ -138,17 +146,20 @@ class Interaction:
 
     def is_hermitian(self):
         """Whether the boundary matrix is (numerically) self-adjoint."""
-        return _is_hermitian(self.matrix, base_tol())
+        return _is_hermitian(self._entries, base_tol())
 
     def __repr__(self):
         rows = self.matrix.tolist()
         return f"Interaction(matrix={rows!r})"
 
 
-def _is_hermitian(matrix, tol):
-    diff = np.abs(matrix - matrix.conj().T).max()
-    scale = 1 + np.abs(matrix).max()
-    return bool(diff <= tol * scale)
+def _is_hermitian(entries, tol):
+    """Whether [[a, b], [c, d]] is self-adjoint at tol, from its Python complex entries."""
+    a, b, c, d = entries
+    # the off-diagonal entries of T - T* have one modulus
+    diff = max(_modulus(a - a.conjugate()), _modulus(b - c.conjugate()), _modulus(d - d.conjugate()))
+    scale = 1 + max(map(_modulus, entries))
+    return diff <= tol * scale
 
 
 FRIEDRICHS = Interaction(np.zeros((2, 2)))

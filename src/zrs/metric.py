@@ -52,7 +52,7 @@ def check_applicability(interaction):
 
 
 def _applicability(s):
-    if _is_hermitian(s.interaction.matrix, s.tol):
+    if _is_hermitian(s.interaction._entries, s.tol):
         return Applicability.NOT_APPLICABLE, "already self-adjoint"
     failure, expected = _metric_certificate(s.gamma, s.tol)
     if failure is not None:
@@ -125,7 +125,19 @@ def cosh_chi_from_poles(spec):
     if spec.applicability is not Applicability.TWO_IMAGINARY_POLES:
         raise NotApplicable("needs two imaginary poles")
     s = spec.s
-    k_plus = 1j * (1 - s.theta_plus / 2)
-    k_minus = 1j * (1 - s.theta_minus / 2)
+    theta_plus, theta_minus = _theta_roots(s)
+    k_plus = 1j * (1 - theta_plus / 2)
+    k_minus = 1j * (1 - theta_minus / 2)
     norm_u = float(np.linalg.norm(s.gamma.space_part().real))
     return norm_u / abs((k_minus - k_plus) * s.det_t)
+
+
+def _theta_roots(s):
+    """Roots 1/(gamma0 +- xi) of p in the theta variable, as numpy scalars.
+
+    In the two-pole case neither denominator vanishes: gamma0 = +-xi would
+    make det T = gamma0^2 - xi^2 vanish, and the certificate counts one pole
+    there.
+    """
+    g0 = np.complex128(s.gamma.x0)
+    return 1 / (g0 + s.xi), 1 / (g0 - s.xi)

@@ -12,10 +12,8 @@ evaluator deflates it instead of reporting a pole there.
 
 import cmath
 
-import numpy as np
-
 from .errors import AtPole, NotRepresentable
-from .pauli import SIGMA0, PauliVector, compose, det_pauli
+from .pauli import SIGMA0, PauliVector, _div, _modulus, _sqrt, _square, compose, det_pauli
 from .tolerances import base_tol
 
 # Structure of p at the origin: no root there, a simple root, a double root
@@ -38,9 +36,6 @@ class SMatrixFn:
         Determinant of the boundary matrix.
     xi : complex
         Principal square root of gamma1^2 + gamma2^2 + gamma3^2.
-    theta_plus, theta_minus : complex or None
-        Roots of p in the theta variable, 1/(gamma0 +- xi); None marks a
-        root that has escaped to infinity (vanishing denominator).
     p_coeffs : tuple
         (c0, c1, c2) with p(k) = c0 + c1 k + c2 k^2.
     tol : float
@@ -68,26 +63,25 @@ class SMatrixFn:
         self.gamma = interaction.gamma
         g0, g1, g2, g3 = self.gamma
         self.tol = tol = base_tol()
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.det_t = D = det_pauli(self.gamma)
-            self.p_coeffs = c0, c1, c2 = (1 - 4 * g0 + 4 * D, 4j * (2 * D - g0), -4 * D)
-            disc = c1 * c1 - 4 * c2 * c0
+        # Python complex arithmetic overflows quietly to inf and NaN
+        self.det_t = D = det_pauli(self.gamma)
+        self.p_coeffs = c0, c1, c2 = (1 - 4 * g0 + 4 * D, 4j * (2 * D - g0), -4 * D)
+        disc = c1 * c1 - 4 * c2 * c0
         if not all(map(cmath.isfinite, (D, c0, c1, c2, disc))):
             raise NotRepresentable(f"characteristic polynomial of {interaction!r} overflows")
+        # Past that check each gamma_j has a finite square and 4 c2 c0 is
+        # finite, so |gamma_j| and |c1| are below 2e154 and |c0|, |c2| below
+        # 7e307: their moduli are floats. disc, xi2, their products and the
+        # squared scales can exceed the float range and go through _modulus
+        # and _square, which give inf there.
         xi2 = g1 * g1 + g2 * g2 + g3 * g3
-        self.xi = np.sqrt(complex(xi2))
-        scale = max(1.0, abs(g0), abs(self.xi))
-        self.theta_plus = None
-        self.theta_minus = None
-        if abs(g0 + self.xi) > tol * scale:
-            self.theta_plus = 1 / (g0 + self.xi)
-        if abs(g0 - self.xi) > tol * scale:
-            self.theta_minus = 1 / (g0 - self.xi)
+        self.xi = _sqrt(xi2)
 
-        origin_root = abs(c0) <= 100 * tol * max(1.0, abs(c1), abs(c2))
-        simple_origin = abs(c1) > 100 * tol * max(1.0, abs(c2))
+        a0, a1, a2 = abs(c0), abs(c1), abs(c2)
+        origin_root = a0 <= 100 * tol * max(1.0, a1, a2)
+        simple_origin = a1 > 100 * tol * max(1.0, a2)
         self.scalar = max(abs(g1), abs(g2), abs(g3)) <= 100 * tol * max(1.0, abs(g0))
-        if abs(c2) > 100 * tol * max(1.0, abs(c0), abs(c1)):
+        if a2 > 100 * tol * max(1.0, a0, a1):
             self.degree = 2
             # A double root needs disc to vanish at the scale of the
             # coefficients, and the residue N = sigma0 - theta T at the merged
@@ -97,20 +91,21 @@ class SMatrixFn:
             # N^2 = xi2 ((xi2 + g0^2) sigma0 + 2 g0 gamma.sigma) / D^2, so that
             # test is a second bound on |disc| / 16 = |xi2|, taken on xi2
             # itself, which carries no cancellation error.
-            if abs(disc) <= 100 * tol * max(1.0, abs(c0), abs(c1), abs(c2)) ** 2 and (
-                abs(xi2) * _max_entry(xi2 + g0 * g0, 2 * g0 * g1, 2 * g0 * g2, 2 * g0 * g3)
-                <= 100 * tol * (abs(D) + _max_entry(xi2, g0 * g1, g0 * g2, g0 * g3)) ** 2
+            if _modulus(disc) <= 100 * tol * _square(max(1.0, a0, a1, a2)) and (
+                _modulus(xi2) * _max_entry(xi2 + g0 * g0, 2 * g0 * g1, 2 * g0 * g2, 2 * g0 * g3)
+                <= 100 * tol * _square(abs(D) + _max_entry(xi2, g0 * g1, g0 * g2, g0 * g3))
             ):
-                double = 0j if origin_root and not simple_origin else -c1 / (2 * c2)
+                double = 0j if origin_root and not simple_origin else _div(-c1, 2 * c2)
                 self.roots = ((double, 2),)
             else:
-                sq = np.sqrt(disc)
+                sq = _sqrt(disc)
                 # pick the larger numerator so neither root loses precision
                 q = -(c1 + sq) / 2 if abs(c1 + sq) >= abs(c1 - sq) else -(c1 - sq) / 2
-                self.roots = ((q / c2, 1), (0j if origin_root else c0 / q, 1))
-        elif abs(c1) > 100 * tol * max(1.0, abs(c0)):
+                # q = 0 needs c1 = sq = 0, where c2 c0 = 0 puts a root at the origin
+                self.roots = ((_div(q, c2), 1), (0j if origin_root else _div(c0, q), 1))
+        elif a1 > 100 * tol * max(1.0, a0):
             self.degree = 1
-            self.roots = ((0j if origin_root else -c0 / c1, 1),)
+            self.roots = ((0j if origin_root else _div(-c0, c1), 1),)
         else:
             self.degree = 0
             self.roots = ()
@@ -148,18 +143,18 @@ class SMatrixFn:
         structure = self.origin_structure
         if structure == _NO_ORIGIN_ROOT:
             pk = c0 + (c1 + c2 * k) * k
-            if abs(pk) <= tol * (1 + abs(k) ** 2) * max(1.0, abs(D)):
+            if _modulus(pk) <= tol * (1 + abs(k) ** 2) * max(1.0, abs(D)):
                 raise AtPole(f"p({k}) = {pk} within tolerance of zero")
             return SIGMA0 + k * num / pk
         if structure == _SIMPLE_ORIGIN_ROOT:
             q = c1 + c2 * k
-            if abs(q) <= tol * (1 + abs(k)) * max(1.0, abs(c1), abs(c2)):
+            if _modulus(q) <= tol * (1 + abs(k)) * max(1.0, abs(c1), abs(c2)):
                 raise AtPole(f"deflated denominator vanishes at k = {k}")
             return SIGMA0 + num / q
         if structure == _SCALAR_DOUBLE:
-            return SIGMA0 * (1 + 8 * D / c2)
+            return SIGMA0 * (1 + _div(8 * D, c2))
         q = c2 * k
-        if abs(q) <= tol * (1 + abs(k)) * max(1.0, abs(c2)):
+        if _modulus(q) <= tol * (1 + abs(k)) * max(1.0, abs(c2)):
             raise AtPole(f"simple pole at the origin, k = {k}")
         return SIGMA0 + num / q
 
@@ -172,15 +167,15 @@ class SMatrixFn:
         of gamma squaring to 1/16 (S = sigma0 - 4T).
         """
         tol = self.tol
-        T = self.interaction.matrix
-        if np.abs(T).max() <= tol:
+        a, b, c, d = self.interaction._entries
+        if max(abs(a), abs(b), abs(c), abs(d)) <= tol:
             return True, SIGMA0.copy()
-        if np.abs(T - SIGMA0 / 2).max() <= tol:
+        if max(abs(a - 0.5), abs(b), abs(c), abs(d - 0.5)) <= tol:
             return True, -SIGMA0
         g0, g1, g2, g3 = self.gamma
         if (
             abs(g0 - 0.25) <= tol
-            and abs(g1 * g1 + g2 * g2 + g3 * g3 - 0.0625) <= tol
+            and _modulus(g1 * g1 + g2 * g2 + g3 * g3 - 0.0625) <= tol
         ):
             return True, compose(PauliVector(0j, -4 * g1, -4 * g2, -4 * g3))
         return False, None
@@ -188,7 +183,7 @@ class SMatrixFn:
 
 def _max_entry(x0, x1, x2, x3):
     """Largest entry modulus of the matrix with Pauli coefficients (x0, x1, x2, x3)."""
-    return max(abs(x0 + x3), abs(x0 - x3), abs(x1 - 1j * x2), abs(x1 + 1j * x2))
+    return max(_modulus(x0 + x3), _modulus(x0 - x3), _modulus(x1 - 1j * x2), _modulus(x1 + 1j * x2))
 
 
 def build(interaction):

@@ -4,7 +4,8 @@ Each function here reaches a quantity that zrs computes one way by a second,
 separate route, so the tests can cross-check the package against it:
 
 * pauli_components(s, k): the Pauli coefficients of S(k) from the factored
-  characteristic roots, against SMatrixFn.evaluate;
+  characteristic roots, which theta_roots(gamma, tol) computes from gamma
+  alone, against SMatrixFn.evaluate;
 * gamma_from_abcd(a, b, c, d): the Pauli coefficients of the boundary matrix
   straight from the couplings, against Interaction.from_abcd;
 * scattering_coefficients and smatrix_from_coefficients: S(k) solved from
@@ -12,7 +13,12 @@ separate route, so the tests can cross-check the package against it:
   reassembled, against SMatrixFn.evaluate;
 * similarity_integral_probe(interaction, epsilon, xi_range, n): the probe
   integrand built on the whole grid at once, against the chunked
-  resolvent.similarity_integral_probe, which must agree bit for bit.
+  resolvent.similarity_integral_probe, which must agree bit for bit;
+* numpy_from_abcd, numpy_decompose, numpy_characteristic and
+  numpy_nilpotent: the boundary matrix, gamma, the characteristic data and
+  the exceptional-point certificate computed on numpy scalars and 2x2
+  arrays, against the package's Python scalar path, which must give the
+  same numbers bit for bit and the same certificate verdicts.
 """
 
 from dataclasses import dataclass
@@ -36,11 +42,26 @@ class OnImaginaryAxis(ZrsError):
     """Reflection/transmission coefficients undefined for purely imaginary k."""
 
 
+def theta_roots(gamma, tol):
+    """Roots 1/(gamma0 +- xi) of p in the theta variable, from gamma alone.
+
+    xi is the principal square root of gamma1^2 + gamma2^2 + gamma3^2. None
+    marks a root that has escaped to infinity (vanishing denominator).
+    """
+    g0, g1, g2, g3 = gamma
+    xi = np.sqrt(complex(g1 * g1 + g2 * g2 + g3 * g3))
+    scale = max(1.0, abs(g0), abs(xi))
+    theta_plus = 1 / (g0 + xi) if abs(g0 + xi) > tol * scale else None
+    theta_minus = 1 / (g0 - xi) if abs(g0 - xi) > tol * scale else None
+    return theta_plus, theta_minus
+
+
 def pauli_components(s, k):
     """Pauli coefficients of S(k), from the factored characteristic roots.
 
-    Independent of s.evaluate(): uses the theta-root product when the
-    determinant path is available and the raw polynomial otherwise.
+    Independent of s.evaluate(): uses the theta-root product, with the roots
+    taken from gamma by theta_roots, when the determinant path is available
+    and the raw polynomial otherwise.
     """
     k = complex(k)
     tol = s.tol
@@ -63,12 +84,13 @@ def pauli_components(s, k):
             raise AtPole(f"simple pole at the origin, k = {k}")
         f = 4j / q
         return PauliVector(1 + f * (g0 - theta_k * D), f * g1, f * g2, f * g3)
-    if s.theta_plus is not None and s.theta_minus is not None:
-        denom = (theta_k - s.theta_plus) * (theta_k - s.theta_minus)
+    theta_plus, theta_minus = theta_roots(s.gamma, tol)
+    if theta_plus is not None and theta_minus is not None:
+        denom = (theta_k - theta_plus) * (theta_k - theta_minus)
         # p = D * denom in this branch
         if abs(D * denom) <= tol * (1 + abs(k) ** 2) * max(1.0, abs(D)):
             raise AtPole(f"p({k}) within tolerance of zero")
-        tt = s.theta_plus * s.theta_minus
+        tt = theta_plus * theta_minus
         f = 4j * k / denom
         return PauliVector(
             1 + f * (tt * g0 - theta_k), f * tt * g1, f * tt * g2, f * tt * g3
@@ -206,3 +228,80 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     )
     integrand = fro2 / (k.imag * np.abs(p) ** 2 * np.abs(1 - 1j * k) ** 2)
     return float(epsilon * simpson(integrand, x=xi))
+
+
+def numpy_from_abcd(a, b, c, d):
+    """The boundary matrix of the couplings, an array divided by 4 Xi.
+
+    Callers keep the normalization Xi away from zero.
+    """
+    p = PotentialABCD(complex(a), complex(b), complex(c), complex(d))
+    xi = p.xi
+    det = p.det
+    return np.array(
+        [
+            [xi + 2 * (p.b + p.c - p.a - p.d), 4 + det - 2 * (p.b - p.c)],
+            [4 + det + 2 * (p.b - p.c), xi - 2 * (p.b + p.c + p.a + p.d)],
+        ],
+        dtype=complex,
+    ) / (4 * xi)
+
+
+def numpy_decompose(m):
+    """Pauli coefficients of a 2x2 matrix, as numpy complex128 scalars."""
+    m = np.asarray(m, dtype=complex)
+    x0 = (m[0, 0] + m[1, 1]) / 2
+    x1 = (m[0, 1] + m[1, 0]) / 2
+    x2 = 1j * (m[0, 1] - m[1, 0]) / 2
+    x3 = (m[0, 0] - m[1, 1]) / 2
+    return PauliVector(x0, x1, x2, x3)
+
+
+def _numpy_max_entry(x0, x1, x2, x3):
+    return max(abs(x0 + x3), abs(x0 - x3), abs(x1 - 1j * x2), abs(x1 + 1j * x2))
+
+
+def numpy_characteristic(gamma, tol):
+    """(det_t, p_coeffs, roots) of SMatrixFn, computed on numpy scalars.
+
+    gamma is a PauliVector of numpy complex128 (numpy_decompose). Callers
+    keep the characteristic data finite.
+    """
+    g0, g1, g2, g3 = gamma
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = det_pauli(gamma)
+        c0, c1, c2 = (1 - 4 * g0 + 4 * D, 4j * (2 * D - g0), -4 * D)
+        disc = c1 * c1 - 4 * c2 * c0
+    xi2 = g1 * g1 + g2 * g2 + g3 * g3
+    origin_root = abs(c0) <= 100 * tol * max(1.0, abs(c1), abs(c2))
+    simple_origin = abs(c1) > 100 * tol * max(1.0, abs(c2))
+    if abs(c2) > 100 * tol * max(1.0, abs(c0), abs(c1)):
+        if abs(disc) <= 100 * tol * max(1.0, abs(c0), abs(c1), abs(c2)) ** 2 and (
+            abs(xi2) * _numpy_max_entry(xi2 + g0 * g0, 2 * g0 * g1, 2 * g0 * g2, 2 * g0 * g3)
+            <= 100 * tol * (abs(D) + _numpy_max_entry(xi2, g0 * g1, g0 * g2, g0 * g3)) ** 2
+        ):
+            double = 0j if origin_root and not simple_origin else -c1 / (2 * c2)
+            roots = ((double, 2),)
+        else:
+            sq = np.sqrt(disc)
+            q = -(c1 + sq) / 2 if abs(c1 + sq) >= abs(c1 - sq) else -(c1 - sq) / 2
+            roots = ((q / c2, 1), (0j if origin_root else c0 / q, 1))
+    elif abs(c1) > 100 * tol * max(1.0, abs(c0)):
+        roots = ((0j if origin_root else -c0 / c1, 1),)
+    else:
+        roots = ()
+    return D, (c0, c1, c2), roots
+
+
+def numpy_nilpotent(T, location, tol):
+    """The exceptional-point certificate at a pole, with N @ N on 2x2 arrays.
+
+    Whether N = sigma0 - theta T at theta = 2(1 + i location) is nonzero
+    with N^2 = 0, at the thresholds of classifier.exceptional_points.
+    """
+    T = np.asarray(T, dtype=complex)
+    theta0 = 2 * (1 + 1j * location)
+    N = SIGMA0 - theta0 * T
+    nmax = np.abs(N).max()
+    scale = 1 + np.abs(T).max() * (1 + abs(theta0))
+    return bool(nmax > 100 * tol * scale and np.abs(N @ N).max() <= 100 * tol * (1 + nmax) ** 2)

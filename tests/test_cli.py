@@ -409,6 +409,19 @@ def test_exit_code_3_on_unrepresentable_coefficients(monkeypatch, capsys):
             assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_exit_code_3_is_one_line_without_warnings(monkeypatch, capsys):
+    # entries whose sums overflow in the Pauli decomposition: no RuntimeWarning
+    # (an error in this suite) may come before the one-line error
+    payload = (
+        '{"form":"frakT","t":[[[1.2e308,1.2e308],[1.2e308,-1.2e308]],'
+        '[[1.2e308,1.2e308],[1.2e308,1.2e308]]]}'
+    )
+    for argv in (["classify"], ["eval", "--k=1,0.5"], ["metric"], ["probe", "--epsilon=0.1", "--xi=-1:1"]):
+        code, out, err = run_cli(argv, payload, monkeypatch, capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: characteristic polynomial") and err.count("\n") == 1
+
+
 def test_exit_code_4_on_grid_guards(monkeypatch, capsys):
     code, _, err = run_cli(
         ["sweep", "--family", "Delta", "--param", "0:1:0"], "", monkeypatch, capsys

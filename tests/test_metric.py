@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import theta_roots
 from zrs.errors import DegenerateGamma, NotApplicable
 from zrs.interaction import Interaction
 from zrs.metric import (
     Applicability,
+    _theta_roots,
     check_applicability,
     construct,
     cosh_chi_from_poles,
@@ -14,6 +16,7 @@ from zrs.metric import (
     verify_intertwining,
 )
 from zrs.pauli import PauliVector
+from zrs.smatrix import build
 
 
 GOLDEN = Interaction.from_gamma(PauliVector(1 / 8, 1 / 4, 1j / 8, 0))
@@ -45,6 +48,16 @@ def test_golden_two_pole_case():
     assert verify_intertwining(spec) < 1e-15
     assert cosh_chi_from_poles(spec) == pytest.approx(2 / math.sqrt(3), abs=1e-12)
     assert cosh_chi_from_poles(spec) == pytest.approx(math.cosh(spec.chi), abs=1e-12)
+
+
+def test_theta_roots():
+    # the roots of p in the theta variable, which cosh_chi_from_poles reads
+    # the poles from; the product-form oracle takes the same roots from gamma
+    s = build(GOLDEN)
+    theta_plus, theta_minus = _theta_roots(s)
+    assert np.isclose(theta_plus, 8 / (1 + np.sqrt(3)))
+    assert np.isclose(theta_minus, 8 / (1 - np.sqrt(3)))
+    assert theta_roots(s.gamma, s.tol) == (theta_plus, theta_minus)
 
 
 def test_one_pole_case():

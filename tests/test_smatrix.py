@@ -41,8 +41,6 @@ def test_characteristic_roots():
     s = build(Interaction.from_gamma([1 / 8, 1 / 4, 1j / 8, 0]))
     assert np.isclose(s.det_t, -1 / 32)
     assert np.isclose(s.xi, np.sqrt(3) / 8)
-    assert np.isclose(s.theta_plus, 8 / (1 + np.sqrt(3)))
-    assert np.isclose(s.theta_minus, 8 / (1 - np.sqrt(3)))
 
 
 def test_evaluate_matches_product_form():
