@@ -377,6 +377,8 @@ def _cmd_probe(args):
     xi_range = _parse_numbers(args.xi, "--xi", "A:B")
     if not xi_range[0] < xi_range[1]:
         raise SchemaError("--xi must be A:B with A < B")
+    if not xi_range[1] - xi_range[0] < math.inf:
+        raise SchemaError("--xi must have a finite width B - A")
     if not 0 < args.epsilon < math.inf:
         raise SchemaError("--epsilon must be positive and finite")
     if not 16 <= args.n <= MAX_GRID:

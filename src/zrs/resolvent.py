@@ -14,8 +14,8 @@ exponentials along the line z = xi + i*eps and scales by eps: bounded
 values as eps shrinks are consistent with a bounded similarity transform,
 while a real spectral singularity makes the probe grow like 1/eps.
 
-scipy is imported by the two functions that integrate numerically, so
-importing this module does not load it.
+Only f_transform with a custom test function loads scipy, when it is
+called; the probe integrates without it.
 """
 
 import math
@@ -32,7 +32,8 @@ _W = np.array([[1, 1], [-1, 1]], dtype=complex)
 
 _TAIL_THRESHOLD = 1e-8
 _TRUNCATION = 40.0
-# nodes per chunk of the probe integrand: its complex temporaries are 64 KiB
+# nodes per chunk of the probe integrand (its complex temporaries are
+# 64 KiB) and Simpson triples per chunk of _simpson
 _CHUNK = 4096
 
 
@@ -169,6 +170,36 @@ def probe_nodes(n):
     return n + 1 if n % 2 == 0 else n
 
 
+def _simpson(y, x):
+    """scipy.integrate.simpson(y, x=x) for an odd number of nodes, bit for bit.
+
+    The x-given branch of scipy 1.17.1's _basic_simpson, the path simpson
+    takes for an odd node count, operation for operation, run _CHUNK
+    triples at a time: each Simpson term is the float scipy computes, and
+    one np.sum over the (n - 1) / 2 terms adds them in scipy's pairwise
+    order.
+    """
+    m = (len(y) - 1) // 2
+    terms = np.empty(m)
+    for a in range(0, m, _CHUNK):
+        b = min(a + _CHUNK, m)
+        nodes = slice(2 * a, 2 * b + 1)
+        h = np.diff(x[nodes])
+        h0 = h[0::2]
+        h1 = h[1::2]
+        hsum = h0 + h1
+        hprod = h0 * h1
+        h0divh1 = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
+        w0 = 2.0 - np.true_divide(
+            1.0, h0divh1, out=np.zeros_like(h0divh1), where=h0divh1 != 0
+        )
+        w1 = hsum * np.true_divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0)
+        w2 = 2.0 - h0divh1
+        yc = y[nodes]
+        terms[a:b] = hsum / 6.0 * (yc[0:-1:2] * w0 + yc[1::2] * w1 + yc[2::2] * w2)
+    return np.sum(terms)
+
+
 def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     """eps times the integral of the squared difference norm along z = xi + i eps.
 
@@ -180,27 +211,24 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     spectral singularity. Evidence only, not a certificate.
 
     Memory: two float arrays of the node count (the nodes and the
-    integrand, about 16 bytes per node) plus the temporaries of one chunk
-    of _CHUNK nodes, and what scipy's simpson allocates on top.
+    integrand, about 16 bytes per node), the (n - 1) / 2 Simpson terms
+    (4 bytes per node) and the temporaries of one chunk of _CHUNK nodes.
 
     Raises
     ------
     ValueError
         If epsilon is not finite and positive, xi_range is not finite with
-        A < B, or n < 16.
+        A < B and a finite width B - A, or n < 16.
     AtEigenvalue
         If the sweep line passes through a pole of S.
     """
-    # scipy loads here, before any probe-sized array exists: loaded while
-    # they are live, its small objects land above them on the heap and keep
-    # their memory from being returned when they are freed
-    from scipy.integrate import simpson
-
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
     lo, hi = xi_range
     if not -math.inf < lo < hi < math.inf:
         raise ValueError("xi_range must be finite with A < B")
+    if not hi - lo < math.inf:
+        raise ValueError("xi_range must have a finite width B - A")
     if n < 16:
         raise ValueError("need at least 16 quadrature nodes")
     n = probe_nodes(n)
@@ -210,6 +238,7 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     T = s.interaction.matrix
     m01 = complex(T[0, 1])
     m10 = complex(T[1, 0])
+    scale = max(1.0, abs(D))
     xi = np.linspace(lo, hi, n)
     integrand = np.empty(n)
     # the nodes are taken a chunk at a time so that the dozen or so
@@ -219,7 +248,8 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
         k = np.sqrt(xi[chunk] + 1j * epsilon)
         theta = 2 * (1 + 1j * k)
         p = c0 + (c1 + c2 * k) * k
-        scaled = np.abs(p) / ((1 + np.abs(k) ** 2) * max(1.0, abs(D)))
+        abs_p = np.abs(p)
+        scaled = abs_p / ((1 + np.abs(k) ** 2) * scale)
         if scaled.min() <= s.tol:
             raise AtEigenvalue("sweep line passes through a pole")
         theta_d = theta * D
@@ -232,5 +262,5 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
             + np.abs(m10 - m00) ** 2
             + np.abs(m11 - m01) ** 2
         )
-        integrand[chunk] = fro2 / (k.imag * np.abs(p) ** 2 * np.abs(1 - 1j * k) ** 2)
-    return float(epsilon * simpson(integrand, x=xi))
+        integrand[chunk] = fro2 / (k.imag * abs_p ** 2 * np.abs(1 - 1j * k) ** 2)
+    return float(epsilon * _simpson(integrand, xi))

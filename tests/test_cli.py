@@ -366,6 +366,7 @@ def test_exit_code_2_on_malformed_input(monkeypatch, capsys):
         (["probe", "--epsilon", "0.1", "--xi=10:-10"], DELTA_ATTRACTIVE),
         (["probe", "--epsilon", "0.1", "--xi=1:1"], DELTA_ATTRACTIVE),
         (["probe", "--epsilon", "0.1", "--xi=0:inf"], DELTA_ATTRACTIVE),
+        (["probe", "--epsilon", "0.1", "--xi=-1e308:1e308", "--n", "17"], DELTA_ATTRACTIVE),
         (["probe", "--epsilon", "nan", "--xi=-1:1"], DELTA_ATTRACTIVE),
         (["probe", "--epsilon", "inf", "--xi=-1:1"], DELTA_ATTRACTIVE),
         (["probe", "--epsilon", "0", "--xi=-1:1"], DELTA_ATTRACTIVE),
@@ -373,9 +374,9 @@ def test_exit_code_2_on_malformed_input(monkeypatch, capsys):
         (["probe", "--epsilon", "0.1", "--xi=-1:1", "--n", str(MAX_GRID + 1)], DELTA_ATTRACTIVE),
     ]
     for argv, text in cases:
-        code, _, err = run_cli(argv, text, monkeypatch, capsys)
+        code, out, err = run_cli(argv, text, monkeypatch, capsys)
         assert code == 2, (argv, text)
-        assert err.startswith("error:")
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1, (argv, err)
 
 
 def test_exit_code_2_on_missing_input_file(monkeypatch, capsys):
@@ -479,19 +480,36 @@ def test_module_entry_point():
     assert data["similarity"] == "SelfAdjoint"
 
 
-def test_import_does_not_load_scipy():
-    # only probe and a custom f_transform need scipy; this process has it
-    # loaded already, so the import is checked in a fresh one
+def _scipy_modules_after(code):
+    # this process has scipy loaded already, so each check runs in a fresh one
     src = str(Path(zrs.cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, zrs, zrs.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run(
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    return subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_import_does_not_load_scipy():
+    # only f_transform with a custom test function needs scipy
+    proc = _scipy_modules_after("import sys, zrs, zrs.cli")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_probe_does_not_load_scipy():
+    code = (
+        "import io, sys, zrs.cli\n"
+        f"sys.stdin = io.StringIO({DELTA_ATTRACTIVE!r})\n"
+        "code = zrs.cli.main(['probe', '--epsilon=1', '--xi=-1:1', '--n', '17'])\n"
+        "assert code == 0, code"
+    )
+    proc = _scipy_modules_after(code)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert json.loads(proc.stdout.splitlines()[0])["label"] == "evidence"
 
 
 def test_main_builds_no_parser(monkeypatch, capsys):

@@ -12,6 +12,7 @@ from zrs.interaction import Interaction
 from zrs.pauli import SIGMA0, PauliVector
 from zrs.resolvent import (
     _CHUNK,
+    _simpson,
     custom,
     f_transform,
     minus_exponential,
@@ -109,6 +110,8 @@ def test_argument_validation(monkeypatch):
         (-1, math.inf),
         (math.nan, 1),
         (-1, math.nan),
+        (-1e308, 1e308),
+        (-1.7e308, 1e308),
     ):
         with pytest.raises(ValueError):
             similarity_integral_probe(i, 0.1, xi_range)
@@ -179,17 +182,38 @@ def test_probe_matches_whole_grid_oracle():
 
 def test_probe_memory_is_two_node_arrays():
     # a default probe keeps the nodes and the integrand (16 bytes a node,
-    # 3.2 MB) plus one chunk of temporaries and what simpson allocates;
-    # built on the whole grid at once it peaked at 28.9 MB
+    # 3.2 MB), the (n - 1) / 2 Simpson terms (0.8 MB) and one chunk of
+    # temporaries; built on the whole grid at once it peaked at 28.9 MB,
+    # and with scipy's simpson over the two node arrays at 10.1 MB
     i = Interaction.from_abcd(-1, 0, 0, 0)
-    similarity_integral_probe(i, 0.1, (-10, 10), n=17)  # loads scipy
+    similarity_integral_probe(i, 0.1, (-10, 10), n=17)
     tracemalloc.start()
     try:
         similarity_integral_probe(i, 0.1, (-10, 10))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12_000_000, peak
+    assert peak < 6_000_000, peak
+
+
+def test_simpson_matches_scipy():
+    # _simpson transcribes scipy's arithmetic: every grid gives scipy's
+    # float, so this fails first if an installed scipy changes its rule
+    rng = np.random.default_rng(2)
+    sizes = (3, 5, 2 * _CHUNK - 1, 2 * _CHUNK + 1, 2 * _CHUNK + 3, 6 * _CHUNK + 1, 200001)
+    for n in sizes:
+        for scale in (1e-5, 1e-2, 1.0, 1e3, 1e5):
+            lo = rng.uniform(-10, 0) * scale
+            hi = rng.uniform(0.1, 10) * scale
+            y = rng.standard_normal(n) * scale
+            for x in (np.linspace(lo, hi, n), np.sort(rng.uniform(lo, hi, n))):
+                assert _simpson(y, x) == simpson(y, x=x), (n, scale)
+    # at 1e16 the spacing rounds to 0 or 4: scipy's guards on zero
+    # spacings decide the terms
+    x = np.linspace(1e16, 1e16 + 4, 4097)
+    assert np.count_nonzero(np.diff(x) == 0) > 0
+    y = rng.standard_normal(4097)
+    assert _simpson(y, x) == simpson(y, x=x)
 
 
 def test_probe_matches_pointwise_norms():
