@@ -25,10 +25,27 @@ from .classifier import (
     find_poles,
     spectral_singularities,
 )
-from .metric import Applicability, MetricSpec
-from .resolvent import FTransform, TestFunction
 
 __version__ = "0.1.0"
+
+# the modules that build ndarrays at import are loaded, and numpy with them,
+# when one of their names is first read
+_LAZY = {
+    "Applicability": "metric",
+    "MetricSpec": "metric",
+    "FTransform": "resolvent",
+    "TestFunction": "resolvent",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
 
 __all__ = [
     "ZrsError",

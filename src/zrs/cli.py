@@ -28,14 +28,6 @@ from pathlib import Path
 from .classifier import Sheet, classify
 from .errors import AtPole, NotApplicable, NotRepresentable, ZrsError
 from .interaction import Interaction
-from .metric import (
-    Applicability,
-    construct,
-    cosh_chi_from_poles,
-    metric_matrix,
-    verify_intertwining,
-)
-from .resolvent import probe_nodes, similarity_integral_probe
 from .smatrix import build
 from .tolerances import base_tol
 
@@ -234,6 +226,8 @@ def _cmd_eval(args):
 
 
 def _cmd_metric(args):
+    from .metric import Applicability, construct, cosh_chi_from_poles, metric_matrix, verify_intertwining
+
     interaction = _interaction_from(_read_payload(args))
     try:
         spec = construct(interaction)
@@ -373,6 +367,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_probe(args):
+    from .resolvent import probe_nodes, similarity_integral_probe
+
     interaction = _interaction_from(_read_payload(args))
     xi_range = _parse_numbers(args.xi, "--xi", "A:B")
     if not xi_range[0] < xi_range[1]:

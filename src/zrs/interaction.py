@@ -12,11 +12,10 @@ Xi = 4 - (ad - bc) + 2(a - d) is non-zero; there is no map back.
 
 import cmath
 from dataclasses import dataclass
-
-import numpy as np
+from numbers import Number
 
 from .errors import NotRepresentable
-from .pauli import PauliVector, _decompose, _div, _modulus, compose, det_pauli
+from .pauli import _compose, _decompose, _div, _modulus, det_pauli
 from .tolerances import base_tol
 
 
@@ -64,10 +63,15 @@ def _potential(a, b, c, d):
 class Interaction:
     """A point interaction, held as its boundary matrix.
 
+    The constructor takes any 2x2 nested sequence of numbers (lists, tuples
+    or an ndarray) and keeps its entries as Python complex, checked in plain
+    Python; the package's own algebra runs on those. numpy is loaded only
+    when `matrix` is first read.
+
     Attributes
     ----------
     matrix : ndarray, shape (2, 2)
-        The boundary matrix (read-only).
+        The boundary matrix (read-only), built on first access and cached.
     gamma : PauliVector
         Pauli coefficients of `matrix`.
     origin : PotentialABCD or None
@@ -75,19 +79,35 @@ class Interaction:
     """
 
     def __init__(self, matrix, origin=None):
-        m = np.array(matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-        rows = m.tolist()
-        (a, b), (c, d) = rows
+        try:
+            (a, b), (c, d) = matrix
+        except (TypeError, ValueError):
+            raise ValueError(f"expected a 2x2 matrix, got {matrix!r}") from None
+        # Python complex entries (from_abcd and the CLI give them) need no
+        # conversion; the Number check, not complex() alone, keeps out
+        # strings and the one-element arrays of a (2, 2, 1) array
+        if not type(a) is type(b) is type(c) is type(d) is complex:
+            if not all(isinstance(x, Number) for x in (a, b, c, d)):
+                raise ValueError(f"expected a 2x2 matrix of numbers, got {matrix!r}")
+            a, b, c, d = complex(a), complex(b), complex(c), complex(d)
         if not all(map(cmath.isfinite, (a, b, c, d))):
-            raise ValueError(f"expected a finite 2x2 matrix, got {rows}")
-        m.setflags(write=False)
-        self.matrix = m
+            raise ValueError(f"expected a finite 2x2 matrix, got {[[a, b], [c, d]]}")
         # the entries of matrix as Python complex, for the scalar algebra
         self._entries = a, b, c, d
         self.gamma = _decompose(a, b, c, d)
         self.origin = origin
+        self._matrix = None
+
+    @property
+    def matrix(self):
+        """The boundary matrix as a read-only ndarray, built on first access."""
+        if self._matrix is None:
+            import numpy as np
+
+            a, b, c, d = self._entries
+            self._matrix = np.array([[a, b], [c, d]], dtype=complex)
+            self._matrix.setflags(write=False)
+        return self._matrix
 
     @classmethod
     def from_abcd(cls, a, b, c, d):
@@ -122,7 +142,7 @@ class Interaction:
     @classmethod
     def from_gamma(cls, gamma):
         """Wrap Pauli coefficients of a boundary matrix."""
-        return cls(compose(gamma))
+        return cls(_compose(gamma))
 
     @property
     def det(self):
@@ -135,7 +155,8 @@ class Interaction:
         Swapping b and c (conjugated) in the coefficient form produces the
         adjoint matrix, so an origin is carried over when present.
         """
-        m = self.matrix.conj().T
+        a, b, c, d = self._entries
+        m = [[a.conjugate(), c.conjugate()], [b.conjugate(), d.conjugate()]]
         origin = None
         if self.origin is not None:
             p = self.origin
@@ -149,8 +170,8 @@ class Interaction:
         return _is_hermitian(self._entries, base_tol())
 
     def __repr__(self):
-        rows = self.matrix.tolist()
-        return f"Interaction(matrix={rows!r})"
+        a, b, c, d = self._entries
+        return f"Interaction(matrix={[[a, b], [c, d]]!r})"
 
 
 def _is_hermitian(entries, tol):
@@ -162,5 +183,5 @@ def _is_hermitian(entries, tol):
     return diff <= tol * scale
 
 
-FRIEDRICHS = Interaction(np.zeros((2, 2)))
-KREIN = Interaction(np.eye(2) / 2)
+FRIEDRICHS = Interaction([[0, 0], [0, 0]])
+KREIN = Interaction([[0.5, 0], [0, 0.5]])

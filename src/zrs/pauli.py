@@ -8,6 +8,9 @@ makes the scattering-matrix algebra below tractable.
 The package does this algebra on Python complex and float scalars. The
 helpers at the end give those scalars numpy's rounding of complex division
 and square roots, and numpy's inf where a modulus or a square overflows.
+numpy itself is imported only where an ndarray is made: by the read-only
+SIGMA0 to SIGMA3, built on first access, and by compose, decompose and
+PauliVector.space_part.
 """
 
 import cmath
@@ -15,14 +18,25 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
+_SIGMAS = {
+    "SIGMA0": [[1, 0], [0, 1]],
+    "SIGMA1": [[0, 1], [1, 0]],
+    "SIGMA2": [[0, -1j], [1j, 0]],
+    "SIGMA3": [[1, 0], [0, -1]],
+}
 
-SIGMA0 = np.array([[1, 0], [0, 1]], dtype=complex)
-SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
-for _m in (SIGMA0, SIGMA1, SIGMA2, SIGMA3):
-    _m.setflags(write=False)
+
+def __getattr__(name):
+    # the Pauli matrices are ndarrays, made (and numpy loaded) on first access
+    if name not in _SIGMAS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import numpy as np
+
+    m = np.array(_SIGMAS[name], dtype=complex)
+    m.setflags(write=False)
+    globals()[name] = m
+    return m
+
 
 _TINY = sys.float_info.min  # smallest normal float
 _HUGE = sys.float_info.max
@@ -42,6 +56,8 @@ class PauliVector:
 
     def space_part(self):
         """The (x1, x2, x3) block as an ndarray."""
+        import numpy as np
+
         return np.array([self.x1, self.x2, self.x3], dtype=complex)
 
 
@@ -56,6 +72,8 @@ def decompose(m):
     -------
     PauliVector
     """
+    import numpy as np
+
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
@@ -70,10 +88,15 @@ def _decompose(a, b, c, d):
 
 def compose(x):
     """Matrix x0*sigma0 + x1*sigma1 + x2*sigma2 + x3*sigma3."""
+    import numpy as np
+
+    return np.array(_compose(x), dtype=complex)
+
+
+def _compose(x):
+    """Rows of the matrix with Pauli coefficients x, as nested lists."""
     x0, x1, x2, x3 = x
-    return np.array(
-        [[x0 + x3, x1 - 1j * x2], [x1 + 1j * x2, x0 - x3]], dtype=complex
-    )
+    return [[x0 + x3, x1 - 1j * x2], [x1 + 1j * x2, x0 - x3]]
 
 
 def det_pauli(x):

@@ -157,7 +157,7 @@ def resolvent_diff_norm(interaction, k, g):
     s = build(interaction)
     F = f_transform(g, k)
     pk = s.p(k)
-    if abs(pk) <= s.tol * (1 + abs(k) ** 2) * max(1.0, abs(s.det_t)):
+    if s._near_root(abs(pk), abs(k)):
         raise AtEigenvalue(f"p({k}) within tolerance of zero")
     theta = 2 * (1 + 1j * k)
     M = s.interaction.matrix - theta * s.det_t * np.eye(2)
@@ -235,10 +235,7 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     s = build(interaction)
     c0, c1, c2 = s.p_coeffs
     D = s.det_t
-    T = s.interaction.matrix
-    m01 = complex(T[0, 1])
-    m10 = complex(T[1, 0])
-    scale = max(1.0, abs(D))
+    t00, m01, m10, t11 = s.interaction._entries
     xi = np.linspace(lo, hi, n)
     integrand = np.empty(n)
     # the nodes are taken a chunk at a time so that the dozen or so
@@ -249,12 +246,11 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
         theta = 2 * (1 + 1j * k)
         p = c0 + (c1 + c2 * k) * k
         abs_p = np.abs(p)
-        scaled = abs_p / ((1 + np.abs(k) ** 2) * scale)
-        if scaled.min() <= s.tol:
+        if s._near_root(abs_p, np.abs(k)).any():
             raise AtEigenvalue("sweep line passes through a pole")
         theta_d = theta * D
-        m00 = T[0, 0] - theta_d
-        m11 = T[1, 1] - theta_d
+        m00 = t00 - theta_d
+        m11 = t11 - theta_d
         # Frobenius norm of W M, with F g proportional to each basis vector
         fro2 = (
             np.abs(m00 + m10) ** 2

@@ -13,7 +13,8 @@ evaluator deflates it instead of reporting a pole there.
 import cmath
 
 from .errors import AtPole, NotRepresentable
-from .pauli import SIGMA0, PauliVector, _div, _modulus, _sqrt, _square, compose, det_pauli
+from . import pauli
+from .pauli import PauliVector, _div, _modulus, _sqrt, _square, compose, det_pauli
 from .tolerances import base_tol
 
 # Structure of p at the origin: no root there, a simple root, a double root
@@ -48,6 +49,8 @@ class SMatrixFn:
         origin is exactly 0j.
     scalar : bool
         Whether the boundary matrix is a multiple of sigma0.
+    constant : bool
+        Whether S(k) does not depend on k (see is_constant).
     origin_structure : str
         Structure of p at the origin: "none", "simple", "scalar" (double
         root with scalar T, so S is constant) or "double".
@@ -81,6 +84,8 @@ class SMatrixFn:
         origin_root = a0 <= 100 * tol * max(1.0, a1, a2)
         simple_origin = a1 > 100 * tol * max(1.0, a2)
         self.scalar = max(abs(g1), abs(g2), abs(g3)) <= 100 * tol * max(1.0, abs(g0))
+        self.constant = _constant_family(interaction._entries, g0, xi2, tol) is not None
+        self._term_sizes = max(1.0, a0), a1, a2
         if a2 > 100 * tol * max(1.0, a0, a1):
             self.degree = 2
             # A double root needs disc to vanish at the scale of the
@@ -134,6 +139,7 @@ class SMatrixFn:
         root of p that is cancelled by the numerator the analytic limit is
         returned instead.
         """
+        SIGMA0 = pauli.SIGMA0  # an ndarray, made (with numpy) on first access
         k = complex(k)
         tol = self.tol
         c0, c1, c2 = self.p_coeffs
@@ -143,7 +149,7 @@ class SMatrixFn:
         structure = self.origin_structure
         if structure == _NO_ORIGIN_ROOT:
             pk = c0 + (c1 + c2 * k) * k
-            if _modulus(pk) <= tol * (1 + abs(k) ** 2) * max(1.0, abs(D)):
+            if self._near_root(_modulus(pk), _modulus(k)):
                 raise AtPole(f"p({k}) = {pk} within tolerance of zero")
             return SIGMA0 + k * num / pk
         if structure == _SIMPLE_ORIGIN_ROOT:
@@ -158,27 +164,57 @@ class SMatrixFn:
             raise AtPole(f"simple pole at the origin, k = {k}")
         return SIGMA0 + num / q
 
+    def _near_root(self, abs_p, abs_k):
+        """Whether |p(k)| is within tolerance of zero, on floats or arrays alike.
+
+        |p(k)| is measured against the size of p's terms at |k|, so a root is
+        told apart at the same relative precision at any |k| and any degree
+        of p; a |p(k)| that overflows to inf is not near a root.
+        """
+        t0, t1, t2 = self._term_sizes
+        return abs_p / (t0 + t1 * abs_k + t2 * abs_k * abs_k) <= self.tol
+
     def is_constant(self):
         """Whether S(k) does not depend on k.
 
         Returns (True, constant matrix) or (False, None). Exactly three
         families are constant: the zero boundary matrix (S = sigma0), the
         half-identity (S = -sigma0), and gamma0 = 1/4 with the space part
-        of gamma squaring to 1/16 (S = sigma0 - 4T).
+        of gamma squaring to 1/16 (S = sigma0 - 4T). The flag is `constant`;
+        the matrix is made here.
         """
-        tol = self.tol
-        a, b, c, d = self.interaction._entries
-        if max(abs(a), abs(b), abs(c), abs(d)) <= tol:
-            return True, SIGMA0.copy()
-        if max(abs(a - 0.5), abs(b), abs(c), abs(d - 0.5)) <= tol:
-            return True, -SIGMA0
+        if not self.constant:
+            return False, None
         g0, g1, g2, g3 = self.gamma
-        if (
-            abs(g0 - 0.25) <= tol
-            and _modulus(g1 * g1 + g2 * g2 + g3 * g3 - 0.0625) <= tol
-        ):
-            return True, compose(PauliVector(0j, -4 * g1, -4 * g2, -4 * g3))
-        return False, None
+        family = _constant_family(self.interaction._entries, g0, g1 * g1 + g2 * g2 + g3 * g3, self.tol)
+        if family == _ZERO:
+            return True, pauli.SIGMA0.copy()
+        if family == _HALF_IDENTITY:
+            return True, -pauli.SIGMA0
+        return True, compose(PauliVector(0j, -4 * g1, -4 * g2, -4 * g3))
+
+
+_ZERO = "zero"
+_HALF_IDENTITY = "half-identity"
+_TILTED = "tilted"
+
+
+def _constant_family(entries, g0, xi2, tol):
+    """The constant-S family of SMatrixFn.is_constant the matrix is in at tol, or None.
+
+    entries are those of the boundary matrix, g0 its gamma0 and xi2 the
+    square gamma1^2 + gamma2^2 + gamma3^2 of its space part.
+    """
+    a, b, c, d = entries
+    # both scalar families have vanishing off-diagonal entries
+    if max(abs(b), abs(c)) <= tol:
+        if max(abs(a), abs(d)) <= tol:
+            return _ZERO
+        if max(abs(a - 0.5), abs(d - 0.5)) <= tol:
+            return _HALF_IDENTITY
+    if abs(g0 - 0.25) <= tol and _modulus(xi2 - 0.0625) <= tol:
+        return _TILTED
+    return None
 
 
 def _max_entry(x0, x1, x2, x3):

@@ -211,7 +211,8 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     k = np.sqrt(xi + 1j * epsilon)
     theta = 2 * (1 + 1j * k)
     p = c0 + (c1 + c2 * k) * k
-    scaled = np.abs(p) / ((1 + np.abs(k) ** 2) * max(1.0, abs(D)))
+    # |p| against the size of its terms at k
+    scaled = np.abs(p) / (max(1.0, abs(c0)) + abs(c1) * np.abs(k) + abs(c2) * np.abs(k) ** 2)
     if scaled.min() <= s.tol:
         raise AtEigenvalue("sweep line passes through a pole")
     T = s.interaction.matrix

@@ -1,4 +1,6 @@
 import argparse
+import ast
+import cmath
 import csv
 import io
 import json
@@ -14,6 +16,7 @@ import zrs.classifier
 import zrs.cli
 import zrs.interaction
 import zrs.metric
+import zrs.resolvent
 import zrs.smatrix
 from zrs.cli import CSV_COLUMNS, MAX_GRID, _dump, main
 
@@ -332,11 +335,26 @@ def test_probe_reports_evidence(monkeypatch, capsys):
     assert even == out
 
 
+def test_far_out_on_the_real_axis_is_not_a_pole(monkeypatch, capsys):
+    # the attractive delta's only pole is k = i/2
+    code, out, err = run_cli(
+        ["probe", "--epsilon", "0.1", "--xi=-1e25:1e25", "--n", "17"], DELTA_ATTRACTIVE, monkeypatch, capsys
+    )
+    assert (code, err) == (0, "") and json.loads(out)["value"] > 0
+    code, out, err = run_cli(["eval", "--k=1e25,0"], DELTA_ATTRACTIVE, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    # S(k) = sigma0 - 2T + O(1/k) with T = [[1, 1], [1, 1]] / 2
+    s = json.loads(out)["s"]
+    assert [[z[0] for z in row] for row in s] == [[0.0, -1.0], [-1.0, 0.0]]
+    assert all(abs(z[1]) < 1e-24 for row in s for z in row)
+
+
 def test_exit_code_2_on_malformed_input(monkeypatch, capsys):
     def no_probe(*args, **kwargs):
         raise AssertionError("probe ran on rejected arguments")
 
-    monkeypatch.setattr(zrs.cli, "similarity_integral_probe", no_probe)
+    # _cmd_probe imports the probe from zrs.resolvent when it runs
+    monkeypatch.setattr(zrs.resolvent, "similarity_integral_probe", no_probe)
     nan_cell = '{"form": "abcd", "a": [NaN, 0], "b": [0, 0], "c": [0, 0], "d": [0, 0]}'
     inf_cell = '{"form": "frakT", "t": [[[1, 0], [0, Infinity]], [[0, 0], [1, 0]]]}'
     huge_cell = '{"form": "abcd", "a": [1%s, 0], "b": [0, 0], "c": [0, 0], "d": [0, 0]}' % ("0" * 400)
@@ -480,11 +498,12 @@ def test_module_entry_point():
     assert data["similarity"] == "SelfAdjoint"
 
 
-def _scipy_modules_after(code):
-    # this process has scipy loaded already, so each check runs in a fresh one
+def _heavy_modules_after(code):
+    """Run code in a fresh process; its last stdout line lists the numpy and scipy modules loaded."""
+    # this process has numpy and scipy loaded already, so each check runs in a fresh one
     src = str(Path(zrs.cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
     return subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -494,8 +513,8 @@ def _scipy_modules_after(code):
 
 
 def test_import_does_not_load_scipy():
-    # only f_transform with a custom test function needs scipy
-    proc = _scipy_modules_after("import sys, zrs, zrs.cli")
+    # nor numpy: only the subcommands that make an ndarray load it
+    proc = _heavy_modules_after("import sys, zrs, zrs.cli")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
@@ -506,10 +525,94 @@ def test_probe_does_not_load_scipy():
         "code = zrs.cli.main(['probe', '--epsilon=1', '--xi=-1:1', '--n', '17'])\n"
         "assert code == 0, code"
     )
-    proc = _scipy_modules_after(code)
+    proc = _heavy_modules_after(code)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert "numpy" in loaded and not any(m.split(".")[0] == "scipy" for m in loaded)
     assert json.loads(proc.stdout.splitlines()[0])["label"] == "evidence"
+
+
+def _cells(t):
+    return [[[complex(z).real, complex(z).imag] for z in row] for row in t]
+
+
+def _abcd(a, b=0, c=0, d=0):
+    return json.dumps({"form": "abcd", **{k: [complex(v).real, complex(v).imag] for k, v in zip("abcd", (a, b, c, d))}})
+
+
+def _verdict_payloads():
+    """(payload, similarity, region) of each verdict class of the benchmark's cli-calls corpus."""
+    phase = cmath.exp(0.5j)
+    # theta+- = -2 and 3 + i: a real negative eigenvalue with complex gamma0
+    g0, xi = (1 / -2 + 1 / (3 + 1j)) / 2, (1 / -2 - 1 / (3 + 1j)) / 2
+    return [
+        (_abcd(-1), "SelfAdjoint", "III"),  # eigenvalue
+        (_abcd(1), "SelfAdjoint", "III"),  # resonance
+        (_abcd(0, 0, 0, 1j), "NotSimilar", "II"),  # real-axis singularity
+        (_abcd(-phase, -1, 1, phase.conjugate()), "NotSimilar", "I"),  # exceptional point
+        (_abcd(-1 - 0.5j), "NotSimilar", "I"),
+        (_frakt(_cells([[0, 1], [0, 0]])), "NotSimilar", "II"),  # nilpotent T: singularity at infinity
+        (_frakt(_cells([[0.25, 0.5], [0.125, 0.25]])), "SimilarToSelfAdjoint", "III"),  # constant S
+        (_frakt(_cells([[0.5, 0], [0, 0.5]])), "SelfAdjoint", "III"),  # Krein, constant S
+        (_frakt(_cells([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]])), "SelfAdjoint", "III"),
+        (_frakt(_cells([[0.5, 1], [0.25, 0.5]])), "SimilarToSelfAdjoint", "III"),  # one imaginary pole
+        (TWO_POLE_METRIC, "SimilarToSelfAdjoint", "III"),
+        (_frakt(_cells([[g0, xi], [xi, g0]])), "Undetermined", "Undetermined"),
+        (_abcd(-2), None, None),  # no boundary matrix: exit 3
+    ]
+
+
+def test_classify_and_sweep_do_not_load_numpy():
+    verdicts = _verdict_payloads()
+    path = json.dumps({"form": "frakT_path", "ts": [json.loads(p)["t"] for p, _, _ in verdicts[5:12]]})
+    sweeps = [
+        (["--family", family, "--param=-3:3:0.25", "--dir=0.6,0.8"], "")
+        for family in ("Delta", "Mixed", "DeltaPrime", "ExampleV")
+    ] + [(["--family", "FrakTPath"], path)]
+    rows = [25] * 4 + [7]
+    code = f"""
+import contextlib, io, json, sys
+import zrs, zrs.cli
+
+def run(argv, payload=""):
+    sys.stdin = io.StringIO(payload)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = zrs.cli.main(argv)
+    return code, out.getvalue()
+
+def heavy():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+
+found = {{"import": heavy()}}
+found["classify"] = [run(["classify"], p) for p, _, _ in {verdicts!r}]
+found["sweep"] = [run(["sweep", *argv, "--format", f], p) for argv, p in {sweeps!r} for f in ("csv", "json")]
+found["classify_and_sweep"] = heavy()
+found["eval"] = run(["eval", "--k=1,0"], {DELTA_REPULSIVE!r})
+found["metric"] = run(["metric"], {TWO_POLE_METRIC!r})
+found["probe"] = run(["probe", "--epsilon=1", "--xi=-1:1", "--n=17"], {DELTA_ATTRACTIVE!r})
+print(json.dumps(found))
+"""
+    proc = _heavy_modules_after(code)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout.splitlines()[0])
+    assert found["import"] == found["classify_and_sweep"] == []
+    for (code, out), (_, similarity, region) in zip(found["classify"], verdicts):
+        if similarity is None:
+            assert (code, out) == (3, "")
+        else:
+            assert code == 0 and (json.loads(out)["similarity"], json.loads(out)["region"]) == (similarity, region)
+    for (code, out), count, header in zip(found["sweep"], [n for n in rows for _ in "cj"], [1, 0] * 5):
+        assert code == 0 and len(out.splitlines()) == count + header
+    # the subcommands that make an ndarray load numpy, and still answer right
+    assert "numpy" in ast.literal_eval(proc.stdout.splitlines()[-1])
+    code, out = found["eval"]
+    assert code == 0 and json.loads(out)["s"][0][0] == pytest.approx([0.2, 0.4])
+    code, out = found["metric"]
+    assert code == 0 and json.loads(out)["applicability"] == "TwoImaginaryPoles"
+    assert json.loads(out)["intertwining_residual"] < 1e-12
+    code, out = found["probe"]
+    assert code == 0 and json.loads(out)["label"] == "evidence" and json.loads(out)["value"] > 0
 
 
 def test_main_builds_no_parser(monkeypatch, capsys):
@@ -533,7 +636,7 @@ def test_main_builds_no_parser(monkeypatch, capsys):
 
 
 def test_parser_keeps_no_state_between_calls(monkeypatch, capsys):
-    monkeypatch.setattr(zrs.cli, "similarity_integral_probe", lambda *args, **kwargs: 1.0)
+    monkeypatch.setattr(zrs.resolvent, "similarity_integral_probe", lambda *args, **kwargs: 1.0)
     sweep = ["sweep", "--family", "Delta", "--param", "0:1:0.5"]
     code, out, _ = run_cli(sweep + ["--format", "csv"], "", monkeypatch, capsys)
     assert code == 0 and out.startswith("index,")

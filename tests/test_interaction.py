@@ -95,8 +95,23 @@ def test_matrix_is_read_only():
 
 
 def test_rejects_shape_and_non_finite_entries():
-    with pytest.raises(ValueError, match="2x2"):
-        Interaction.from_matrix(np.zeros((3, 3)))
+    bad_shapes = [
+        np.zeros((3, 3)),
+        np.zeros((2, 2, 1)),
+        np.zeros((2, 2, 1)).tolist(),
+        np.zeros(2),
+        np.zeros(4),
+        [[1, 2], [3]],
+        [[1, 2], [3, 4, 5]],
+        [[1, 2], 3],
+        [[1, "2"], [3, 4]],
+        [[1, 2], [None, 4]],
+        "ab",
+        7,
+    ]
+    for bad in bad_shapes:
+        with pytest.raises(ValueError, match="2x2"):
+            Interaction.from_matrix(bad)
     for bad in (np.nan, np.inf, complex(0, -np.inf)):
         with pytest.raises(ValueError, match="finite"):
             Interaction.from_matrix([[0, bad], [0, 0]])

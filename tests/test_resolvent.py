@@ -150,6 +150,19 @@ def test_probe_through_pole_rejected():
         similarity_integral_probe(i, 2.0, (-1, 1), n=17)
 
 
+def test_far_out_on_the_real_axis_is_not_a_pole():
+    # the attractive delta's only pole is k = i/2; |p(k)| grows like 2|k|,
+    # which a pole test scaled by |k|^2 took for a root once |k|^2 passed
+    # about 4e24
+    i = Interaction.from_abcd(-1, 0, 0, 0)
+    got = similarity_integral_probe(i, 0.1, (-1e25, 1e25), n=17)
+    assert got == oracles.similarity_integral_probe(i, 0.1, (-1e25, 1e25), n=17)
+    assert 0 < got < math.inf
+    g = plus_exponential(1j)
+    for k in (1e13 + 1j, -1e13 + 1j):
+        assert resolvent_diff_norm(i, k, g) == pytest.approx(boundary_solve_norm(i, k, g), rel=1e-9)
+
+
 def test_probe_pole_past_first_chunk():
     # the pole of test_probe_through_pole_rejected at xi = 0, eps = 2, on
     # node 3 * _CHUNK: the chunks before it are integrated, and the suite

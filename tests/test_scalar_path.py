@@ -87,6 +87,44 @@ def test_division_matches_numpy():
                 assert got == _bits(want) == _bits(np.complex128(a) / np.complex128(b))
 
 
+_ENTRY_KINDS = {
+    "int": st.integers(min_value=-(2**62), max_value=2**62),
+    "float32": st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    "float64": st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0]),
+    "complex128": st.builds(
+        complex,
+        st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0]),
+        st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0]),
+    ),
+}
+
+
+@st.composite
+def _matrices(draw):
+    """A 2x2 matrix of one entry kind, as nested lists, nested tuples or an ndarray."""
+    kind = draw(st.sampled_from(sorted(_ENTRY_KINDS)))
+    a, b, c, d = draw(st.lists(_ENTRY_KINDS[kind], min_size=4, max_size=4))
+    container = draw(st.sampled_from(["list", "tuple", "ndarray"]))
+    if container == "list":
+        return [[a, b], [c, d]]
+    if container == "tuple":
+        return ((a, b), (c, d))
+    return np.array([[a, b], [c, d]], dtype={"int": np.int64}.get(kind, np.dtype(kind)))
+
+
+@given(_matrices())
+@settings(deadline=None, max_examples=300)
+def test_entries_and_matrix_match_numpy_conversion(m):
+    # the entries are converted in plain Python; they and the matrix built
+    # from them on first access must be numpy's conversion bit for bit
+    want = np.array(m, dtype=complex)
+    i = Interaction.from_matrix(m)
+    assert [_bits(z) for z in i._entries] == [_bits(z) for z in want.ravel().tolist()]
+    assert i.matrix.dtype == want.dtype and i.matrix.shape == (2, 2)
+    assert i.matrix.tobytes() == want.tobytes()
+    assert not i.matrix.flags.writeable
+
+
 @given(coeff, coeff, coeff, coeff)
 @settings(deadline=None, max_examples=300)
 def test_couplings_match_numpy(a, b, c, d):

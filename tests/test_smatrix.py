@@ -114,6 +114,15 @@ def test_evaluate_at_pole_raises():
         s.evaluate(-0.5j)
 
 
+def test_far_out_on_the_real_axis_is_not_a_pole():
+    # attractive delta: p(k) = -1 - 2ik, S(k) tends to sigma0 - 2T
+    s = build(Interaction.from_abcd(-1, 0, 0, 0))
+    for k in (1e22, -1e25, 1e200):
+        assert np.allclose(s.evaluate(k), [[0, -1], [-1, 0]], rtol=0, atol=1e-15)
+    with pytest.raises(AtPole):
+        s.evaluate(0.5j)
+
+
 def test_simple_pole_at_origin():
     # d = i: p has roots {0, 2}; the origin root cancels, k = 2 does not
     s = build(Interaction.from_abcd(0, 0, 0, 1j))
