@@ -13,7 +13,7 @@ constant while T is nonzero, S grows linearly in k: a singularity at
 infinity.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .errors import InternalInconsistency
@@ -43,26 +43,14 @@ class Region(Enum):
     UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
-class PoleReport:
-    """One pole of S. location/z are None for the pole at infinity."""
+PoleReport = namedtuple("PoleReport", "location order sheet z")
+PoleReport.__doc__ = "One pole of S. location/z are None for the pole at infinity."
 
-    location: object
-    order: int
-    sheet: Sheet
-    z: object
-
-
-@dataclass(frozen=True)
-class SpectralClassification:
-    poles: tuple
-    eigenvalues: tuple
-    spectral_singularities: tuple
-    singularity_at_infinity: bool
-    exceptional_points: tuple
-    similarity: Similarity
-    region: Region
-    has_negative_eigenvalues: bool
+SpectralClassification = namedtuple(
+    "SpectralClassification",
+    "poles eigenvalues spectral_singularities singularity_at_infinity"
+    " exceptional_points similarity region has_negative_eigenvalues",
+)
 
 
 def _is_real(z, tol):

@@ -23,7 +23,6 @@ import csv
 import json
 import math
 import sys
-from pathlib import Path
 
 from .classifier import Sheet, classify
 from .errors import AtPole, NotApplicable, NotRepresentable, ZrsError
@@ -97,7 +96,8 @@ def _emit(obj):
 def _read_payload(args):
     if getattr(args, "input", None):
         try:
-            raw = Path(args.input).read_text()
+            with open(args.input) as f:
+                raw = f.read()
         except OSError as exc:
             raise SchemaError(f"cannot read {args.input}: {exc}")
     else:
@@ -380,7 +380,10 @@ def _cmd_probe(args):
     if not 16 <= args.n <= MAX_GRID:
         raise SchemaError(f"--n must be between 16 and {MAX_GRID}")
     n = probe_nodes(args.n)
-    value = similarity_integral_probe(interaction, args.epsilon, xi_range, n=n)
+    try:
+        value = similarity_integral_probe(interaction, args.epsilon, xi_range, n=n)
+    except ValueError as exc:  # ranges that pass the checks above but overflow its arithmetic
+        raise SchemaError(str(exc))
     _emit(
         {
             "epsilon": _f(args.epsilon),

@@ -11,7 +11,7 @@ Xi = 4 - (ad - bc) + 2(a - d) is non-zero; there is no map back.
 """
 
 import cmath
-from dataclasses import dataclass
+from collections import namedtuple
 from numbers import Number
 
 from .errors import NotRepresentable
@@ -19,14 +19,10 @@ from .pauli import _compose, _decompose, _div, _modulus, det_pauli
 from .tolerances import base_tol
 
 
-@dataclass(frozen=True)
-class PotentialABCD:
-    """Coupling coefficients of the distributional potential."""
+class PotentialABCD(namedtuple("PotentialABCD", "a b c d")):
+    """Complex coupling coefficients of the distributional potential."""
 
-    a: complex
-    b: complex
-    c: complex
-    d: complex
+    __slots__ = ()
 
     @property
     def det(self):

@@ -13,14 +13,14 @@ independent consistency check.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 import numpy as np
 
 from .errors import DegenerateGamma, NotApplicable
 from .pauli import SIGMA0, SIGMA1, SIGMA2, SIGMA3
-from .smatrix import SMatrixFn, build
+from .smatrix import build
 from .classifier import _metric_certificate, find_poles
 from .interaction import _is_hermitian
 
@@ -31,15 +31,8 @@ class Applicability(Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
-@dataclass(frozen=True)
-class MetricSpec:
-    """Parameters of the metric operator E, and the S and applicability they rest on."""
-
-    alpha: np.ndarray
-    chi: float
-    kappa: float
-    applicability: Applicability
-    s: SMatrixFn
+MetricSpec = namedtuple("MetricSpec", "alpha chi kappa applicability s")
+MetricSpec.__doc__ = "Parameters of the metric operator E, and the S and applicability they rest on."
 
 
 def check_applicability(interaction):

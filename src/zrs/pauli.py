@@ -16,7 +16,7 @@ PauliVector.space_part.
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 _SIGMAS = {
     "SIGMA0": [[1, 0], [0, 1]],
@@ -42,17 +42,10 @@ _TINY = sys.float_info.min  # smallest normal float
 _HUGE = sys.float_info.max
 
 
-@dataclass(frozen=True)
-class PauliVector:
-    """Coefficients (x0, x1, x2, x3) of a Pauli expansion."""
+class PauliVector(namedtuple("PauliVector", "x0 x1 x2 x3")):
+    """Complex coefficients (x0, x1, x2, x3) of a Pauli expansion."""
 
-    x0: complex
-    x1: complex
-    x2: complex
-    x3: complex
-
-    def __iter__(self):
-        return iter((self.x0, self.x1, self.x2, self.x3))
+    __slots__ = ()
 
     def space_part(self):
         """The (x1, x2, x3) block as an ndarray."""

@@ -19,7 +19,7 @@ called; the probe integrates without it.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 import numpy as np
@@ -43,13 +43,10 @@ class TestFunctionKind(Enum):
     CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(namedtuple("TestFunction", "kind k func", defaults=(None, None))):
     """A test function g for the resolvent difference."""
 
-    kind: TestFunctionKind
-    k: object = None
-    func: object = None
+    __slots__ = ()
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -85,12 +82,8 @@ def custom(func):
     return TestFunction(kind=TestFunctionKind.CUSTOM, func=func)
 
 
-@dataclass(frozen=True)
-class FTransform:
-    """One-sided exponential transforms of g at a fixed k."""
-
-    plus: complex
-    minus: complex
+FTransform = namedtuple("FTransform", "plus minus")
+FTransform.__doc__ = "One-sided exponential transforms of g at a fixed k."
 
 
 def f_transform(g, k):
@@ -218,7 +211,8 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     ------
     ValueError
         If epsilon is not finite and positive, xi_range is not finite with
-        A < B and a finite width B - A, or n < 16.
+        A < B and a finite width B - A, or n < 16; or if the arithmetic on
+        them overflows, divides by zero or turns invalid.
     AtEigenvalue
         If the sweep line passes through a pole of S.
     """
@@ -238,25 +232,33 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     t00, m01, m10, t11 = s.interaction._entries
     xi = np.linspace(lo, hi, n)
     integrand = np.empty(n)
-    # the nodes are taken a chunk at a time so that the dozen or so
-    # temporaries below stay cache-sized instead of probe-sized
-    for a in range(0, n, _CHUNK):
-        chunk = slice(a, a + _CHUNK)
-        k = np.sqrt(xi[chunk] + 1j * epsilon)
-        theta = 2 * (1 + 1j * k)
-        p = c0 + (c1 + c2 * k) * k
-        abs_p = np.abs(p)
-        if s._near_root(abs_p, np.abs(k)).any():
-            raise AtEigenvalue("sweep line passes through a pole")
-        theta_d = theta * D
-        m00 = t00 - theta_d
-        m11 = t11 - theta_d
-        # Frobenius norm of W M, with F g proportional to each basis vector
-        fro2 = (
-            np.abs(m00 + m10) ** 2
-            + np.abs(m01 + m11) ** 2
-            + np.abs(m10 - m00) ** 2
-            + np.abs(m11 - m01) ** 2
-        )
-        integrand[chunk] = fro2 / (k.imag * abs_p ** 2 * np.abs(1 - 1j * k) ** 2)
-    return float(epsilon * _simpson(integrand, xi))
+    # an overflow, an invalid operation or a division by zero would leave a
+    # value resting on inf, NaN or zeroed Simpson weights
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            # the nodes are taken a chunk at a time so that the dozen or so
+            # temporaries below stay cache-sized instead of probe-sized
+            for a in range(0, n, _CHUNK):
+                chunk = slice(a, a + _CHUNK)
+                k = np.sqrt(xi[chunk] + 1j * epsilon)
+                theta = 2 * (1 + 1j * k)
+                p = c0 + (c1 + c2 * k) * k
+                abs_p = np.abs(p)
+                if s._near_root(abs_p, np.abs(k)).any():
+                    raise AtEigenvalue("sweep line passes through a pole")
+                theta_d = theta * D
+                m00 = t00 - theta_d
+                m11 = t11 - theta_d
+                # Frobenius norm of W M, with F g proportional to each basis vector
+                fro2 = (
+                    np.abs(m00 + m10) ** 2
+                    + np.abs(m01 + m11) ** 2
+                    + np.abs(m10 - m00) ** 2
+                    + np.abs(m11 - m01) ** 2
+                )
+                integrand[chunk] = fro2 / (k.imag * abs_p ** 2 * np.abs(1 - 1j * k) ** 2)
+            return float(epsilon * _simpson(integrand, xi))
+    except FloatingPointError as exc:
+        raise ValueError(
+            f"probe arithmetic leaves the float range at epsilon = {epsilon}, xi in [{lo}, {hi}] ({exc})"
+        ) from None

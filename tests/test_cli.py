@@ -349,6 +349,17 @@ def test_far_out_on_the_real_axis_is_not_a_pole(monkeypatch, capsys):
     assert all(abs(z[1]) < 1e-24 for row in s for z in row)
 
 
+def test_probe_out_of_float_range_exits_2(monkeypatch, capsys):
+    # finite ranges whose arithmetic overflows: one error line and no
+    # RuntimeWarning (an error in this suite), not a value resting on
+    # zeroed Simpson weights or a non-JSON inf
+    for epsilon in ("1e-300", "1"):
+        argv = ["probe", "--epsilon", epsilon, "--xi=-1e300:1e300", "--n", "2001"]
+        code, out, err = run_cli(argv, DELTA_ATTRACTIVE, monkeypatch, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: probe arithmetic leaves the float range") and err.count("\n") == 1
+
+
 def test_exit_code_2_on_malformed_input(monkeypatch, capsys):
     def no_probe(*args, **kwargs):
         raise AssertionError("probe ran on rejected arguments")
@@ -498,12 +509,16 @@ def test_module_entry_point():
     assert data["similarity"] == "SelfAdjoint"
 
 
+# packages that a cold classify or sweep must not pay to import
+HEAVY = ("numpy", "scipy", "dataclasses", "inspect")
+
+
 def _heavy_modules_after(code):
-    """Run code in a fresh process; its last stdout line lists the numpy and scipy modules loaded."""
-    # this process has numpy and scipy loaded already, so each check runs in a fresh one
+    """Run code in a fresh process; its last stdout line lists the HEAVY modules loaded."""
+    # this process has them loaded already, so each check runs in a fresh one
     src = str(Path(zrs.cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    code += f"\nprint(sorted(m for m in sys.modules if m.split('.')[0] in {HEAVY!r}))"
     return subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -513,7 +528,8 @@ def _heavy_modules_after(code):
 
 
 def test_import_does_not_load_scipy():
-    # nor numpy: only the subcommands that make an ndarray load it
+    # nor numpy (only the subcommands that make an ndarray load it), nor
+    # dataclasses and the inspect module it imports
     proc = _heavy_modules_after("import sys, zrs, zrs.cli")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
@@ -582,7 +598,7 @@ def run(argv, payload=""):
     return code, out.getvalue()
 
 def heavy():
-    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+    return sorted(m for m in sys.modules if m.split(".")[0] in {HEAVY!r})
 
 found = {{"import": heavy()}}
 found["classify"] = [run(["classify"], p) for p, _, _ in {verdicts!r}]

@@ -94,6 +94,10 @@ def test_argument_validation(monkeypatch):
         similarity_integral_probe(i, 0.0, (-1, 1))
     with pytest.raises(ValueError):
         similarity_integral_probe(i, 0.5, (-1, 1), n=8)
+    # finite ranges whose arithmetic overflows, with no RuntimeWarning
+    for epsilon in (1e-300, 1.0):
+        with pytest.raises(ValueError, match="leaves the float range"):
+            similarity_integral_probe(i, epsilon, (-1e300, 1e300), n=2001)
 
     # the probe rejects its arguments before it builds S or any array
     def unreachable(interaction):
