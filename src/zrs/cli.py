@@ -221,6 +221,8 @@ def _cmd_eval(args):
     except AtPole:
         _emit({"k": _pair(k), "pole": True})
         return 0
+    except ValueError as exc:  # a finite k whose S(k) overflows
+        raise SchemaError(str(exc))
     _emit({"k": _pair(k), "s": [[_pair(z) for z in row] for row in m]})
     return 0
 

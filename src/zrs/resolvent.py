@@ -32,12 +32,13 @@ _W = np.array([[1, 1], [-1, 1]], dtype=complex)
 
 _TAIL_THRESHOLD = 1e-8
 _TRUNCATION = 40.0
-# nodes per chunk of the probe integrand (its complex temporaries are
-# 64 KiB) and Simpson triples per chunk of _simpson
-_CHUNK = 4096
+# node triples per block of _simpson: the probe's integrand on a block's
+# 2 * _BLOCK + 1 nodes and all of its buffers, about 1.1 MB, stay in cache
+_BLOCK = 4096
 
 
 class TestFunctionKind(Enum):
+    __test__ = False  # not a test class, for pytest; a dunder is no member
     PLUS_EXPONENTIAL = "plus_exponential"
     MINUS_EXPONENTIAL = "minus_exponential"
     CUSTOM = "custom"
@@ -47,6 +48,7 @@ class TestFunction(namedtuple("TestFunction", "kind k func", defaults=(None, Non
     """A test function g for the resolvent difference."""
 
     __slots__ = ()
+    __test__ = False  # not a test class, for pytest
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -163,33 +165,51 @@ def probe_nodes(n):
     return n + 1 if n % 2 == 0 else n
 
 
-def _simpson(y, x):
+def _simpson(x, fill):
     """scipy.integrate.simpson(y, x=x) for an odd number of nodes, bit for bit.
 
-    The x-given branch of scipy 1.17.1's _basic_simpson, the path simpson
-    takes for an odd node count, operation for operation, run _CHUNK
-    triples at a time: each Simpson term is the float scipy computes, and
-    one np.sum over the (n - 1) / 2 terms adds them in scipy's pairwise
-    order.
+    fill(start, stop, out) writes y[start:stop] into out, a block of _BLOCK
+    node triples at a time, so y is never held whole; each block's last node
+    is carried over as the next one's first. The terms are those of the
+    x-given branch of scipy 1.17.1's _basic_simpson (taken for an odd node
+    count) operation for operation; one np.sum adds them in scipy's order.
     """
-    m = (len(y) - 1) // 2
+    m = (len(x) - 1) // 2
     terms = np.empty(m)
-    for a in range(0, m, _CHUNK):
-        b = min(a + _CHUNK, m)
-        nodes = slice(2 * a, 2 * b + 1)
-        h = np.diff(x[nodes])
-        h0 = h[0::2]
-        h1 = h[1::2]
-        hsum = h0 + h1
-        hprod = h0 * h1
-        h0divh1 = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
-        w0 = 2.0 - np.true_divide(
-            1.0, h0divh1, out=np.zeros_like(h0divh1), where=h0divh1 != 0
-        )
-        w1 = hsum * np.true_divide(hsum, hprod, out=np.zeros_like(hsum), where=hprod != 0)
-        w2 = 2.0 - h0divh1
-        yc = y[nodes]
-        terms[a:b] = hsum / 6.0 * (yc[0:-1:2] * w0 + yc[1::2] * w1 + yc[2::2] * w2)
+    y = np.empty(min(len(x), 2 * _BLOCK + 1))
+    bufs = np.empty((7, min(m, _BLOCK)))
+    nonzero = np.empty(min(m, _BLOCK), dtype=bool)
+    for a in range(0, m, _BLOCK):
+        b = min(a + _BLOCK, m)
+        h0, h1, hsum, hprod, q, w0, w1 = bufs[:, : b - a]
+        mask = nonzero[: b - a]
+        first = min(a, 1)
+        if first:  # node 2 * a ended the block before, which was whole
+            y[0] = y[-1]
+        fill(2 * a + first, 2 * b + 1, y[first : 2 * (b - a) + 1])
+        xc = x[2 * a : 2 * b + 1]
+        np.subtract(xc[1::2], xc[0:-1:2], out=h0)
+        np.subtract(xc[2::2], xc[1::2], out=h1)
+        np.add(h0, h1, out=hsum)
+        np.multiply(h0, h1, out=hprod)
+        # h0 / h1, 1 / (h0 / h1) and hsum / hprod are 0 where scipy's divisor is
+        q.fill(0)
+        np.true_divide(h0, h1, out=q, where=np.not_equal(h1, 0, out=mask))
+        w0.fill(0)
+        np.true_divide(1.0, q, out=w0, where=np.not_equal(q, 0, out=mask))
+        np.subtract(2.0, w0, out=w0)
+        w1.fill(0)
+        np.true_divide(hsum, hprod, out=w1, where=np.not_equal(hprod, 0, out=mask))
+        np.multiply(hsum, w1, out=w1)
+        w2 = np.subtract(2.0, q, out=q)
+        # hsum / 6.0 * (y0 * w0 + y1 * w1 + y2 * w2)
+        np.true_divide(hsum, 6.0, out=hsum)
+        np.multiply(y[0 : 2 * (b - a) : 2], w0, out=w0)
+        np.multiply(y[1 : 2 * (b - a) : 2], w1, out=w1)
+        np.add(w0, w1, out=w0)
+        np.multiply(y[2 : 2 * (b - a) + 1 : 2], w2, out=w2)
+        np.add(w0, w2, out=w0)
+        np.multiply(hsum, w0, out=terms[a:b])
     return np.sum(terms)
 
 
@@ -203,9 +223,9 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     of similarity to a self-adjoint operator, growth like 1/eps locates a
     spectral singularity. Evidence only, not a certificate.
 
-    Memory: two float arrays of the node count (the nodes and the
-    integrand, about 16 bytes per node), the (n - 1) / 2 Simpson terms
-    (4 bytes per node) and the temporaries of one chunk of _CHUNK nodes.
+    Memory: the nodes (8 bytes per node), the (n - 1) / 2 Simpson terms
+    (4 bytes per node) and the buffers of one block of _BLOCK node triples,
+    about 1.1 MB; the integrand is never held whole.
 
     Raises
     ------
@@ -231,34 +251,43 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     D = s.det_t
     t00, m01, m10, t11 = s.interaction._entries
     xi = np.linspace(lo, hi, n)
-    integrand = np.empty(n)
+    cbufs = np.empty((5, min(n, 2 * _BLOCK + 1)), dtype=complex)
+    fbufs = np.empty((2, min(n, 2 * _BLOCK + 1)))
+
+    def integrand(start, stop, out):
+        # the ufuncs of the integrand in their order, into this probe's buffers
+        k, ik, u, v, w = cbufs[:, : stop - start]
+        abs_p, g = fbufs[:, : stop - start]
+        np.sqrt(np.add(xi[start:stop], 1j * epsilon, out=k), out=k)
+        np.multiply(1j, k, out=ik)
+        theta = np.multiply(2, np.add(1, ik, out=u), out=u)
+        p = np.add(c0, np.multiply(np.add(c1, np.multiply(c2, k, out=v), out=v), k, out=v), out=v)
+        np.abs(p, out=abs_p)
+        if s._near_root(abs_p, np.abs(k, out=g)).any():
+            raise AtEigenvalue("sweep line passes through a pole")
+        theta_d = np.multiply(theta, D, out=u)
+        m00 = np.subtract(t00, theta_d, out=v)
+        m11 = np.subtract(t11, theta_d, out=w)
+        # Frobenius norm of W M, with F g proportional to each basis vector
+        fro2 = np.square(np.abs(np.add(m00, m10, out=u), out=out), out=out)
+        np.add(fro2, np.square(np.abs(np.add(m01, m11, out=u), out=g), out=g), out=fro2)
+        np.add(fro2, np.square(np.abs(np.subtract(m10, m00, out=u), out=g), out=g), out=fro2)
+        np.add(fro2, np.square(np.abs(np.subtract(m11, m01, out=u), out=g), out=g), out=fro2)
+        # fro2 / (k.imag * abs_p ** 2 * np.abs(1 - 1j * k) ** 2)
+        den = np.multiply(k.imag, np.square(abs_p, out=abs_p), out=abs_p)
+        np.multiply(den, np.square(np.abs(np.subtract(1, ik, out=u), out=g), out=g), out=den)
+        np.true_divide(fro2, den, out=out)
+
     # an overflow, an invalid operation or a division by zero would leave a
     # value resting on inf, NaN or zeroed Simpson weights
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            # the nodes are taken a chunk at a time so that the dozen or so
-            # temporaries below stay cache-sized instead of probe-sized
-            for a in range(0, n, _CHUNK):
-                chunk = slice(a, a + _CHUNK)
-                k = np.sqrt(xi[chunk] + 1j * epsilon)
-                theta = 2 * (1 + 1j * k)
-                p = c0 + (c1 + c2 * k) * k
-                abs_p = np.abs(p)
-                if s._near_root(abs_p, np.abs(k)).any():
-                    raise AtEigenvalue("sweep line passes through a pole")
-                theta_d = theta * D
-                m00 = t00 - theta_d
-                m11 = t11 - theta_d
-                # Frobenius norm of W M, with F g proportional to each basis vector
-                fro2 = (
-                    np.abs(m00 + m10) ** 2
-                    + np.abs(m01 + m11) ** 2
-                    + np.abs(m10 - m00) ** 2
-                    + np.abs(m11 - m01) ** 2
-                )
-                integrand[chunk] = fro2 / (k.imag * abs_p ** 2 * np.abs(1 - 1j * k) ** 2)
-            return float(epsilon * _simpson(integrand, xi))
+            return float(epsilon * _simpson(xi, integrand))
     except FloatingPointError as exc:
+        # a pole anywhere on the line is reported ahead of the overflow,
+        # wherever the blocks end: the blocks are run again, quietly, to find it
+        with np.errstate(all="ignore"):
+            _simpson(xi, integrand)
         raise ValueError(
             f"probe arithmetic leaves the float range at epsilon = {epsilon}, xi in [{lo}, {hi}] ({exc})"
         ) from None

@@ -137,10 +137,23 @@ class SMatrixFn:
 
         Raises AtPole when k is within tolerance of a genuine pole. At a
         root of p that is cancelled by the numerator the analytic limit is
-        returned instead.
+        returned instead. Raises ValueError when S(k) is not finite, as
+        theta_k D, p(k) or their products overflow from |k| of about 1e154.
         """
-        SIGMA0 = pauli.SIGMA0  # an ndarray, made (with numpy) on first access
+        import numpy as np
+
         k = complex(k)
+        try:
+            with np.errstate(all="ignore"):  # an overflow is reported once, below
+                s = self._evaluate(k)
+        except OverflowError:  # abs(k) in a pole test, past the float range
+            s = None
+        if s is None or not all(map(cmath.isfinite, s.flat)):
+            raise ValueError(f"S(k) leaves the float range at k = {k}")
+        return s
+
+    def _evaluate(self, k):
+        SIGMA0 = pauli.SIGMA0  # an ndarray, made (with numpy) on first access
         tol = self.tol
         c0, c1, c2 = self.p_coeffs
         D = self.det_t

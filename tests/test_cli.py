@@ -350,14 +350,42 @@ def test_far_out_on_the_real_axis_is_not_a_pole(monkeypatch, capsys):
 
 
 def test_probe_out_of_float_range_exits_2(monkeypatch, capsys):
-    # finite ranges whose arithmetic overflows: one error line and no
-    # RuntimeWarning (an error in this suite), not a value resting on
-    # zeroed Simpson weights or a non-JSON inf
-    for epsilon in ("1e-300", "1"):
-        argv = ["probe", "--epsilon", epsilon, "--xi=-1e300:1e300", "--n", "2001"]
-        code, out, err = run_cli(argv, DELTA_ATTRACTIVE, monkeypatch, capsys)
-        assert (code, out) == (2, ""), argv
-        assert err.startswith("error: probe arithmetic leaves the float range") and err.count("\n") == 1
+    # finite ranges whose arithmetic overflows: one error line, naming the
+    # ufunc that overflows first, and no RuntimeWarning (an error in this
+    # suite), not a value resting on zeroed Simpson weights or a non-JSON inf
+    cases = [
+        (["--epsilon", "1e-300", "--xi=-1e300:1e300", "--n", "2001"], "1e-300, xi in [-1e+300, 1e+300]"),
+        (["--epsilon", "1", "--xi=-1e300:1e300", "--n", "2001"], "1.0, xi in [-1e+300, 1e+300]"),
+        (["--epsilon", "1e300", "--xi=-1:1"], "1e+300, xi in [-1.0, 1.0]"),
+        (["--epsilon", "1e-10", "--xi=-1e150:1e150"], "1e-10, xi in [-1e+150, 1e+150]"),
+        (["--epsilon", "1", "--xi=-1e200:1e200", "--n", "17"], "1.0, xi in [-1e+200, 1e+200]"),
+    ]
+    for options, where in cases:
+        code, out, err = run_cli(["probe", *options], DELTA_ATTRACTIVE, monkeypatch, capsys)
+        assert (code, out) == (2, ""), options
+        assert err == f"error: probe arithmetic leaves the float range at epsilon = {where} (overflow encountered in multiply)\n"
+
+
+def test_eval_out_of_float_range_exits_2(monkeypatch, capsys):
+    # S(k) that overflows at a finite k: one error line naming k, no
+    # RuntimeWarning, no non-JSON NaN and no OverflowError; past theta_k D
+    # and p(k) on the attractive delta, on a coupling whose p(k) is still
+    # finite there, and past abs(k) where p has a root at the origin
+    mixed = '{"form": "abcd", "a": [0.4, 0], "b": [0.2, 0.1], "c": [-0.3, 0], "d": [0.5, 0]}'
+    cases = [
+        (DELTA_ATTRACTIVE, "1e308,1e308", "(1e+308+1e+308j)"),
+        (mixed, "1.8e154,0", "(1.8e+154+0j)"),
+        (DERIVATIVE, "1.5e308,1.5e308", "(1.5e+308+1.5e+308j)"),
+    ]
+    for payload, k, shown in cases:
+        code, out, err = run_cli(["eval", f"--k={k}"], payload, monkeypatch, capsys)
+        assert (code, out, err) == (2, "", f"error: S(k) leaves the float range at k = {shown}\n"), k
+    # a constant S needs none of them, and is printed without a warning
+    half = '{"form": "frakT", "t": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}'
+    for k in ("1.7e308,0", "1.5e308,1.5e308"):
+        code, out, err = run_cli(["eval", f"--k={k}"], half, monkeypatch, capsys)
+        assert (code, err) == (0, ""), k
+        assert json.loads(out)["s"] == [[[-1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
 
 
 def test_exit_code_2_on_malformed_input(monkeypatch, capsys):

@@ -11,7 +11,7 @@ from zrs.errors import AtEigenvalue, NonConvergent
 from zrs.interaction import Interaction
 from zrs.pauli import SIGMA0, PauliVector
 from zrs.resolvent import (
-    _CHUNK,
+    _BLOCK,
     _simpson,
     custom,
     f_transform,
@@ -154,6 +154,20 @@ def test_probe_through_pole_rejected():
         similarity_integral_probe(i, 2.0, (-1, 1), n=17)
 
 
+def test_probe_through_pole_and_overflow_reports_the_pole():
+    # the pole of test_probe_through_pole_rejected at xi = 0, the middle
+    # node, and far ends where the integrand overflows: the pole is
+    # reported wherever the blocks end, in the first block, on a block's
+    # last node, or blocks after an overflow
+    g0 = (1 / 2j + 1 / 10) / 2
+    xi = (1 / 2j - 1 / 10) / 2
+    i = Interaction.from_gamma(PauliVector(g0, xi, 0, 0))
+    for n in (17, 2 * _BLOCK + 1, 4 * _BLOCK + 1, 20001):
+        assert np.linspace(-1e200, 1e200, n)[n // 2] == 0
+        with pytest.raises(AtEigenvalue):
+            similarity_integral_probe(i, 2.0, (-1e200, 1e200), n=n)
+
+
 def test_far_out_on_the_real_axis_is_not_a_pole():
     # the attractive delta's only pole is k = i/2; |p(k)| grows like 2|k|,
     # which a pole test scaled by |k|^2 took for a root once |k|^2 passed
@@ -169,26 +183,28 @@ def test_far_out_on_the_real_axis_is_not_a_pole():
 
 def test_probe_pole_past_first_chunk():
     # the pole of test_probe_through_pole_rejected at xi = 0, eps = 2, on
-    # node 3 * _CHUNK: the chunks before it are integrated, and the suite
-    # turns any RuntimeWarning from them into a failure
+    # node 5 * _BLOCK, inside the third block of 2 * _BLOCK + 1 nodes: the
+    # blocks before it are integrated, and the suite turns any
+    # RuntimeWarning from them into a failure
     g0 = (1 / 2j + 1 / 10) / 2
     xi = (1 / 2j - 1 / 10) / 2
     i = Interaction.from_gamma(PauliVector(g0, xi, 0, 0))
-    n = 4 * _CHUNK + 1
-    assert np.linspace(-3, 1, n)[3 * _CHUNK] == 0
+    n = 8 * _BLOCK + 1
+    assert np.linspace(-5, 3, n)[5 * _BLOCK] == 0
     with pytest.raises(AtEigenvalue):
-        similarity_integral_probe(i, 2.0, (-3, 1), n=n)
+        similarity_integral_probe(i, 2.0, (-5, 3), n=n)
 
 
 def test_probe_matches_whole_grid_oracle():
-    # chunk edges move no bit: every n gives the float of the probe built
-    # on the whole grid at once
+    # block edges move no bit: every n gives the float of the probe built
+    # on the whole grid at once; a block spans 2 * _BLOCK + 1 nodes, and the
+    # sizes end a block one triple short of, on and one triple past its end
     cases = [
         Interaction.from_abcd(-1, 0, 0, 0),
         Interaction.from_abcd(0, 0, 0, 1j),
         Interaction.from_abcd(0.4, 0.2 + 0.1j, -0.3, 0.5),
     ]
-    sizes = (17, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5, 200001)
+    sizes = (17, 2 * _BLOCK - 1, 2 * _BLOCK + 1, 2 * _BLOCK + 3, 6 * _BLOCK + 5, 200001)
     for i in cases:
         for eps, xi_range in ((0.01, (-10, 10)), (0.5, (0.5, 1.5)), (2.0, (-3, 7))):
             for n in sizes:
@@ -198,10 +214,11 @@ def test_probe_matches_whole_grid_oracle():
 
 
 def test_probe_memory_is_two_node_arrays():
-    # a default probe keeps the nodes and the integrand (16 bytes a node,
-    # 3.2 MB), the (n - 1) / 2 Simpson terms (0.8 MB) and one chunk of
-    # temporaries; built on the whole grid at once it peaked at 28.9 MB,
-    # and with scipy's simpson over the two node arrays at 10.1 MB
+    # a default probe keeps the nodes (1.6 MB), the (n - 1) / 2 Simpson terms
+    # (0.8 MB) and the buffers of one block (1.1 MB), 3.69 MB at its peak;
+    # with the integrand held whole it peaked at 4.8 MB, built on the whole
+    # grid at once at 28.9 MB, and with scipy's simpson over the nodes and
+    # the integrand at 10.1 MB
     i = Interaction.from_abcd(-1, 0, 0, 0)
     similarity_integral_probe(i, 0.1, (-10, 10), n=17)
     tracemalloc.start()
@@ -210,27 +227,34 @@ def test_probe_memory_is_two_node_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6_000_000, peak
+    assert peak < 4_600_000, peak
+
+
+def block_simpson(y, x):
+    # _simpson with y handed over a block at a time, as the probe hands over
+    # its integrand
+    return _simpson(x, lambda start, stop, out: np.copyto(out, y[start:stop]))
 
 
 def test_simpson_matches_scipy():
     # _simpson transcribes scipy's arithmetic: every grid gives scipy's
     # float, so this fails first if an installed scipy changes its rule
     rng = np.random.default_rng(2)
-    sizes = (3, 5, 2 * _CHUNK - 1, 2 * _CHUNK + 1, 2 * _CHUNK + 3, 6 * _CHUNK + 1, 200001)
+    sizes = (3, 5, 2 * _BLOCK - 1, 2 * _BLOCK + 1, 2 * _BLOCK + 3, 6 * _BLOCK + 1, 200001)
     for n in sizes:
         for scale in (1e-5, 1e-2, 1.0, 1e3, 1e5):
             lo = rng.uniform(-10, 0) * scale
             hi = rng.uniform(0.1, 10) * scale
             y = rng.standard_normal(n) * scale
             for x in (np.linspace(lo, hi, n), np.sort(rng.uniform(lo, hi, n))):
-                assert _simpson(y, x) == simpson(y, x=x), (n, scale)
+                assert block_simpson(y, x) == simpson(y, x=x), (n, scale)
     # at 1e16 the spacing rounds to 0 or 4: scipy's guards on zero
-    # spacings decide the terms
-    x = np.linspace(1e16, 1e16 + 4, 4097)
-    assert np.count_nonzero(np.diff(x) == 0) > 0
-    y = rng.standard_normal(4097)
-    assert _simpson(y, x) == simpson(y, x=x)
+    # spacings decide the terms, in one block and in several
+    for n in (4097, 6 * _BLOCK + 1):
+        x = np.linspace(1e16, 1e16 + 4, n)
+        assert np.count_nonzero(np.diff(x) == 0) > 0
+        y = rng.standard_normal(n)
+        assert block_simpson(y, x) == simpson(y, x=x), n
 
 
 def test_probe_matches_pointwise_norms():
