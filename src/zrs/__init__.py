@@ -11,8 +11,8 @@ from .errors import (
     NotRepresentable,
     ZrsError,
 )
-from .pauli import PauliVector, compose, decompose, det_pauli
-from .interaction import FRIEDRICHS, KREIN, Interaction, PotentialABCD
+from .pauli import PauliVector, det_pauli
+from .interaction import FRIEDRICHS, KREIN, Interaction
 from .smatrix import SMatrixFn, build
 from .classifier import (
     PoleReport,
@@ -57,10 +57,7 @@ __all__ = [
     "NonConvergent",
     "AtEigenvalue",
     "PauliVector",
-    "compose",
-    "decompose",
     "det_pauli",
-    "PotentialABCD",
     "Interaction",
     "FRIEDRICHS",
     "KREIN",

@@ -11,49 +11,11 @@ Xi = 4 - (ad - bc) + 2(a - d) is non-zero; there is no map back.
 """
 
 import cmath
-from collections import namedtuple
 from numbers import Number
 
 from .errors import NotRepresentable
 from .pauli import _compose, _decompose, _div, _modulus, det_pauli
 from .tolerances import base_tol
-
-
-class PotentialABCD(namedtuple("PotentialABCD", "a b c d")):
-    """Complex coupling coefficients of the distributional potential."""
-
-    __slots__ = ()
-
-    @property
-    def det(self):
-        return self.a * self.d - self.b * self.c
-
-    @property
-    def xi(self):
-        """Normalization 4 - (ad - bc) + 2(a - d)."""
-        return 4 - self.det + 2 * (self.a - self.d)
-
-
-def _potential(a, b, c, d):
-    """PotentialABCD and Xi of the coefficients; NotRepresentable where Xi vanishes.
-
-    A non-finite coefficient raises ValueError.
-    """
-    p = PotentialABCD(complex(a), complex(b), complex(c), complex(d))
-    if not all(map(cmath.isfinite, (p.a, p.b, p.c, p.d))):
-        raise ValueError(f"expected finite coefficients, got {p}")
-    xi = p.xi
-    try:
-        size = 1 + abs(p.a) + abs(p.b) + abs(p.c) + abs(p.d)
-        # size * size overflows to inf where size ** 2 raises OverflowError;
-        # finite coefficients can still make det = inf - inf, and the NaN Xi
-        # fails the comparison, so it vanishes
-        vanishes = not abs(xi) > base_tol() * size * size
-    except OverflowError:  # a modulus beyond the float range
-        vanishes = True
-    if vanishes:
-        raise NotRepresentable(f"normalization Xi = {xi} vanishes for coefficients {p}")
-    return p, xi
 
 
 class Interaction:
@@ -70,11 +32,9 @@ class Interaction:
         The boundary matrix (read-only), built on first access and cached.
     gamma : PauliVector
         Pauli coefficients of `matrix`.
-    origin : PotentialABCD or None
-        Coefficients the matrix was built from, when it was.
     """
 
-    def __init__(self, matrix, origin=None):
+    def __init__(self, matrix):
         try:
             (a, b), (c, d) = matrix
         except (TypeError, ValueError):
@@ -91,7 +51,6 @@ class Interaction:
         # the entries of matrix as Python complex, for the scalar algebra
         self._entries = a, b, c, d
         self.gamma = _decompose(a, b, c, d)
-        self.origin = origin
         self._matrix = None
 
     @property
@@ -114,21 +73,36 @@ class Interaction:
         NotRepresentable
             If the normalization Xi vanishes (relative to the coefficient
             magnitudes), in which case no boundary matrix exists.
+        ValueError
+            If a coefficient is not finite.
         """
-        p, xi = _potential(a, b, c, d)
-        det = p.det
+        a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+        if not all(map(cmath.isfinite, (a, b, c, d))):
+            raise ValueError(f"expected finite coefficients, got {_named(a, b, c, d)}")
+        det = a * d - b * c
+        xi = 4 - det + 2 * (a - d)
+        try:
+            size = 1 + abs(a) + abs(b) + abs(c) + abs(d)
+            # size * size overflows to inf where size ** 2 raises OverflowError;
+            # finite coefficients can still make det = inf - inf, and the NaN Xi
+            # fails the comparison, so it vanishes
+            vanishes = not abs(xi) > base_tol() * size * size
+        except OverflowError:  # a modulus beyond the float range
+            vanishes = True
+        if vanishes:
+            raise NotRepresentable(f"normalization Xi = {xi} vanishes for coefficients {_named(a, b, c, d)}")
         norm = 4 * xi
         m = [
             [
-                _div(xi + 2 * (p.b + p.c - p.a - p.d), norm),
-                _div(4 + det - 2 * (p.b - p.c), norm),
+                _div(xi + 2 * (b + c - a - d), norm),
+                _div(4 + det - 2 * (b - c), norm),
             ],
             [
-                _div(4 + det + 2 * (p.b - p.c), norm),
-                _div(xi - 2 * (p.b + p.c + p.a + p.d), norm),
+                _div(4 + det + 2 * (b - c), norm),
+                _div(xi - 2 * (b + c + a + d), norm),
             ],
         ]
-        return cls(m, origin=p)
+        return cls(m)
 
     @classmethod
     def from_matrix(cls, m):
@@ -146,20 +120,10 @@ class Interaction:
         return det_pauli(self.gamma)
 
     def adjoint(self):
-        """Interaction whose boundary matrix is the conjugate transpose.
-
-        Swapping b and c (conjugated) in the coefficient form produces the
-        adjoint matrix, so an origin is carried over when present.
-        """
+        """Interaction whose boundary matrix is the conjugate transpose."""
         a, b, c, d = self._entries
         m = [[a.conjugate(), c.conjugate()], [b.conjugate(), d.conjugate()]]
-        origin = None
-        if self.origin is not None:
-            p = self.origin
-            origin = PotentialABCD(
-                p.a.conjugate(), p.c.conjugate(), p.b.conjugate(), p.d.conjugate()
-            )
-        return Interaction(m, origin=origin)
+        return Interaction(m)
 
     def is_hermitian(self):
         """Whether the boundary matrix is (numerically) self-adjoint."""
@@ -168,6 +132,11 @@ class Interaction:
     def __repr__(self):
         a, b, c, d = self._entries
         return f"Interaction(matrix={[[a, b], [c, d]]!r})"
+
+
+def _named(a, b, c, d):
+    """The coefficients (a, b, c, d) as error messages print them."""
+    return f"PotentialABCD(a={a!r}, b={b!r}, c={c!r}, d={d!r})"
 
 
 def _is_hermitian(entries, tol):

@@ -35,15 +35,6 @@ MetricSpec = namedtuple("MetricSpec", "alpha chi kappa applicability s")
 MetricSpec.__doc__ = "Parameters of the metric operator E, and the S and applicability they rest on."
 
 
-def check_applicability(interaction):
-    """Whether the metric construction applies.
-
-    Returns (Applicability, reason). The reason is None when applicable and
-    names the failed condition otherwise.
-    """
-    return _applicability(build(interaction))
-
-
 def _applicability(s):
     if _is_hermitian(s.interaction._entries, s.tol):
         return Applicability.NOT_APPLICABLE, "already self-adjoint"
@@ -63,7 +54,8 @@ def construct(interaction):
     Raises
     ------
     NotApplicable
-        If check_applicability rejects the interaction, with its reason.
+        If the construction does not apply (already self-adjoint, no metric
+        certificate, a pole of order 2), with the reason.
     DegenerateGamma
         If the real and imaginary parts of the gamma space part are
         collinear, leaving no axis for sigma_alpha.
@@ -72,7 +64,7 @@ def construct(interaction):
     applicability, reason = _applicability(s)
     if applicability is Applicability.NOT_APPLICABLE:
         raise NotApplicable(reason)
-    space = s.gamma.space_part()
+    space = np.array(s.gamma[1:], dtype=complex)
     u = space.real
     v = space.imag
     cross = np.cross(u, v)
@@ -121,7 +113,7 @@ def cosh_chi_from_poles(spec):
     theta_plus, theta_minus = _theta_roots(s)
     k_plus = 1j * (1 - theta_plus / 2)
     k_minus = 1j * (1 - theta_minus / 2)
-    norm_u = float(np.linalg.norm(s.gamma.space_part().real))
+    norm_u = float(np.linalg.norm(np.array(s.gamma[1:], dtype=complex).real))
     return norm_u / abs((k_minus - k_plus) * s.det_t)
 
 

@@ -9,8 +9,7 @@ The package does this algebra on Python complex and float scalars. The
 helpers at the end give those scalars numpy's rounding of complex division
 and square roots, and numpy's inf where a modulus or a square overflows.
 numpy itself is imported only where an ndarray is made: by the read-only
-SIGMA0 to SIGMA3, built on first access, and by compose, decompose and
-PauliVector.space_part.
+SIGMA0 to SIGMA3, built on first access.
 """
 
 import cmath
@@ -42,48 +41,13 @@ _TINY = sys.float_info.min  # smallest normal float
 _HUGE = sys.float_info.max
 
 
-class PauliVector(namedtuple("PauliVector", "x0 x1 x2 x3")):
-    """Complex coefficients (x0, x1, x2, x3) of a Pauli expansion."""
-
-    __slots__ = ()
-
-    def space_part(self):
-        """The (x1, x2, x3) block as an ndarray."""
-        import numpy as np
-
-        return np.array([self.x1, self.x2, self.x3], dtype=complex)
-
-
-def decompose(m):
-    """Pauli coefficients of a 2x2 matrix.
-
-    Parameters
-    ----------
-    m : array_like, shape (2, 2)
-
-    Returns
-    -------
-    PauliVector
-    """
-    import numpy as np
-
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    (a, b), (c, d) = m.tolist()
-    return _decompose(a, b, c, d)
+PauliVector = namedtuple("PauliVector", "x0 x1 x2 x3")
+PauliVector.__doc__ = "Complex coefficients (x0, x1, x2, x3) of a Pauli expansion."
 
 
 def _decompose(a, b, c, d):
     """Pauli coefficients of the matrix [[a, b], [c, d]] of Python complex."""
     return PauliVector((a + d) / 2, (b + c) / 2, 1j * (b - c) / 2, (a - d) / 2)
-
-
-def compose(x):
-    """Matrix x0*sigma0 + x1*sigma1 + x2*sigma2 + x3*sigma3."""
-    import numpy as np
-
-    return np.array(_compose(x), dtype=complex)
 
 
 def _compose(x):

@@ -145,19 +145,29 @@ def resolvent_diff_norm(interaction, k, g):
     AtEigenvalue
         If k is within tolerance of a pole of S, where the difference is
         unbounded.
+    ValueError
+        If the norm is not finite, as F g, p(k) or their products leave the
+        float range.
     """
     k = complex(k)
     if k.imag <= 0:
         raise ValueError("resolvent difference defined for Im k > 0")
     s = build(interaction)
-    F = f_transform(g, k)
-    pk = s.p(k)
-    if s._near_root(abs(pk), abs(k)):
-        raise AtEigenvalue(f"p({k}) within tolerance of zero")
-    theta = 2 * (1 + 1j * k)
-    M = s.interaction.matrix - theta * s.det_t * np.eye(2)
-    vec = _W @ M @ np.array([F.plus, F.minus]) / pk
-    return math.sqrt((abs(vec[0]) ** 2 + abs(vec[1]) ** 2) / k.imag)
+    try:
+        with np.errstate(all="ignore"):  # an overflow is reported once, below
+            F = f_transform(g, k)
+            pk = s.p(k)
+            if s._near_root(abs(pk), abs(k)):
+                raise AtEigenvalue(f"p({k}) within tolerance of zero")
+            theta = 2 * (1 + 1j * k)
+            M = s.interaction.matrix - theta * s.det_t * np.eye(2)
+            vec = _W @ M @ np.array([F.plus, F.minus]) / pk
+            norm = math.sqrt((abs(vec[0]) ** 2 + abs(vec[1]) ** 2) / k.imag)
+    except OverflowError:  # abs(k) or abs(p(k)) in the pole test, past the float range
+        norm = math.nan
+    if not math.isfinite(norm):
+        raise ValueError(f"resolvent difference leaves the float range at k = {k}")
+    return norm
 
 
 def probe_nodes(n):

@@ -14,7 +14,7 @@ import cmath
 
 from .errors import AtPole, NotRepresentable
 from . import pauli
-from .pauli import PauliVector, _div, _modulus, _sqrt, _square, compose, det_pauli
+from .pauli import _div, _modulus, _sqrt, _square, det_pauli
 from .tolerances import base_tol
 
 # Structure of p at the origin: no root there, a simple root, a double root
@@ -50,7 +50,10 @@ class SMatrixFn:
     scalar : bool
         Whether the boundary matrix is a multiple of sigma0.
     constant : bool
-        Whether S(k) does not depend on k (see is_constant).
+        Whether S(k) does not depend on k. Exactly three families are
+        constant: the zero boundary matrix (S = sigma0), the half-identity
+        (S = -sigma0), and gamma0 = 1/4 with the space part of gamma
+        squaring to 1/16 (S = sigma0 - 4T).
     origin_structure : str
         Structure of p at the origin: "none", "simple", "scalar" (double
         root with scalar T, so S is constant) or "double".
@@ -84,7 +87,7 @@ class SMatrixFn:
         origin_root = a0 <= 100 * tol * max(1.0, a1, a2)
         simple_origin = a1 > 100 * tol * max(1.0, a2)
         self.scalar = max(abs(g1), abs(g2), abs(g3)) <= 100 * tol * max(1.0, abs(g0))
-        self.constant = _constant_family(interaction._entries, g0, xi2, tol) is not None
+        self.constant = _constant_family(interaction._entries, g0, xi2, tol)
         self._term_sizes = max(1.0, a0), a1, a2
         if a2 > 100 * tol * max(1.0, a0, a1):
             self.degree = 2
@@ -187,33 +190,9 @@ class SMatrixFn:
         t0, t1, t2 = self._term_sizes
         return abs_p / (t0 + t1 * abs_k + t2 * abs_k * abs_k) <= self.tol
 
-    def is_constant(self):
-        """Whether S(k) does not depend on k.
-
-        Returns (True, constant matrix) or (False, None). Exactly three
-        families are constant: the zero boundary matrix (S = sigma0), the
-        half-identity (S = -sigma0), and gamma0 = 1/4 with the space part
-        of gamma squaring to 1/16 (S = sigma0 - 4T). The flag is `constant`;
-        the matrix is made here.
-        """
-        if not self.constant:
-            return False, None
-        g0, g1, g2, g3 = self.gamma
-        family = _constant_family(self.interaction._entries, g0, g1 * g1 + g2 * g2 + g3 * g3, self.tol)
-        if family == _ZERO:
-            return True, pauli.SIGMA0.copy()
-        if family == _HALF_IDENTITY:
-            return True, -pauli.SIGMA0
-        return True, compose(PauliVector(0j, -4 * g1, -4 * g2, -4 * g3))
-
-
-_ZERO = "zero"
-_HALF_IDENTITY = "half-identity"
-_TILTED = "tilted"
-
 
 def _constant_family(entries, g0, xi2, tol):
-    """The constant-S family of SMatrixFn.is_constant the matrix is in at tol, or None.
+    """Whether the matrix is in a constant-S family of SMatrixFn.constant at tol.
 
     entries are those of the boundary matrix, g0 its gamma0 and xi2 the
     square gamma1^2 + gamma2^2 + gamma3^2 of its space part.
@@ -222,12 +201,10 @@ def _constant_family(entries, g0, xi2, tol):
     # both scalar families have vanishing off-diagonal entries
     if max(abs(b), abs(c)) <= tol:
         if max(abs(a), abs(d)) <= tol:
-            return _ZERO
+            return True
         if max(abs(a - 0.5), abs(d - 0.5)) <= tol:
-            return _HALF_IDENTITY
-    if abs(g0 - 0.25) <= tol and _modulus(xi2 - 0.0625) <= tol:
-        return _TILTED
-    return None
+            return True
+    return abs(g0 - 0.25) <= tol and _modulus(xi2 - 0.0625) <= tol
 
 
 def _max_entry(x0, x1, x2, x3):

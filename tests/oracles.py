@@ -6,7 +6,8 @@ separate route, so the tests can cross-check the package against it:
 * pauli_components(s, k): the Pauli coefficients of S(k) from the factored
   characteristic roots, which theta_roots(gamma, tol) computes from gamma
   alone, against SMatrixFn.evaluate;
-* gamma_from_abcd(a, b, c, d): the Pauli coefficients of the boundary matrix
+* xi_from_abcd(a, b, c, d) and gamma_from_abcd(a, b, c, d): the
+  normalization Xi and the Pauli coefficients of the boundary matrix
   straight from the couplings, against Interaction.from_abcd;
 * scattering_coefficients and smatrix_from_coefficients: S(k) solved from
   the boundary conditions as reflection and transmission data and
@@ -14,6 +15,8 @@ separate route, so the tests can cross-check the package against it:
 * similarity_integral_probe(interaction, epsilon, xi_range, n): the probe
   integrand built on the whole grid at once, against the chunked
   resolvent.similarity_integral_probe, which must agree bit for bit;
+* numpy_compose(x): the matrix with Pauli coefficients x, for building test
+  inputs and comparing Pauli coefficients as matrices;
 * numpy_from_abcd, numpy_decompose, numpy_characteristic and
   numpy_nilpotent: the boundary matrix, gamma, the characteristic data and
   the exceptional-point certificate computed on numpy scalars and 2x2
@@ -27,7 +30,6 @@ import numpy as np
 from scipy.integrate import simpson
 
 from zrs.errors import AtEigenvalue, AtPole, ZrsError
-from zrs.interaction import PotentialABCD
 from zrs.pauli import SIGMA0, PauliVector, det_pauli
 from zrs.resolvent import probe_nodes
 from zrs.smatrix import build
@@ -102,18 +104,23 @@ def pauli_components(s, k):
     return PauliVector(1 + f * (g0 - theta_k * D), f * g1, f * g2, f * g3)
 
 
+def xi_from_abcd(a, b, c, d):
+    """Normalization Xi = 4 - (ad - bc) + 2(a - d) of the couplings."""
+    return 4 - (a * d - b * c) + 2 * (a - d)
+
+
 def gamma_from_abcd(a, b, c, d):
     """Pauli coefficients of the boundary matrix, straight from (a, b, c, d).
 
     Independent of the matrix assembly in Interaction.from_abcd; used to
     cross-check it. Callers keep the normalization Xi away from zero.
     """
-    p = PotentialABCD(complex(a), complex(b), complex(c), complex(d))
-    xi = p.xi
-    g0 = (xi - 2 * (p.a + p.d)) / (4 * xi)
-    g1 = (4 + p.det) / (4 * xi)
-    g2 = -1j * (p.b - p.c) / (2 * xi)
-    g3 = (p.b + p.c) / (2 * xi)
+    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+    xi = xi_from_abcd(a, b, c, d)
+    g0 = (xi - 2 * (a + d)) / (4 * xi)
+    g1 = (4 + (a * d - b * c)) / (4 * xi)
+    g2 = -1j * (b - c) / (2 * xi)
+    g3 = (b + c) / (2 * xi)
     return PauliVector(g0, g1, g2, g3)
 
 
@@ -236,16 +243,22 @@ def numpy_from_abcd(a, b, c, d):
 
     Callers keep the normalization Xi away from zero.
     """
-    p = PotentialABCD(complex(a), complex(b), complex(c), complex(d))
-    xi = p.xi
-    det = p.det
+    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+    xi = xi_from_abcd(a, b, c, d)
+    det = a * d - b * c
     return np.array(
         [
-            [xi + 2 * (p.b + p.c - p.a - p.d), 4 + det - 2 * (p.b - p.c)],
-            [4 + det + 2 * (p.b - p.c), xi - 2 * (p.b + p.c + p.a + p.d)],
+            [xi + 2 * (b + c - a - d), 4 + det - 2 * (b - c)],
+            [4 + det + 2 * (b - c), xi - 2 * (b + c + a + d)],
         ],
         dtype=complex,
     ) / (4 * xi)
+
+
+def numpy_compose(x):
+    """The 2x2 array x0*sigma0 + x1*sigma1 + x2*sigma2 + x3*sigma3."""
+    x0, x1, x2, x3 = x
+    return np.array([[x0 + x3, x1 - 1j * x2], [x1 + 1j * x2, x0 - x3]], dtype=complex)
 
 
 def numpy_decompose(m):

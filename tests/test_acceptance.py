@@ -11,19 +11,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import pauli_components
+from oracles import numpy_compose, numpy_decompose, pauli_components
 from zrs.classifier import Region, Sheet, Similarity, classify
 from zrs.errors import NotRepresentable
 from zrs.interaction import Interaction
 from zrs.metric import (
     Applicability,
-    check_applicability,
     construct,
     cosh_chi_from_poles,
     metric_matrix,
     verify_intertwining,
 )
-from zrs.pauli import SIGMA0, PauliVector, compose, decompose
+from zrs.pauli import PauliVector
 from zrs.resolvent import custom, resolvent_diff_norm, similarity_integral_probe
 from zrs.smatrix import build
 
@@ -207,9 +206,7 @@ def test_criterion_05_constant_s_detection():
 
     def check_constant(interaction, want):
         nonlocal worst
-        flag, value = build(interaction).is_constant()
-        assert flag
-        worst = max(worst, rel_err(value, want))
+        assert build(interaction).constant
         for _ in range(10):
             k = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             worst = max(worst, rel_err(build(interaction).evaluate(k), want))
@@ -225,7 +222,7 @@ def test_criterion_05_constant_s_detection():
     negatives = 0
     while negatives < 1000:
         m = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
-        g = decompose(m)
+        g = numpy_decompose(m)
         square = g.x1 * g.x1 + g.x2 * g.x2 + g.x3 * g.x3
         margin = min(
             np.abs(m).max(),
@@ -234,8 +231,7 @@ def test_criterion_05_constant_s_detection():
         )
         if margin < 1e-11:
             continue
-        flag, _ = build(Interaction.from_matrix(m)).is_constant()
-        assert not flag
+        assert not build(Interaction.from_matrix(m)).constant
         negatives += 1
     print(
         f"criterion 5: 32 positives, 1000 negatives, worst constant error"
@@ -254,9 +250,8 @@ def test_criterion_06_metric_construction():
 
     def check(interaction):
         nonlocal worst_residual, worst_route, two_pole
-        kind, reason = check_applicability(interaction)
-        assert kind is not Applicability.NOT_APPLICABLE, reason
-        spec = construct(interaction)
+        spec = construct(interaction)  # raises NotApplicable, with its reason, if not applicable
+        kind = spec.applicability
         worst_residual = max(worst_residual, verify_intertwining(spec))
         assert np.linalg.eigvalsh(metric_matrix(spec)).min() > 0
         if kind is Applicability.TWO_IMAGINARY_POLES:
@@ -301,7 +296,7 @@ def test_criterion_07_property_suite():
         samples += 1
         via_eval = s.evaluate(k)
         via_product = product_form(m, k)
-        via_pauli = compose(pauli_components(s, k))
+        via_pauli = numpy_compose(pauli_components(s, k))
         worst_forms = max(
             worst_forms,
             rel_err(via_eval, via_product),

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import numpy_compose
 from zrs.classifier import (
     PoleReport,
     Region,
@@ -15,7 +16,7 @@ from zrs.classifier import (
 )
 from zrs.errors import AtPole, InternalInconsistency
 from zrs.interaction import FRIEDRICHS, KREIN, Interaction
-from zrs.pauli import PauliVector, compose
+from zrs.pauli import PauliVector
 from zrs.smatrix import build
 
 
@@ -273,7 +274,7 @@ def _boundary_matrix(rng, family):
         v = np.cross(u, rng.normal(size=3))
         v *= rng.uniform() * np.linalg.norm(u) / np.linalg.norm(v)
         gamma = PauliVector(complex(rng.normal()), *(u + 1j * v))
-        return compose(gamma) + 10 ** rng.uniform(-15, -8) * rng.normal(size=(2, 2))
+        return numpy_compose(gamma) + 10 ** rng.uniform(-15, -8) * rng.normal(size=(2, 2))
     # a pole just off the real axis: p(k) = 0 where 1 / theta_k is an eigenvalue of T
     k = rng.normal() + 1j * rng.choice((-1, 1)) * 10 ** rng.uniform(-14, -6)
     v = _complex_normal(rng, (2, 2))

@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gamma_from_abcd
+from oracles import gamma_from_abcd, numpy_compose, xi_from_abcd
 from zrs.errors import NotRepresentable
-from zrs.interaction import FRIEDRICHS, KREIN, Interaction, PotentialABCD
-from zrs.pauli import compose, decompose
+from zrs.interaction import FRIEDRICHS, KREIN, Interaction
 
 small = st.floats(min_value=-10, max_value=10, allow_nan=False)
 coeff = st.builds(complex, small, small)
@@ -16,7 +15,6 @@ def test_delta_coupling_matrix():
     # a = 1, pure delta term
     i = Interaction.from_abcd(1, 0, 0, 0)
     assert np.allclose(i.matrix, np.ones((2, 2)) / 6, atol=1e-15)
-    assert i.origin == PotentialABCD(1, 0, 0, 0)
 
 
 def test_mixed_coupling_matrix():
@@ -26,9 +24,13 @@ def test_mixed_coupling_matrix():
 
 
 def test_xi_normalization():
-    p = PotentialABCD(-1 + 0j, -1 + 0j, 1 + 0j, 1 + 0j)
-    assert p.xi == 0
-    assert p.det == 0
+    # ad - bc = 0 and Xi = 4 + 2(a - d) = 0, exactly
+    with pytest.raises(NotRepresentable) as excinfo:
+        Interaction.from_abcd(-1, -1, 1, 1)
+    assert str(excinfo.value) == (
+        "normalization Xi = 0j vanishes for coefficients"
+        " PotentialABCD(a=(-1+0j), b=(-1+0j), c=(1+0j), d=(1+0j))"
+    )
 
 
 def test_not_representable():
@@ -41,11 +43,10 @@ def test_not_representable():
 @given(coeff, coeff, coeff, coeff)
 @settings(deadline=None, max_examples=200)
 def test_gamma_route_matches_matrix_route(a, b, c, d):
-    p = PotentialABCD(a, b, c, d)
-    if abs(p.xi) < 1e-6 * (1 + abs(a) + abs(b) + abs(c) + abs(d)) ** 2:
+    if abs(xi_from_abcd(a, b, c, d)) < 1e-6 * (1 + abs(a) + abs(b) + abs(c) + abs(d)) ** 2:
         return
     from_formula = gamma_from_abcd(a, b, c, d)
-    from_matrix = decompose(Interaction.from_abcd(a, b, c, d).matrix)
+    from_matrix = Interaction.from_abcd(a, b, c, d).gamma
     for x, y in zip(from_formula, from_matrix):
         assert np.isclose(x, y, atol=1e-9 * (1 + abs(y)))
 
@@ -65,7 +66,6 @@ def test_adjoint_is_conjugate_transpose():
             np.conj(a), np.conj(c), np.conj(b), np.conj(d)
         )
         assert np.allclose(again.matrix, adj.matrix, atol=1e-12)
-        assert adj.origin == again.origin
 
 
 def test_is_hermitian():
@@ -122,7 +122,7 @@ def test_rejects_shape_and_non_finite_entries():
 def test_from_gamma_round_trip():
     i = Interaction.from_abcd(0.3, -0.2 + 0.1j, 0.5, 1.1j)
     assert np.allclose(Interaction.from_gamma(i.gamma).matrix, i.matrix)
-    assert np.allclose(compose(i.gamma), i.matrix)
+    assert np.allclose(numpy_compose(i.gamma), i.matrix)
 
 
 def test_phase_family_determinant():

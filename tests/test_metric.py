@@ -8,8 +8,8 @@ from zrs.errors import DegenerateGamma, NotApplicable
 from zrs.interaction import Interaction
 from zrs.metric import (
     Applicability,
+    _applicability,
     _theta_roots,
-    check_applicability,
     construct,
     cosh_chi_from_poles,
     metric_matrix,
@@ -35,11 +35,16 @@ def random_applicable(rng):
     return Interaction.from_gamma(PauliVector(g0, g[0], g[1], g[2]))
 
 
+def rejection(interaction):
+    """The reason construct gives for not applying to interaction."""
+    with pytest.raises(NotApplicable) as excinfo:
+        construct(interaction)
+    return str(excinfo.value)
+
+
 def test_golden_two_pole_case():
-    kind, reason = check_applicability(GOLDEN)
-    assert kind is Applicability.TWO_IMAGINARY_POLES and reason is None
     spec = construct(GOLDEN)
-    assert spec.applicability is kind
+    assert spec.applicability is Applicability.TWO_IMAGINARY_POLES
     assert np.allclose(spec.alpha, [0, 0, -1])
     assert spec.kappa == pytest.approx(0.5)
     assert spec.chi == pytest.approx(math.atanh(0.5))
@@ -62,63 +67,48 @@ def test_theta_roots():
 
 def test_one_pole_case():
     i = Interaction.from_gamma(PauliVector(0.4, 0.5, 0.3j, 0))
-    kind, reason = check_applicability(i)
-    assert kind is Applicability.ONE_IMAGINARY_POLE and reason is None
     spec = construct(i)
-    assert spec.applicability is kind
+    assert spec.applicability is Applicability.ONE_IMAGINARY_POLE
     assert verify_intertwining(spec) < 1e-14
     with pytest.raises(NotApplicable):
         cosh_chi_from_poles(spec)
 
 
 def test_rejects_self_adjoint():
-    kind, reason = check_applicability(Interaction.from_abcd(-1, 0, 0, 0))
-    assert kind is Applicability.NOT_APPLICABLE
-    assert reason == "already self-adjoint"
-    with pytest.raises(NotApplicable):
-        construct(Interaction.from_abcd(-1, 0, 0, 0))
+    assert rejection(Interaction.from_abcd(-1, 0, 0, 0)) == "already self-adjoint"
 
 
 def test_rejects_complex_gamma0():
     i = Interaction.from_gamma(PauliVector(0.1 + 0.2j, 0.5, 0.3j, 0))
-    kind, reason = check_applicability(i)
-    assert kind is Applicability.NOT_APPLICABLE
-    assert reason == "gamma0 not real"
+    assert rejection(i) == "gamma0 not real"
 
 
 def test_rejects_complex_square():
     # Re and Im of the space part not orthogonal
     i = Interaction.from_gamma(PauliVector(0.2, 0.5 + 0.1j, 0, 0))
-    kind, reason = check_applicability(i)
-    assert kind is Applicability.NOT_APPLICABLE
-    assert reason == "sum of gamma_j^2 not real"
+    assert rejection(i) == "sum of gamma_j^2 not real"
 
 
 def test_rejects_nonpositive_square():
     i = Interaction.from_gamma(PauliVector(0.3, 0.2, 0.5j, 0))
-    kind, reason = check_applicability(i)
-    assert kind is Applicability.NOT_APPLICABLE
-    assert reason == "sum of gamma_j^2 not positive"
+    assert rejection(i) == "sum of gamma_j^2 not positive"
     # |u| = |v| makes the square vanish
     i = Interaction.from_gamma(PauliVector(0.3, 0.3, 0.3j, 0))
-    kind, reason = check_applicability(i)
-    assert reason == "sum of gamma_j^2 not positive"
+    assert rejection(i) == "sum of gamma_j^2 not positive"
 
 
 def test_rejects_double_pole():
     # extreme scale separation collapses the two roots numerically
     i = Interaction.from_gamma(PauliVector(1e4, 5e-5, 3e-5j, 0))
-    kind, reason = check_applicability(i)
-    assert kind is Applicability.NOT_APPLICABLE
-    assert reason == "pole of order 2"
+    assert rejection(i) == "pole of order 2"
 
 
 def test_collinear_parts_raise():
     # v parallel to u, small enough that the orthogonality test passes
     # but large enough that the matrix is not hermitian
     i = Interaction.from_gamma(PauliVector(0.5, 0.3 * (1 + 5e-10j), 0, 0))
-    kind, _ = check_applicability(i)
-    assert kind is Applicability.TWO_IMAGINARY_POLES
+    # the construction applies; construct raises before it returns a spec
+    assert _applicability(build(i)) == (Applicability.TWO_IMAGINARY_POLES, None)
     with pytest.raises(DegenerateGamma):
         construct(i)
 
@@ -136,9 +126,8 @@ def test_random_applicable_interactions():
     two_pole = 0
     for _ in range(60):
         i = random_applicable(rng)
-        kind, reason = check_applicability(i)
-        assert kind is not Applicability.NOT_APPLICABLE, reason
-        spec = construct(i)
+        spec = construct(i)  # raises NotApplicable, with its reason, if not applicable
+        kind = spec.applicability
         assert verify_intertwining(spec) < 1e-12
         E = metric_matrix(spec)
         assert np.linalg.eigvalsh(E).min() > 0

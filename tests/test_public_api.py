@@ -1,0 +1,26 @@
+"""The names the package exports."""
+
+import zrs
+from zrs import interaction, metric, pauli, smatrix
+
+# names that only tests used, taken out of the package
+REMOVED = {
+    zrs: ("compose", "decompose", "PotentialABCD", "check_applicability"),
+    pauli: ("compose", "decompose"),
+    interaction: ("PotentialABCD",),
+    metric: ("check_applicability",),
+    smatrix: ("_ZERO", "_HALF_IDENTITY", "_TILTED"),
+    pauli.PauliVector: ("space_part",),
+    smatrix.SMatrixFn: ("is_constant",),
+    interaction.Interaction.from_abcd(1, 0, 0, 0): ("origin",),
+}
+
+
+def test_exported_names_resolve_and_removed_names_are_gone():
+    assert len(set(zrs.__all__)) == len(zrs.__all__)
+    for name in zrs.__all__:
+        assert getattr(zrs, name) is not None, name
+    assert not set(REMOVED[zrs]) & set(zrs.__all__)
+    for owner, names in REMOVED.items():
+        for name in names:
+            assert not hasattr(owner, name), name

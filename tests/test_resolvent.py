@@ -144,6 +144,14 @@ def test_norm_at_bound_state_rejected():
         resolvent_diff_norm(i, 0.5j, plus_exponential(1j))
 
 
+def test_norm_out_of_float_range_is_a_value_error():
+    # F g overflows and |k| is past the float range; pyproject makes any
+    # RuntimeWarning on the way an error
+    i = Interaction.from_abcd(-1, 0, 0, 0)
+    with pytest.raises(ValueError, match="leaves the float range at k = "):
+        resolvent_diff_norm(i, 1.5e308 + 1.5e308j, plus_exponential(1j))
+
+
 def test_probe_through_pole_rejected():
     # characteristic roots 1/(2i) and 1/10 put a pole at k = 1 + i,
     # i.e. z = 2i, exactly on the sweep line eps = 2 at xi = 0

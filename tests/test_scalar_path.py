@@ -1,6 +1,6 @@
 """The scalar path against the numpy formulas it replaced, bit for bit.
 
-Interaction, decompose and SMatrixFn work on Python complex and float;
+Interaction and SMatrixFn work on Python complex and float;
 tests/oracles.py keeps the same formulas on numpy scalars and 2x2 arrays.
 Matrix entries, gamma, det T, the coefficients of p and its roots must be
 equal (==, not approximately), and the exceptional-point certificate must
@@ -15,11 +15,18 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import numpy_characteristic, numpy_decompose, numpy_from_abcd, numpy_nilpotent
+from oracles import (
+    numpy_characteristic,
+    numpy_compose,
+    numpy_decompose,
+    numpy_from_abcd,
+    numpy_nilpotent,
+    xi_from_abcd,
+)
 from zrs.classifier import PoleReport, Sheet, classify, exceptional_points, find_poles
 from zrs.errors import InternalInconsistency, NotRepresentable
-from zrs.interaction import Interaction, PotentialABCD
-from zrs.pauli import PauliVector, _div, _sqrt, compose
+from zrs.interaction import Interaction
+from zrs.pauli import PauliVector, _div, _sqrt
 from zrs.smatrix import build
 
 small = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -128,8 +135,7 @@ def test_entries_and_matrix_match_numpy_conversion(m):
 @given(coeff, coeff, coeff, coeff)
 @settings(deadline=None, max_examples=300)
 def test_couplings_match_numpy(a, b, c, d):
-    p = PotentialABCD(a, b, c, d)
-    assume(abs(p.xi) > 1e-6 * (1 + abs(a) + abs(b) + abs(c) + abs(d)) ** 2)
+    assume(abs(xi_from_abcd(a, b, c, d)) > 1e-6 * (1 + abs(a) + abs(b) + abs(c) + abs(d)) ** 2)
     _assert_matches_numpy(Interaction.from_abcd(a, b, c, d), numpy_from_abcd(a, b, c, d))
 
 
@@ -150,7 +156,7 @@ def test_near_jordan_blocks_match_numpy():
         d = rng.normal(size=3) + 1j * rng.normal(size=3)
         d *= 10.0 ** rng.integers(-16, -5) / np.linalg.norm(d)
         g0 = 1 / (2 * (1 + 1j * k0))
-        m = compose(PauliVector(g0, a + d[0], 1j * a + d[1], d[2]))
+        m = numpy_compose(PauliVector(g0, a + d[0], 1j * a + d[1], d[2]))
         _assert_matches_numpy(Interaction.from_matrix(m), m)
 
 
@@ -159,7 +165,7 @@ def test_scale_beyond_the_float_range():
     # of the scale |c1| that the discriminant is judged at is beyond the
     # float range, where Python's ** raises and numpy gives inf
     g3 = cmath.sqrt((0.6e154 + 1.3e154j) / 8)
-    m = compose(PauliVector(0j, 0j, 0j, g3))
+    m = numpy_compose(PauliVector(0j, 0j, 0j, g3))
     i = Interaction.from_matrix(m)
     with np.errstate(over="ignore"):
         _assert_matches_numpy(i, m)

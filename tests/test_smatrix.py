@@ -4,13 +4,13 @@ import pytest
 from oracles import (
     DegenerateSystem,
     OnImaginaryAxis,
+    numpy_compose,
     pauli_components,
     scattering_coefficients,
     smatrix_from_coefficients,
 )
 from zrs.errors import AtPole
 from zrs.interaction import FRIEDRICHS, KREIN, Interaction
-from zrs.pauli import compose
 from zrs.smatrix import build
 
 
@@ -69,9 +69,7 @@ def test_delta_smatrix_closed_form():
 def test_mixed_coupling_smatrix_is_constant():
     s = build(Interaction.from_abcd(0, 1, 0, 0))
     want = -0.5 * np.array([[1, 1], [3, -1]])
-    flag, value = s.is_constant()
-    assert flag
-    assert np.allclose(value, want, atol=1e-15)
+    assert s.constant
     # p(0) = 0 here, but S extends analytically; k = 0 must evaluate
     for k in (0.0, 0.83, -2.0 + 1.1j, 5j):
         assert np.allclose(s.evaluate(k), want, atol=1e-13)
@@ -83,28 +81,24 @@ def test_reference_extension_smatrices():
     for k in (0.0, 1.2, -0.4 + 2j):
         assert np.allclose(s0.evaluate(k), np.eye(2))
         assert np.allclose(s1.evaluate(k), -np.eye(2))
-    assert s0.is_constant() == (True, pytest.approx(np.eye(2)))
-    flag, value = s1.is_constant()
-    assert flag and np.allclose(value, -np.eye(2))
+    assert s0.constant and s1.constant
 
 
 def test_constant_family_with_isotropic_space_part():
     # gamma0 = 1/4 with the space part squaring to 1/16
     g = [0.25, 0.15, 0.2j, np.sqrt(0.0625 - 0.15**2 + 0.04 + 0j)]
     s = build(Interaction.from_gamma(g))
-    flag, value = s.is_constant()
-    assert flag
-    want = compose([0, -4 * g[1], -4 * g[2], -4 * g[3]])
-    assert np.allclose(value, want, atol=1e-12)
-    assert np.allclose(s.evaluate(1.3), want, atol=1e-12)
+    assert s.constant
+    want = numpy_compose([0, -4 * g[1], -4 * g[2], -4 * g[3]])
+    for k in (0.0, 1.3, -0.6 + 2.1j):
+        assert np.allclose(s.evaluate(k), want, atol=1e-12)
 
 
 def test_nonconstant_for_isotropic_gamma_without_origin_root():
     # gamma0 = 0 with a complex isotropic space part: p is constant but S
     # grows linearly, so it must not be reported constant
     s = build(Interaction.from_matrix([[0, 1], [0, 0]]))
-    flag, value = s.is_constant()
-    assert not flag and value is None
+    assert not s.constant
     assert np.allclose(s.evaluate(1.0), np.eye(2) + 4j * np.array([[0, 1], [0, 0]]))
 
 
@@ -146,16 +140,16 @@ def test_pauli_components_match_evaluate():
         if abs(s.p(k)) < 1e-6:
             continue
         assert np.allclose(
-            compose(pauli_components(s, k)), s.evaluate(k), atol=1e-9
+            numpy_compose(pauli_components(s, k)), s.evaluate(k), atol=1e-9
         )
 
 
 def test_pauli_components_degenerate_det():
     # det T = 0 branch
     s = build(Interaction.from_abcd(0, 1, 0, 0))
-    assert np.allclose(compose(pauli_components(s, 0.7)), s.evaluate(0.7))
+    assert np.allclose(numpy_compose(pauli_components(s, 0.7)), s.evaluate(0.7))
     s = build(Interaction.from_abcd(1, 0, 0, 0))
-    assert np.allclose(compose(pauli_components(s, 0.7)), s.evaluate(0.7))
+    assert np.allclose(numpy_compose(pauli_components(s, 0.7)), s.evaluate(0.7))
 
 
 def test_scattering_coefficients_delta():

@@ -5,7 +5,7 @@ import pytest
 
 from zrs import resolvent
 from zrs.classifier import PoleReport, Region, Sheet, Similarity, SpectralClassification
-from zrs.interaction import Interaction, PotentialABCD
+from zrs.interaction import Interaction
 from zrs.metric import Applicability, MetricSpec
 from zrs.pauli import PauliVector
 from zrs.resolvent import FTransform
@@ -16,7 +16,6 @@ POLE = PoleReport(location=0.5j, order=1, sheet=Sheet.PHYSICAL, z=-0.25)
 # (type, keyword arguments in field order) of each value type
 VALUES = [
     (PauliVector, dict(x0=0.5 + 0j, x1=0.25j, x2=0j, x3=-1 + 0j)),
-    (PotentialABCD, dict(a=-1 + 0j, b=0j, c=2j, d=0.5 + 0j)),
     (PoleReport, dict(location=0.5j, order=1, sheet=Sheet.PHYSICAL, z=-0.25)),
     (
         SpectralClassification,
