@@ -10,19 +10,24 @@ and, for sweep --family FrakTPath only,
 
     {"form": "frakT_path", "ts": [t, t, ...]}   (each t shaped like "frakT")
 
+A command line of a subcommand and whole option names is read from the
+_COMMANDS table directly; any other (help, abbreviations, option errors) goes
+to argparse, imported only then, so its text and exit status are argparse's.
+
 Output is canonical single-line JSON (sorted keys, no whitespace, complex
 numbers as [re, im]) or CSV for sweeps. Exit codes: 0 success including
 structured pole / not-applicable answers, 2 malformed input (including
-non-finite numbers, bad probe ranges and a malformed ZRS_TOLERANCE), 3
-coefficients with no boundary matrix, 4 sweep grid guard violations.
+non-finite numbers, an unreadable or non-UTF-8 --input file, JSON nested too
+deeply, bad probe ranges and a malformed ZRS_TOLERANCE), 3 coefficients with
+no boundary matrix, 4 sweep grid guard violations.
 """
 
-import argparse
 import cmath
 import csv
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 from .classifier import Sheet, classify
 from .errors import AtPole, NotApplicable, NotRepresentable, ZrsError
@@ -98,13 +103,13 @@ def _read_payload(args):
         try:
             with open(args.input) as f:
                 raw = f.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError(f"cannot read {args.input}: {exc}")
     else:
         raw = sys.stdin.read()
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise SchemaError(f"invalid JSON: {exc}")
     if not isinstance(data, dict):
         raise SchemaError("top-level JSON value must be an object")
@@ -399,57 +404,81 @@ def _cmd_probe(args):
     return 0
 
 
+_INPUT = ("--input", False, None, None, None, "read the interaction JSON from FILE instead of stdin")
+
+# Each subcommand's handler, help and options as (flag, required, type,
+# choices, default, help); _build_parser and _plain_args both read them here.
+_COMMANDS = {
+    "classify": (_cmd_classify, "poles, spectrum and similarity verdict", [_INPUT]),
+    "eval": (_cmd_eval, "evaluate S(k)", [_INPUT, ("--k", True, None, None, None, "evaluation point as RE,IM")]),
+    "metric": (_cmd_metric, "metric operator, when applicable", [_INPUT]),
+    "sweep": (_cmd_sweep, "classify along a parameter family", [
+        _INPUT,
+        ("--family", True, None, ["Delta", "Mixed", "DeltaPrime", "ExampleV", "FrakTPath"], None, None),
+        ("--param", False, None, None, None, "grid as START:STOP:STEP (ignored for FrakTPath)"),
+        ("--dir", False, None, None, "1,0", "complex direction RE,IM for the swept coefficient"),
+        ("--format", False, None, ["json", "csv"], "json", None),
+    ]),
+    "probe": (_cmd_probe, "similarity integral probe along z = xi + i*epsilon", [
+        _INPUT,
+        ("--epsilon", True, float, None, None, None),
+        ("--xi", True, None, None, None, "integration range as A:B"),
+        ("--n", False, int, None, 200001, "quadrature nodes"),
+    ]),
+}
+
+
 def _build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="zrs",
         description="Scattering matrices and spectral reports for zero-range interactions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_input(p):
-        p.add_argument("--input", help="read the interaction JSON from FILE instead of stdin")
-
-    p = sub.add_parser("classify", help="poles, spectrum and similarity verdict")
-    add_input(p)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("eval", help="evaluate S(k)")
-    add_input(p)
-    p.add_argument("--k", required=True, help="evaluation point as RE,IM")
-    p.set_defaults(handler=_cmd_eval)
-
-    p = sub.add_parser("metric", help="metric operator, when applicable")
-    add_input(p)
-    p.set_defaults(handler=_cmd_metric)
-
-    p = sub.add_parser("sweep", help="classify along a parameter family")
-    add_input(p)
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=["Delta", "Mixed", "DeltaPrime", "ExampleV", "FrakTPath"],
-    )
-    p.add_argument("--param", help="grid as START:STOP:STEP (ignored for FrakTPath)")
-    p.add_argument("--dir", default="1,0", help="complex direction RE,IM for the swept coefficient")
-    p.add_argument("--format", default="json", choices=["json", "csv"])
-    p.set_defaults(handler=_cmd_sweep)
-
-    p = sub.add_parser("probe", help="similarity integral probe along z = xi + i*epsilon")
-    add_input(p)
-    p.add_argument("--epsilon", required=True, type=float)
-    p.add_argument("--xi", required=True, help="integration range as A:B")
-    p.add_argument("--n", type=int, default=200001, help="quadrature nodes")
-    p.set_defaults(handler=_cmd_probe)
+    for command, (handler, summary, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for flag, required, type, choices, default, help in options:
+            p.add_argument(flag, required=required, type=type, choices=choices, default=default, help=help)
+        p.set_defaults(handler=handler)
     return parser
 
 
-# Built once: parse_args keeps no state between calls, and building the
-# parser costs several times what a classify request does.
-_PARSER = _build_parser()
+def _plain_args(argv):
+    """The namespace argparse gives argv, or None where argparse must read argv.
+
+    Reads a subcommand and whole option names, each given once as --opt=V or
+    --opt V with V not starting with "-". Help, abbreviations and every
+    option error are left to argparse, so their text is its own.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, options = _COMMANDS[argv[0]]
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        value = value if eq else next(tokens, "-")
+        if (not eq and value[:1] == "-") or flag in given:
+            return None
+        given[flag] = value
+    args = SimpleNamespace(command=argv[0], handler=handler)
+    for flag, required, type, choices, value, _ in options:  # value starts as the default
+        if flag in given:
+            try:
+                value = (type or str)(given.pop(flag))
+            except ValueError:
+                return None
+            if choices and value not in choices:
+                return None
+        elif required:
+            return None
+        setattr(args, flag[2:], value)
+    return None if given else args
 
 
 def main(argv=None):
-    args = _PARSER.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain_args(argv) or _build_parser().parse_args(argv)
     try:
         base_tol()
     except ValueError as exc:

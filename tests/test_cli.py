@@ -11,6 +11,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zrs.classifier
 import zrs.cli
@@ -18,7 +20,7 @@ import zrs.interaction
 import zrs.metric
 import zrs.resolvent
 import zrs.smatrix
-from zrs.cli import CSV_COLUMNS, MAX_GRID, _dump, main
+from zrs.cli import CSV_COLUMNS, MAX_GRID, _COMMANDS, _build_parser, _dump, _plain_args, main
 
 DELTA_ATTRACTIVE = '{"form": "abcd", "a": [-1, 0], "b": [0, 0], "c": [0, 0], "d": [0, 0]}'
 DELTA_REPULSIVE = '{"form": "abcd", "a": [1, 0], "b": [0, 0], "c": [0, 0], "d": [0, 0]}'
@@ -444,6 +446,21 @@ def test_exit_code_2_on_missing_input_file(monkeypatch, capsys):
     assert err.startswith("error:")
 
 
+def test_exit_code_2_on_undecodable_input_file(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "interaction.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run_cli(["classify", "--input", str(path)], "", monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+
+def test_exit_code_2_on_json_nested_too_deeply(monkeypatch, capsys):
+    for text in ("[" * 100_000, '{"a": ' * 100_000):
+        code, out, err = run_cli(["classify"], text, monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid JSON: maximum recursion depth") and err.count("\n") == 1
+
+
 def test_exit_code_3_on_unrepresentable_coefficients(monkeypatch, capsys):
     abcd = '{"form": "abcd", "a": [%s], "b": [%s], "c": [%s], "d": [%s]}'
     zero = "0, 0"
@@ -537,8 +554,9 @@ def test_module_entry_point():
     assert data["similarity"] == "SelfAdjoint"
 
 
-# packages that a cold classify or sweep must not pay to import
-HEAVY = ("numpy", "scipy", "dataclasses", "inspect")
+# packages that a cold classify or sweep must not pay to import; argparse
+# is loaded only for a command line that _plain_args leaves to it
+HEAVY = ("numpy", "scipy", "dataclasses", "inspect", "argparse")
 
 
 def _heavy_modules_after(code):
@@ -557,7 +575,7 @@ def _heavy_modules_after(code):
 
 def test_import_does_not_load_scipy():
     # nor numpy (only the subcommands that make an ndarray load it), nor
-    # dataclasses and the inspect module it imports
+    # dataclasses and the inspect module it imports, nor argparse
     proc = _heavy_modules_after("import sys, zrs, zrs.cli")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
@@ -648,8 +666,10 @@ print(json.dumps(found))
             assert code == 0 and (json.loads(out)["similarity"], json.loads(out)["region"]) == (similarity, region)
     for (code, out), count, header in zip(found["sweep"], [n for n in rows for _ in "cj"], [1, 0] * 5):
         assert code == 0 and len(out.splitlines()) == count + header
-    # the subcommands that make an ndarray load numpy, and still answer right
-    assert "numpy" in ast.literal_eval(proc.stdout.splitlines()[-1])
+    # the subcommands that make an ndarray load numpy, and still answer
+    # right; no request of any of the five subcommands loaded argparse
+    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert "numpy" in loaded and "argparse" not in loaded
     code, out = found["eval"]
     assert code == 0 and json.loads(out)["s"][0][0] == pytest.approx([0.2, 0.4])
     code, out = found["metric"]
@@ -710,3 +730,90 @@ def test_parser_keeps_no_state_between_calls(monkeypatch, capsys):
         assert (code, out) == (0, answer)
         code, out, _ = run_cli(probe, DELTA_REPULSIVE, monkeypatch, capsys)
         assert code == 0 and json.loads(out)["n"] == 200001
+
+
+def _argparse_outcome(call, argv, capsys):
+    """(stdout, stderr, SystemExit code) of call(argv), which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        call(argv)
+    return (*capsys.readouterr(), exc.value.code)
+
+
+def test_help_and_option_errors_are_argparse_text(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in (["eval", "--kk=1,0"], ["probe", "-h"], ["frobnicate"], ["sweep", "--f=csv"], []):
+        expected = _argparse_outcome(_build_parser().parse_args, argv, capsys)
+        assert _argparse_outcome(main, argv, capsys) == expected
+        assert expected[2] in (0, 2) and "usage: zrs" in expected[0] + expected[1]
+
+
+_FLAGS = sorted({option[0] for _, _, options in _COMMANDS.values() for option in options})
+# values each option takes, in choices and well formed
+_GOOD = {
+    "--input": ["f.json", "a b.json"],
+    "--k": ["1,0", "0.5,-2"],
+    "--family": ["Delta", "Mixed", "DeltaPrime", "ExampleV", "FrakTPath"],
+    "--param": ["0:1:0.5", "2:3:1"],
+    "--dir": ["1,0", "0.6,0.8"],
+    "--format": ["json", "csv"],
+    "--epsilon": ["0.5", "1e-3", "nan", "inf", " 7 ", "1_0"],
+    "--xi": ["0:1", "1:2"],
+    "--n": ["101", " 17 ", "1_000"],
+}
+# values starting with "-", empty or holding "=" or a space, out of choices, bad floats and ints
+_ODD = ["", "=", "a=b", "1 2", "-1 2", "-1,0", "-3", "-", "--k", "-h", "Square", "CSV", "small", "1.5", "0x10", "1e400"]
+# unknown, abbreviated and help flags, "--", a subcommand and every subcommand's whole flags
+_STRAY = ["-h", "--help", "--", "-k", "--in", "--eps", "--fam", "--form", "--f", "--e", "--kk", "classify", *_FLAGS]
+
+
+@st.composite
+def _command_lines(draw):
+    command = draw(st.sampled_from([*_COMMANDS, *_COMMANDS, "frobnicate", "Eval", ""]))
+    own = [option[0] for option in _COMMANDS[command][2]] if command in _COMMANDS else _FLAGS
+    flags = draw(st.permutations(own))[: draw(st.integers(0, len(own)))]
+    flags += draw(st.lists(st.sampled_from(_STRAY + own), max_size=2))  # strays and repeats
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        good = _GOOD.get(flag, []) if draw(st.integers(0, 3)) else []
+        value = draw(st.sampled_from(good or _ODD))
+        form = draw(st.sampled_from(["=", " ", "=", " ", "bare"]))
+        argv += {"=": [f"{flag}={value}"], " ": [flag, value], "bare": [flag]}[form]
+    return argv
+
+
+def _fields(namespace):
+    # by repr, so that NaN from --epsilon=nan compares equal
+    return repr(sorted(vars(namespace).items()))
+
+
+@settings(deadline=None, max_examples=1500)
+@given(_command_lines())
+def test_plain_args_agree_with_argparse(argv):
+    plain = _plain_args(argv)
+    if plain is None:
+        return
+    try:
+        parsed = _build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"argparse rejects {argv!r}, which _plain_args read")
+    assert _fields(plain) == _fields(parsed)
+
+
+def test_bench_command_lines_skip_argparse(monkeypatch):
+    bench = Path(__file__).parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    import corpus
+
+    argvs = []
+    for seed in (1, 2, 3):
+        argvs += [op["argv"] for op in corpus.cli_ops(seed)]
+        for spec in corpus.sweep_specs(seed) + [corpus.long_sweep(seed)]:
+            argvs += [["sweep", *spec["argv"], "--format", fmt] for fmt in ("csv", "json")]
+        for _, _, epsilons in corpus.probe_entries(seed):
+            xi = f"--xi={corpus.XI_RANGE[0]!r}:{corpus.XI_RANGE[1]!r}"
+            argvs += [["probe", f"--epsilon={eps!r}", xi] for eps in epsilons]
+    assert {argv[0] for argv in argvs} == set(_COMMANDS)
+    for argv in argvs:
+        plain = _plain_args(argv)
+        assert plain is not None, argv
+        assert _fields(plain) == _fields(_build_parser().parse_args(argv))
