@@ -91,7 +91,7 @@ def find_poles(s):
     reports.sort(key=lambda r: (r.location.real, r.location.imag))
 
     # a constant p leaves S either constant or growing linearly in k
-    if s.degree == 0 and not s.constant:
+    if not s.roots and not s.constant:
         reports.append(PoleReport(None, 1, Sheet.INFINITY, None))
     return reports
 

@@ -17,9 +17,9 @@ to argparse, imported only then, so its text and exit status are argparse's.
 Output is canonical single-line JSON (sorted keys, no whitespace, complex
 numbers as [re, im]) or CSV for sweeps. Exit codes: 0 success including
 structured pole / not-applicable answers, 2 malformed input (including
-non-finite numbers, an unreadable or non-UTF-8 --input file, JSON nested too
-deeply, bad probe ranges and a malformed ZRS_TOLERANCE), 3 coefficients with
-no boundary matrix, 4 sweep grid guard violations.
+non-finite numbers, an unreadable or non-UTF-8 --input file or stdin, JSON
+nested too deeply, bad probe ranges and a malformed ZRS_TOLERANCE), 3
+coefficients with no boundary matrix, 4 sweep grid guard violations.
 """
 
 import cmath
@@ -99,14 +99,15 @@ def _emit(obj):
 
 
 def _read_payload(args):
-    if getattr(args, "input", None):
-        try:
-            with open(args.input) as f:
+    path = getattr(args, "input", None)
+    try:
+        if path:
+            with open(path) as f:
                 raw = f.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise SchemaError(f"cannot read {args.input}: {exc}")
-    else:
-        raw = sys.stdin.read()
+        else:
+            raw = sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read {path or 'stdin'}: {exc}")
     try:
         data = json.loads(raw)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply

@@ -5,9 +5,10 @@ With theta_k = 2(1 + ik) and D = det of the boundary matrix T, the matrix
     S(k) = sigma0 + 4ik (T - theta_k D sigma0) / p(k),
     p(k) = det(sigma0 - theta_k T) = D theta_k^2 - 2 gamma0 theta_k + 1
 
-is meromorphic in k with at most two finite poles (roots of p). A root of p
-at the origin is cancelled by the explicit k factor in the numerator, so the
-evaluator deflates it instead of reporting a pole there.
+is meromorphic in k with at most two finite poles, the roots of p that
+SMatrixFn.roots records and the classifier reports. A root of p at the origin
+is cancelled by the explicit k factor in the numerator, so the evaluator
+deflates it, by its multiplicity in roots, instead of reporting a pole there.
 """
 
 import cmath
@@ -16,14 +17,6 @@ from .errors import AtPole, NotRepresentable
 from . import pauli
 from .pauli import _div, _modulus, _sqrt, _square, det_pauli
 from .tolerances import base_tol
-
-# Structure of p at the origin: no root there, a simple root, a double root
-# with scalar T (constant S), or a genuine double root.
-_NO_ORIGIN_ROOT = "none"
-_SIMPLE_ORIGIN_ROOT = "simple"
-_SCALAR_DOUBLE = "scalar"
-_DOUBLE_ORIGIN_ROOT = "double"
-
 
 class SMatrixFn:
     """S(k) for a fixed interaction, with its characteristic data.
@@ -42,11 +35,11 @@ class SMatrixFn:
     tol : float
         Base tolerance, read once when the function is built; every
         decision about the structure of p below is taken at it.
-    degree : int
-        Effective degree of p, leading coefficients below 100 tol dropped.
     roots : tuple
-        (root, multiplicity) pairs of p in the k variable; a root at the
-        origin is exactly 0j.
+        (root, multiplicity) pairs of p in the k variable, leading
+        coefficients below 100 tol dropped; a root at the origin is exactly
+        0j. The only record of the structure of p: the classifier reports
+        its poles from it and evaluate deflates its origin root.
     scalar : bool
         Whether the boundary matrix is a multiple of sigma0.
     constant : bool
@@ -54,9 +47,6 @@ class SMatrixFn:
         constant: the zero boundary matrix (S = sigma0), the half-identity
         (S = -sigma0), and gamma0 = 1/4 with the space part of gamma
         squaring to 1/16 (S = sigma0 - 4T).
-    origin_structure : str
-        Structure of p at the origin: "none", "simple", "scalar" (double
-        root with scalar T, so S is constant) or "double".
 
     Raises
     ------
@@ -90,7 +80,6 @@ class SMatrixFn:
         self.constant = _constant_family(interaction._entries, g0, xi2, tol)
         self._term_sizes = max(1.0, a0), a1, a2
         if a2 > 100 * tol * max(1.0, a0, a1):
-            self.degree = 2
             # A double root needs disc to vanish at the scale of the
             # coefficients, and the residue N = sigma0 - theta T at the merged
             # root theta = g0 / D to pass the nilpotency test of
@@ -112,22 +101,9 @@ class SMatrixFn:
                 # q = 0 needs c1 = sq = 0, where c2 c0 = 0 puts a root at the origin
                 self.roots = ((_div(q, c2), 1), (0j if origin_root else _div(c0, q), 1))
         elif a1 > 100 * tol * max(1.0, a0):
-            self.degree = 1
             self.roots = ((0j if origin_root else _div(-c0, c1), 1),)
         else:
-            self.degree = 0
             self.roots = ()
-
-        if not origin_root:
-            self.origin_structure = _NO_ORIGIN_ROOT
-        elif simple_origin:
-            self.origin_structure = _SIMPLE_ORIGIN_ROOT
-        elif self.scalar:
-            # c0 and c1 both vanish, so p = c2 k^2 with c2 away from zero
-            # (all three coefficients cannot vanish together)
-            self.origin_structure = _SCALAR_DOUBLE
-        else:
-            self.origin_structure = _DOUBLE_ORIGIN_ROOT
 
     def p(self, k):
         """Characteristic polynomial det(sigma0 - theta_k T) at k."""
@@ -162,18 +138,19 @@ class SMatrixFn:
         D = self.det_t
         theta_k = 2 * (1 + 1j * k)
         num = 4j * (self.interaction.matrix - theta_k * D * SIGMA0)
-        structure = self.origin_structure
-        if structure == _NO_ORIGIN_ROOT:
+        # multiplicity of the origin root, whose k factors p and the numerator share
+        origin = sum(mult for root, mult in self.roots if root == 0j)
+        if origin == 0:
             pk = c0 + (c1 + c2 * k) * k
             if self._near_root(_modulus(pk), _modulus(k)):
                 raise AtPole(f"p({k}) = {pk} within tolerance of zero")
             return SIGMA0 + k * num / pk
-        if structure == _SIMPLE_ORIGIN_ROOT:
+        if origin == 1:
             q = c1 + c2 * k
             if _modulus(q) <= tol * (1 + abs(k)) * max(1.0, abs(c1), abs(c2)):
                 raise AtPole(f"deflated denominator vanishes at k = {k}")
             return SIGMA0 + num / q
-        if structure == _SCALAR_DOUBLE:
+        if self.scalar:  # k (T - theta_k D sigma0) vanishes twice too: S is constant
             return SIGMA0 * (1 + _div(8 * D, c2))
         q = c2 * k
         if _modulus(q) <= tol * (1 + abs(k)) * max(1.0, abs(c2)):

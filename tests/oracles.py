@@ -6,6 +6,9 @@ separate route, so the tests can cross-check the package against it:
 * pauli_components(s, k): the Pauli coefficients of S(k) from the factored
   characteristic roots, which theta_roots(gamma, tol) computes from gamma
   alone, against SMatrixFn.evaluate;
+* exact_s(T, k): S(k) in exact Gaussian rational arithmetic on the binary
+  values of T and k, against SMatrixFn.evaluate near roots of p, where the
+  floating-point routes cancel;
 * xi_from_abcd(a, b, c, d) and gamma_from_abcd(a, b, c, d): the
   normalization Xi and the Pauli coefficients of the boundary matrix
   straight from the couplings, against Interaction.from_abcd;
@@ -25,6 +28,7 @@ separate route, so the tests can cross-check the package against it:
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import simpson
@@ -71,16 +75,16 @@ def pauli_components(s, k):
     D = s.det_t
     theta_k = 2 * (1 + 1j * k)
     c0, c1, c2 = s.p_coeffs
-    structure = s.origin_structure
-    if structure == "scalar":
+    origin = sum(mult for root, mult in s.roots if root == 0j)
+    if origin == 2 and s.scalar:
         return PauliVector(1 + 8 * D / c2, 0j, 0j, 0j)
-    if structure == "simple":
+    if origin == 1:
         q = c1 + c2 * k
         if abs(q) <= tol * (1 + abs(k)) * max(1.0, abs(c1), abs(c2)):
             raise AtPole(f"deflated denominator vanishes at k = {k}")
         f = 4j / q
         return PauliVector(1 + f * (g0 - theta_k * D), f * g1, f * g2, f * g3)
-    if structure == "double":
+    if origin == 2:
         q = c2 * k
         if abs(q) <= tol * (1 + abs(k)) * max(1.0, abs(c2)):
             raise AtPole(f"simple pole at the origin, k = {k}")
@@ -102,6 +106,56 @@ def pauli_components(s, k):
         raise AtPole(f"p({k}) = {pk} within tolerance of zero")
     f = 4j * k / pk
     return PauliVector(1 + f * (g0 - theta_k * D), f * g1, f * g2, f * g3)
+
+
+def _gauss(z):
+    """The complex float z as an exact Gaussian rational (re, im)."""
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _gsub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _gmul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _gdiv(x, y):
+    norm = y[0] * y[0] + y[1] * y[1]
+    return _gmul(x, (y[0] / norm, -y[1] / norm))
+
+
+def exact_s(T, k):
+    """S(k) = sigma0 + 4ik (T - theta_k D sigma0) / p(k), computed exactly.
+
+    The entries of T and k are taken at their binary values, every step is
+    Gaussian rational arithmetic on fractions.Fraction, and only the four
+    entries of the result are rounded, so no root of p at or near the origin
+    needs deflating. Returns ((s00, s01), (s10, s11)) as Python complex.
+    Raises ZeroDivisionError where p(k) is exactly zero.
+    """
+    t00, t01, t10, t11 = (_gauss(T[i][j]) for i in range(2) for j in range(2))
+    one = (1, 0)
+    ik = _gauss(1j * complex(k))  # exact: multiplying by 1j only swaps parts
+    theta = 2 + 2 * ik[0], 2 * ik[1]
+    D = _gsub(_gmul(t00, t11), _gmul(t01, t10))
+    # p = det(sigma0 - theta T)
+    p = _gsub(
+        _gmul(_gsub(one, _gmul(theta, t00)), _gsub(one, _gmul(theta, t11))),
+        _gmul(_gmul(theta, theta), _gmul(t01, t10)),
+    )
+    f = _gdiv((4 * ik[0], 4 * ik[1]), p)
+    theta_d = _gmul(theta, D)
+    s00, s01, s10, s11 = (
+        _gmul(f, x) for x in (_gsub(t00, theta_d), t01, t10, _gsub(t11, theta_d))
+    )
+    s00, s11 = (s00[0] + 1, s00[1]), (s11[0] + 1, s11[1])
+    return tuple(
+        (complex(float(a[0]), float(a[1])), complex(float(b[0]), float(b[1])))
+        for a, b in ((s00, s01), (s10, s11))
+    )
 
 
 def xi_from_abcd(a, b, c, d):

@@ -66,6 +66,18 @@ def test_eval_at_pole(monkeypatch, capsys):
     assert out == '{"k":[0.0,0.5],"pole":true}\n'
 
 
+def test_eval_at_the_pole_classify_reports_near_half_identity(monkeypatch, capsys):
+    # p has a double root at k0 = 2e-6j with |p(0)| below the 100 tol at which
+    # an origin root is accepted; S has its pole at k0, not at the origin
+    payload = '{"form": "frakT", "t": [[[0.500001, 0], [0, 0]], [[0, 0], [0.500001, 0]]]}'
+    code, out, _ = run_cli(["classify"], payload, monkeypatch, capsys)
+    assert code == 0
+    (pole,) = json.loads(out)["poles"]
+    assert pole["k"] == [0.0, 1.9999959999770245e-06] and pole["order"] == 1
+    code, out, _ = run_cli(["eval", "--k=0,1.9999959999770245e-06"], payload, monkeypatch, capsys)
+    assert (code, out) == (0, '{"k":[0.0,1.9999959999770245e-06],"pole":true}\n')
+
+
 def test_classify_output_is_canonical(monkeypatch, capsys):
     code, out1, _ = run_cli(["classify"], DERIVATIVE, monkeypatch, capsys)
     assert code == 0
@@ -452,6 +464,15 @@ def test_exit_code_2_on_undecodable_input_file(tmp_path, monkeypatch, capsys):
     code, out, err = run_cli(["classify", "--input", str(path)], "", monkeypatch, capsys)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode") and err.count("\n") == 1
+
+
+def test_exit_code_2_on_undecodable_stdin(monkeypatch, capsys):
+    stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{}"), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code = main(["classify"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read stdin: 'utf-8' codec can't decode") and err.count("\n") == 1
 
 
 def test_exit_code_2_on_json_nested_too_deeply(monkeypatch, capsys):

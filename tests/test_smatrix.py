@@ -4,11 +4,13 @@ import pytest
 from oracles import (
     DegenerateSystem,
     OnImaginaryAxis,
+    exact_s,
     numpy_compose,
     pauli_components,
     scattering_coefficients,
     smatrix_from_coefficients,
 )
+from zrs.classifier import classify, find_poles
 from zrs.errors import AtPole
 from zrs.interaction import FRIEDRICHS, KREIN, Interaction
 from zrs.smatrix import build
@@ -239,3 +241,57 @@ def test_det_factorization():
         got = np.linalg.det(s.evaluate(k))
         want = s.p(-k) / s.p(k)
         assert np.isclose(got, want, atol=1e-10 * (1 + abs(want)))
+
+
+def relative_error(got, want):
+    want = np.array(want)
+    return np.abs(got - want).max() / max(1.0, np.abs(want).max())
+
+
+def test_evaluate_deflates_only_the_origin_root_classify_reports():
+    # p = c2 (k - k0)^2 with k0 = 2e-6j and |p(0)| = 4e-12, below the 100 tol
+    # at which an origin root is accepted: the root is not at the origin, so
+    # S has its pole at k0, where classify reports it, and is not deflated
+    i = Interaction.from_matrix(0.500001 * np.eye(2))
+    (pole,) = classify(i).poles
+    assert (pole.location, pole.order) == (1.9999959999770245e-06j, 1)
+    s = build(i)
+    with pytest.raises(AtPole):
+        s.evaluate(pole.location)
+    k = 4e-6j
+    assert relative_error(s.evaluate(k), exact_s(i.matrix, k)) <= 1e-4
+
+
+def test_evaluate_raises_at_a_double_pole_near_the_origin():
+    T = [[0.5000000920756834, 0.941603211116184 - 5.449963337370771j], [0, 0.5000000920756834]]
+    i = Interaction.from_matrix(T)
+    k0 = 1.8415133297152845e-07j
+    assert [(p.location, p.order) for p in classify(i).poles] == [(k0, 2)]
+    with pytest.raises(AtPole):
+        build(i).evaluate(k0)
+
+
+def test_evaluate_near_half_identity_matches_exact_s():
+    # T = (1/2 + delta) sigma0 puts a double root of p at k0 of about
+    # 2i delta, on either side of the threshold of an origin root
+    rng = np.random.default_rng(15)
+    values = 0
+    for _ in range(3000):
+        delta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12, -3)
+        if rng.random() < 0.5:
+            delta *= complex(*rng.normal(size=2))
+        T = (0.5 + delta) * np.eye(2)
+        s = build(Interaction.from_matrix(T))
+        for pole in find_poles(s):
+            if pole.location is None:
+                continue
+            with pytest.raises(AtPole):
+                s.evaluate(pole.location)
+            k = 2 * pole.location * (1 + 1e-3 * rng.uniform(-1, 1))
+            try:
+                got = s.evaluate(k)
+            except AtPole:  # |p(k)| = |p''| |k0|^2 / 2 is within tolerance
+                continue
+            assert relative_error(got, exact_s(T, k)) <= 1e-3, (T[0, 0], k)
+            values += 1
+    assert values > 500
