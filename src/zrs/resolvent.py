@@ -52,15 +52,14 @@ class TestFunction(namedtuple("TestFunction", "kind k func", defaults=(None, Non
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind is TestFunctionKind.PLUS_EXPONENTIAL:
-            out = np.where(x > 0, np.exp(-1j * np.conj(self.k) * (x + 0j)), 0)
-        elif self.kind is TestFunctionKind.MINUS_EXPONENTIAL:
-            out = np.where(x < 0, np.exp(1j * np.conj(self.k) * (x + 0j)), 0)
-        else:
+        if self.kind is TestFunctionKind.CUSTOM:
             out = self.func(x)
-        if np.ndim(out) == 0:
-            return complex(out)
-        return out
+        else:  # the exponential on the support only: off it, it can overflow
+            plus = self.kind is TestFunctionKind.PLUS_EXPONENTIAL
+            on = x > 0 if plus else x < 0
+            out = np.zeros(x.shape, dtype=complex)
+            out[on] = np.exp((-1j if plus else 1j) * np.conj(self.k) * (x[on] + 0j))
+        return complex(out) if np.ndim(out) == 0 else out
 
 
 def plus_exponential(k):
@@ -175,6 +174,14 @@ def probe_nodes(n):
     return n + 1 if n % 2 == 0 else n
 
 
+def _guarded_divide(a, b, out, mask):
+    """a / b into out, and 0 where b is zero, as scipy guards Simpson's weights."""
+    if b.all():  # as in nearly every block, no b is zero (NaN is not): no mask
+        return np.true_divide(a, b, out=out)
+    out.fill(0)
+    return np.true_divide(a, b, out=out, where=np.not_equal(b, 0, out=mask))
+
+
 def _simpson(x, fill):
     """scipy.integrate.simpson(y, x=x) for an odd number of nodes, bit for bit.
 
@@ -183,6 +190,9 @@ def _simpson(x, fill):
     is carried over as the next one's first. The terms are those of the
     x-given branch of scipy 1.17.1's _basic_simpson (taken for an odd node
     count) operation for operation; one np.sum adds them in scipy's order.
+    scipy's guards, which give 0 where a divisor (the spacing h1, the ratio
+    h0 / h1 or the product h0 h1) is zero, are masks only in a block that
+    has such a zero.
     """
     m = (len(x) - 1) // 2
     terms = np.empty(m)
@@ -202,15 +212,9 @@ def _simpson(x, fill):
         np.subtract(xc[2::2], xc[1::2], out=h1)
         np.add(h0, h1, out=hsum)
         np.multiply(h0, h1, out=hprod)
-        # h0 / h1, 1 / (h0 / h1) and hsum / hprod are 0 where scipy's divisor is
-        q.fill(0)
-        np.true_divide(h0, h1, out=q, where=np.not_equal(h1, 0, out=mask))
-        w0.fill(0)
-        np.true_divide(1.0, q, out=w0, where=np.not_equal(q, 0, out=mask))
-        np.subtract(2.0, w0, out=w0)
-        w1.fill(0)
-        np.true_divide(hsum, hprod, out=w1, where=np.not_equal(hprod, 0, out=mask))
-        np.multiply(hsum, w1, out=w1)
+        _guarded_divide(h0, h1, q, mask)
+        np.subtract(2.0, _guarded_divide(1.0, q, w0, mask), out=w0)
+        np.multiply(hsum, _guarded_divide(hsum, hprod, w1, mask), out=w1)
         w2 = np.subtract(2.0, q, out=q)
         # hsum / 6.0 * (y0 * w0 + y1 * w1 + y2 * w2)
         np.true_divide(hsum, 6.0, out=hsum)
@@ -235,7 +239,8 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
 
     Memory: the nodes (8 bytes per node), the (n - 1) / 2 Simpson terms
     (4 bytes per node) and the buffers of one block of _BLOCK node triples,
-    about 1.1 MB; the integrand is never held whole.
+    about 1.1 MB; the integrand is never held whole. A block whose least |p|
+    clears the pole test at the line's largest |k| skips the per-node test.
 
     Raises
     ------
@@ -261,6 +266,14 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     D = s.det_t
     t00, m01, m10, t11 = s.interaction._entries
     xi = np.linspace(lo, hi, n)
+    # |k|^2 = |xi + i eps| <= max(-A, B) + eps on the line, so _near_root's
+    # t0 + t1 |k| + t2 |k|^2 is at most its value at kmax, and no node of a
+    # block whose every |p| exceeds clear = tol times that value passes it.
+    # The 1e-9 margins cover the rounding of the nodes, k, |k|, |p| and both
+    # sides; an inf or NaN clear never skips the exact test or a flag it raises.
+    t0, t1, t2 = s._term_sizes
+    kmax = math.sqrt(float(max(-xi[0], xi[-1])) + epsilon) * (1 + 1e-9)
+    clear = s.tol * (t0 + t1 * kmax + t2 * kmax * kmax) * (1 + 1e-9)
     cbufs = np.empty((5, min(n, 2 * _BLOCK + 1)), dtype=complex)
     fbufs = np.empty((2, min(n, 2 * _BLOCK + 1)))
 
@@ -273,7 +286,7 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
         theta = np.multiply(2, np.add(1, ik, out=u), out=u)
         p = np.add(c0, np.multiply(np.add(c1, np.multiply(c2, k, out=v), out=v), k, out=v), out=v)
         np.abs(p, out=abs_p)
-        if s._near_root(abs_p, np.abs(k, out=g)).any():
+        if not abs_p.min() > clear and s._near_root(abs_p, np.abs(k, out=g)).any():
             raise AtEigenvalue("sweep line passes through a pole")
         theta_d = np.multiply(theta, D, out=u)
         m00 = np.subtract(t00, theta_d, out=v)

@@ -12,6 +12,7 @@ from zrs.interaction import Interaction
 from zrs.pauli import SIGMA0, PauliVector
 from zrs.resolvent import (
     _BLOCK,
+    TestFunctionKind,
     _simpson,
     custom,
     f_transform,
@@ -20,6 +21,7 @@ from zrs.resolvent import (
     resolvent_diff_norm,
     similarity_integral_probe,
 )
+from zrs.smatrix import SMatrixFn
 
 
 def boundary_solve_norm(interaction, k, g):
@@ -55,6 +57,20 @@ def test_function_evaluation():
     h = minus_exponential(1j)
     assert h(-2.0) == pytest.approx(np.exp(-2.0))
     assert h(1.0) == 0
+
+
+def test_exponentials_vanish_quietly_off_their_support():
+    # off its support each exponential overflows; the suite turns the
+    # RuntimeWarning of computing it there into a failure
+    assert plus_exponential(1j)(-1000.0) == 0j
+    assert minus_exponential(1j)(1000.0) == 0j
+    x = np.array([-1000.0, -2.0, -0.0, 0.0, 2.0, 1000.0])
+    for g, on in ((plus_exponential(0.3 + 2j), x > 0), (minus_exponential(0.3 + 2j), x < 0)):
+        sign = 1 if g.kind is TestFunctionKind.MINUS_EXPONENTIAL else -1
+        want = np.exp(sign * 1j * np.conj(g.k) * (x[on] + 0j))
+        vals = g(x)
+        assert vals.dtype == complex and not vals[~on].any()
+        assert vals[on].tobytes() == want.tobytes()
 
 
 def test_custom_quadrature_matches_closed_form():
@@ -219,6 +235,77 @@ def test_probe_matches_whole_grid_oracle():
                 got = similarity_integral_probe(i, eps, xi_range, n=n)
                 want = oracles.similarity_integral_probe(i, eps, xi_range, n=n)
                 assert got == want, (i.matrix, eps, xi_range, n)
+
+
+def test_probe_pole_early_out_hides_no_pole(monkeypatch):
+    # a pole at a node's k, a distance eps 10^U(-16,-6) off the line: a
+    # block skips the node-by-node pole test only when its least |p|
+    # clears it, so the probe raises and returns exactly as the oracle does
+    calls = []
+    near_root = SMatrixFn._near_root
+
+    def counted(self, abs_p, abs_k):
+        if isinstance(abs_p, np.ndarray):
+            calls.append(abs_p.size)
+        return near_root(self, abs_p, abs_k)
+
+    monkeypatch.setattr(SMatrixFn, "_near_root", counted)
+    rng = np.random.default_rng(18)
+    raised = 0
+    for _ in range(300):
+        n = int(rng.choice((17, 4097, 20001)))
+        eps = 10 ** rng.uniform(-3, 0)
+        delta = eps * 10 ** rng.uniform(-16, -6)
+        k0 = np.sqrt(complex(np.linspace(-10, 10, n)[rng.integers(n)], eps + delta))
+        i = Interaction.from_abcd(2j * k0, 0, 0, 0)
+        answers = []
+        for probe in (similarity_integral_probe, oracles.similarity_integral_probe):
+            try:
+                answers.append(probe(i, eps, (-10, 10), n=n))
+            except AtEigenvalue:
+                answers.append(AtEigenvalue)
+        assert answers[0] == answers[1], (n, eps, delta, k0)
+        raised += answers[0] is AtEigenvalue
+    assert calls and 0 < raised < 300, raised
+    # the bounded ExampleV probe of the benchmark never runs the node test
+    calls.clear()
+    similarity_integral_probe(Interaction.from_abcd(1, -1, 1, -1), 1.0, (-10, 10))
+    assert not calls
+
+
+def test_probe_pole_early_out_at_the_edge_of_the_pole_test():
+    # a pole off an end node of the line, where |k| comes closest to the
+    # bound the early-out takes, at the distance delta where the oracle's
+    # test turns: the probe must turn between the same two floats
+    def raises(probe, delta):
+        i = Interaction.from_abcd(2j * np.sqrt(complex(xi, eps + delta)), 0, 0, 0)
+        try:
+            probe(i, eps, (-10, 10), n=17)
+        except AtEigenvalue:
+            return True
+        return False
+
+    for xi in (-10.0, 10.0):
+        for eps in (1e-12, 1e-3):
+            lo, hi = 0.0, 1.0
+            while lo < (lo + hi) / 2 < hi:
+                if raises(oracles.similarity_integral_probe, (lo + hi) / 2):
+                    lo = (lo + hi) / 2
+                else:
+                    hi = (lo + hi) / 2
+            assert raises(similarity_integral_probe, lo) and not raises(similarity_integral_probe, hi)
+
+
+def test_probe_matches_oracle_where_simpson_guards_act():
+    # spacings that round to 0 near 1e16 (in one block and in several) and
+    # spacing products that underflow near 0 take scipy's masked weights
+    i = Interaction.from_abcd(0.4, 0.2 + 0.1j, -0.3, 0.5)
+    for xi_range, n in (((1e16, 1e16 + 4), 4097), ((1e16, 1e16 + 4), 6 * _BLOCK + 1), ((-1e-300, 1e-300), 4097)):
+        h = np.diff(np.linspace(*xi_range, n))
+        assert not (h[::2] * h[1::2]).all()
+        got = similarity_integral_probe(i, 0.5, xi_range, n=n)
+        assert got == oracles.similarity_integral_probe(i, 0.5, xi_range, n=n), (xi_range, n)
+        assert 0 < got < 1e-23
 
 
 def test_probe_memory_is_two_node_arrays():

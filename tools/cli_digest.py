@@ -4,11 +4,12 @@
 
 runs every command line of the benchmark corpus for seeds 1 to 5 (the
 cli-calls requests, each sweep in CSV and in JSON, and each probe of the
-probe ladder) through zrs.cli.main() in this process, on the zrs sources
-under ROOT/src, with its payload on stdin. It prints one line per command
-line: the seed, the argv, the exit code and the sha256 of stdout and of
-stderr. Two checkouts answer byte for byte alike exactly when their digests
-are identical:
+probe ladder), then the probes of EDGE_PROBES, through zrs.cli.main() in
+this process, on the zrs sources under ROOT/src, with its payload on stdin.
+It prints one line per command line: the seed ("edge" for an edge probe),
+the argv, the exit code and the sha256 of stdout and of stderr. Two
+checkouts answer byte for byte alike exactly when their digests are
+identical:
 
     python3 tools/cli_digest.py . > new.txt
     python3 tools/cli_digest.py ../parent > old.txt
@@ -26,6 +27,21 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEEDS = range(1, 6)
+_MIXED = (0.4, 0.2 + 0.1j, -0.3, 0.5)
+# (argv, abcd) of probes at the edges of the probe's arithmetic
+EDGE_PROBES = [
+    # through the pole k = 1 + i of a = 2i (1 + i), at the node xi = 0
+    (["probe", "--epsilon=2.0", "--xi=-1:1", "--n=17"], (-2 + 2j, 0, 0, 0)),
+    # spacings that round to 0, in one block and in several
+    (["probe", "--epsilon=0.5", f"--xi={1e16!r}:{1e16 + 4!r}", "--n=4097"], _MIXED),
+    (["probe", "--epsilon=0.5", f"--xi={1e16!r}:{1e16 + 4!r}", "--n=24577"], _MIXED),
+    # spacing products that underflow to 0
+    (["probe", "--epsilon=0.5", "--xi=-1e-300:1e-300", "--n=4097"], _MIXED),
+    # a few triples, then one triple short of a block, a whole block, one past it
+    *((["probe", "--epsilon=0.01", "--xi=-10:10", f"--n={n}"], (0, 0, 0, 1j)) for n in (17, 8191, 8193, 8195)),
+    # arithmetic that overflows on the range
+    (["probe", "--epsilon=1", "--xi=-1e300:1e300", "--n=2001"], (-1, 0, 0, 0)),
+]
 
 
 def command_lines(corpus, seed):
@@ -78,6 +94,9 @@ def main(argv):
         for cmd, payload in command_lines(corpus, seed):
             code, out, err = run(zrs.cli.main, cmd, payload)
             print(seed, json.dumps(cmd), code, _sha(out), _sha(err))
+    for cmd, abcd in EDGE_PROBES:
+        code, out, err = run(zrs.cli.main, cmd, corpus.abcd_payload(*abcd))
+        print("edge", json.dumps(cmd), code, _sha(out), _sha(err))
     return 0
 
 
