@@ -14,7 +14,7 @@ import cmath
 from numbers import Number
 
 from .errors import NotRepresentable
-from .pauli import _compose, _decompose, _div, _modulus, det_pauli
+from .pauli import _compose, _decompose, _modulus, det_pauli
 from .tolerances import base_tol
 
 
@@ -93,14 +93,8 @@ class Interaction:
             raise NotRepresentable(f"normalization Xi = {xi} vanishes for coefficients {_named(a, b, c, d)}")
         norm = 4 * xi
         m = [
-            [
-                _div(xi + 2 * (b + c - a - d), norm),
-                _div(4 + det - 2 * (b - c), norm),
-            ],
-            [
-                _div(4 + det + 2 * (b - c), norm),
-                _div(xi - 2 * (b + c + a + d), norm),
-            ],
+            [(xi + 2 * (b + c - a - d)) / norm, (4 + det - 2 * (b - c)) / norm],
+            [(4 + det + 2 * (b - c)) / norm, (xi - 2 * (b + c + a + d)) / norm],
         ]
         return cls(m)
 

@@ -15,7 +15,7 @@ import cmath
 
 from .errors import AtPole, NotRepresentable
 from . import pauli
-from .pauli import _div, _modulus, _sqrt, _square, det_pauli
+from .pauli import _modulus, _square, det_pauli
 from .tolerances import base_tol
 
 class SMatrixFn:
@@ -38,7 +38,9 @@ class SMatrixFn:
     roots : tuple
         (root, multiplicity) pairs of p in the k variable, leading
         coefficients below 100 tol dropped; a root at the origin is exactly
-        0j. The only record of the structure of p: the classifier reports
+        0j. Two simple roots are found in theta, where neither cancels, and
+        k = i(1 - theta/2): for hermitian T they lie exactly on the imaginary
+        axis. The only record of the structure of p: the classifier reports
         its poles from it and evaluate deflates its origin root.
     scalar : bool
         Whether the boundary matrix is a multiple of sigma0.
@@ -66,12 +68,12 @@ class SMatrixFn:
         if not all(map(cmath.isfinite, (D, c0, c1, c2, disc))):
             raise NotRepresentable(f"characteristic polynomial of {interaction!r} overflows")
         # Past that check each gamma_j has a finite square and 4 c2 c0 is
-        # finite, so |gamma_j| and |c1| are below 2e154 and |c0|, |c2| below
-        # 7e307: their moduli are floats. disc, xi2, their products and the
-        # squared scales can exceed the float range and go through _modulus
-        # and _square, which give inf there.
+        # finite, so |gamma_j|, |xi| and |c1| are below 2e154 and |c0|, |c2|
+        # below 7e307: their moduli are floats. disc, xi2, their products and
+        # the squared scales can exceed the float range and go through
+        # _modulus and _square, which give inf there.
         xi2 = g1 * g1 + g2 * g2 + g3 * g3
-        self.xi = _sqrt(xi2)
+        self.xi = cmath.sqrt(xi2)
 
         a0, a1, a2 = abs(c0), abs(c1), abs(c2)
         origin_root = a0 <= 100 * tol * max(1.0, a1, a2)
@@ -92,16 +94,18 @@ class SMatrixFn:
                 _modulus(xi2) * _max_entry(xi2 + g0 * g0, 2 * g0 * g1, 2 * g0 * g2, 2 * g0 * g3)
                 <= 100 * tol * _square(abs(D) + _max_entry(xi2, g0 * g1, g0 * g2, g0 * g3))
             ):
-                double = 0j if origin_root and not simple_origin else _div(-c1, 2 * c2)
+                double = 0j if origin_root and not simple_origin else -c1 / (2 * c2)
                 self.roots = ((double, 2),)
             else:
-                sq = _sqrt(disc)
-                # pick the larger numerator so neither root loses precision
-                q = -(c1 + sq) / 2 if abs(c1 + sq) >= abs(c1 - sq) else -(c1 - sq) / 2
-                # q = 0 needs c1 = sq = 0, where c2 c0 = 0 puts a root at the origin
-                self.roots = ((_div(q, c2), 1), (0j if origin_root else _div(c0, q), 1))
+                # In theta = 2(1 + ik), p = D theta^2 - 2 g0 theta + 1 has the
+                # roots (g0 +- xi) / D = 1 / (g0 -+ xi). With w the larger of
+                # g0 +- xi, w / D and 1 / w are those roots, and neither cancels.
+                # An origin root is the one of smaller |k|.
+                w = max(g0 + self.xi, g0 - self.xi, key=abs)
+                big, small = sorted((1j * (1 - w / (2 * D)), 1j * (1 - 1 / (2 * w))), key=abs, reverse=True)
+                self.roots = ((big, 1), (0j if origin_root else small, 1))
         elif a1 > 100 * tol * max(1.0, a0):
-            self.roots = ((0j if origin_root else _div(-c0, c1), 1),)
+            self.roots = ((0j if origin_root else -c0 / c1, 1),)
         else:
             self.roots = ()
 
@@ -151,7 +155,7 @@ class SMatrixFn:
                 raise AtPole(f"deflated denominator vanishes at k = {k}")
             return SIGMA0 + num / q
         if self.scalar:  # k (T - theta_k D sigma0) vanishes twice too: S is constant
-            return SIGMA0 * (1 + _div(8 * D, c2))
+            return SIGMA0 * (1 + 8 * D / c2)
         q = c2 * k
         if _modulus(q) <= tol * (1 + abs(k)) * max(1.0, abs(c2)):
             raise AtPole(f"simple pole at the origin, k = {k}")

@@ -9,6 +9,11 @@ separate route, so the tests can cross-check the package against it:
 * exact_s(T, k): S(k) in exact Gaussian rational arithmetic on the binary
   values of T and k, against SMatrixFn.evaluate near roots of p, where the
   floating-point routes cancel;
+* exact_poles(T): the roots of p for the binary values of T, from their
+  exact gamma0, xi^2 and det T (exact_invariants) and a 60-digit xi,
+  against SMatrixFn.roots;
+* exact_quotient(a, b): a / b exact, then rounded, against the divisions
+  of the scalar path;
 * xi_from_abcd(a, b, c, d) and gamma_from_abcd(a, b, c, d): the
   normalization Xi and the Pauli coefficients of the boundary matrix
   straight from the couplings, against Interaction.from_abcd;
@@ -20,14 +25,17 @@ separate route, so the tests can cross-check the package against it:
   resolvent.similarity_integral_probe, which must agree bit for bit;
 * numpy_compose(x): the matrix with Pauli coefficients x, for building test
   inputs and comparing Pauli coefficients as matrices;
-* numpy_from_abcd, numpy_decompose, numpy_characteristic and
-  numpy_nilpotent: the boundary matrix, gamma, the characteristic data and
-  the exceptional-point certificate computed on numpy scalars and 2x2
-  arrays, against the package's Python scalar path, which must give the
-  same numbers bit for bit and the same certificate verdicts.
+* abcd_numerators(a, b, c, d): the float numerators and the 4 Xi that
+  Interaction.from_abcd divides them by;
+* numpy_decompose, numpy_characteristic and numpy_nilpotent: gamma, the
+  characteristic data and the exceptional-point certificate computed on
+  numpy scalars and 2x2 arrays, against the package's Python scalar path,
+  which must give the same gamma, det T and coefficients of p bit for bit,
+  the same structure of roots and the same certificate verdicts.
 """
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -156,6 +164,82 @@ def exact_s(T, k):
         (complex(float(a[0]), float(a[1])), complex(float(b[0]), float(b[1])))
         for a, b in ((s00, s01), (s10, s11))
     )
+
+
+def exact_quotient(a, b):
+    """a / b for complex floats a and a nonzero b, exact, then rounded to complex."""
+    q = _gdiv(_gauss(a), _gauss(b))
+    return complex(float(q[0]), float(q[1]))
+
+
+def _decimal(x):
+    """The Fraction x as a Decimal, rounded to the context precision."""
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def _decimal_sqrt(x, y):
+    """Principal square root of x + iy for Decimals x and y, as a pair of Decimals."""
+    if not x and not y:
+        return Decimal(0), Decimal(0)
+    r = (x * x + y * y).sqrt()
+    # take the part that does not cancel from r +- x, the other from y
+    if x >= 0:
+        re = ((r + x) / 2).sqrt()
+        return re, y / (2 * re)
+    im = ((r - x) / 2).sqrt()
+    if y < 0:
+        im = -im
+    return y / (2 * im), im
+
+
+def exact_invariants(T):
+    """(gamma0, xi^2, det T) of the binary values of T, as exact Gaussian rationals.
+
+    xi^2 = gamma1^2 + gamma2^2 + gamma3^2; each value is a pair (re, im) of
+    fractions.Fraction.
+    """
+    t00, t01, t10, t11 = (_gauss(T[i][j]) for i in range(2) for j in range(2))
+    half = Fraction(1, 2)
+    g0 = (half * (t00[0] + t11[0]), half * (t00[1] + t11[1]))
+    g1 = (half * (t01[0] + t10[0]), half * (t01[1] + t10[1]))
+    g2 = (-half * (t01[1] - t10[1]), half * (t01[0] - t10[0]))  # i (t01 - t10) / 2
+    g3 = (half * (t00[0] - t11[0]), half * (t00[1] - t11[1]))
+    xi2 = tuple(sum(part) for part in zip(_gmul(g1, g1), _gmul(g2, g2), _gmul(g3, g3)))
+    return g0, xi2, _gsub(_gmul(g0, g0), xi2)
+
+
+def exact_poles(T):
+    """Roots k of p for the binary values of T, as Python complex.
+
+    gamma0, xi^2 and D = det T are exact (exact_invariants). When D = 0,
+    p = 1 - 2 gamma0 theta and its root theta = 1 / (2 gamma0), if gamma0 is
+    nonzero, is exact. Otherwise xi is taken to 60 significant digits with
+    decimal, and the roots theta = w / D and 1 / w, with w the larger of
+    gamma0 +- xi, carry no cancellation. Each root k = i(1 - theta / 2) is
+    rounded once to the nearest float parts; a root beyond the float range
+    has infinite parts.
+    """
+    g0, xi2, D = exact_invariants(T)
+    if D == (0, 0):
+        if g0 == (0, 0):
+            return []
+        theta = _gdiv((1, 0), (2 * g0[0], 2 * g0[1]))
+        return [complex(float(theta[1] / 2), float(1 - theta[0] / 2))]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        g0, xi2, D = ((_decimal(x[0]), _decimal(x[1])) for x in (g0, xi2, D))
+        xi = _decimal_sqrt(*xi2)
+        plus = g0[0] + xi[0], g0[1] + xi[1]
+        minus = g0[0] - xi[0], g0[1] - xi[1]
+        w = max(plus, minus, key=lambda z: z[0] * z[0] + z[1] * z[1])
+        roots = []
+        for num, den in ((w, D), ((Decimal(1), Decimal(0)), w)):
+            norm = den[0] * den[0] + den[1] * den[1]
+            theta_re = (num[0] * den[0] + num[1] * den[1]) / norm
+            theta_im = (num[1] * den[0] - num[0] * den[1]) / norm
+            # k = i (1 - theta / 2)
+            roots.append(complex(float(theta_im / 2), float(1 - theta_re / 2)))
+    return roots
 
 
 def xi_from_abcd(a, b, c, d):
@@ -292,21 +376,20 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     return float(epsilon * simpson(integrand, x=xi))
 
 
-def numpy_from_abcd(a, b, c, d):
-    """The boundary matrix of the couplings, an array divided by 4 Xi.
+def abcd_numerators(a, b, c, d):
+    """The four float numerators of the boundary matrix of the couplings, and 4 Xi.
 
-    Callers keep the normalization Xi away from zero.
+    Interaction.from_abcd divides each numerator by 4 Xi. Callers keep the
+    normalization Xi away from zero.
     """
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     xi = xi_from_abcd(a, b, c, d)
     det = a * d - b * c
-    return np.array(
-        [
-            [xi + 2 * (b + c - a - d), 4 + det - 2 * (b - c)],
-            [4 + det + 2 * (b - c), xi - 2 * (b + c + a + d)],
-        ],
-        dtype=complex,
-    ) / (4 * xi)
+    numerators = [
+        [xi + 2 * (b + c - a - d), 4 + det - 2 * (b - c)],
+        [4 + det + 2 * (b - c), xi - 2 * (b + c + a + d)],
+    ]
+    return numerators, 4 * xi
 
 
 def numpy_compose(x):
@@ -332,8 +415,11 @@ def _numpy_max_entry(x0, x1, x2, x3):
 def numpy_characteristic(gamma, tol):
     """(det_t, p_coeffs, roots) of SMatrixFn, computed on numpy scalars.
 
-    gamma is a PauliVector of numpy complex128 (numpy_decompose). Callers
-    keep the characteristic data finite.
+    gamma is a PauliVector of numpy complex128 (numpy_decompose). The roots
+    come from the quadratic formula in k, a second route to the same
+    decisions: their multiplicities and origin snaps are those of
+    SMatrixFn.roots, their locations are not. Callers keep the
+    characteristic data finite.
     """
     g0, g1, g2, g3 = gamma
     with np.errstate(over="ignore", invalid="ignore"):

@@ -1,0 +1,124 @@
+"""Where SMatrixFn.roots puts the poles of S, against exact references.
+
+exact_poles (tests/oracles.py) gives the roots of p for the binary values of
+T. The error of a root k is |k - k_ref| / max(1, |k_ref|): a simple root is
+matched with the nearest exact root and a merged double root with the mean
+of the two, which is where the merged root stands; roots snapped to the
+origin are left out.
+"""
+
+import numpy as np
+import pytest
+
+from oracles import exact_poles
+from zrs.classifier import Region, Sheet, Similarity, classify
+from zrs.errors import InternalInconsistency, NotRepresentable
+from zrs.interaction import Interaction
+from zrs.smatrix import build
+
+
+def _complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _sign(rng):
+    return rng.choice((-1.0, 1.0))
+
+
+def _random(rng):
+    return _complex_normal(rng, 2, 2) * 10.0 ** rng.uniform(-3, 3)
+
+
+def _hermitian_diag(rng):
+    # diag(a, a (1 + delta)), |a| = 10^U(-3, 6), |delta| = 10^U(-16, -2)
+    a = _sign(rng) * 10.0 ** rng.uniform(-3, 6)
+    return np.diag([a, a * (1 + _sign(rng) * 10.0 ** rng.uniform(-16, -2))])
+
+
+def _hermitian_random(rng):
+    # a real scale keeps the matrix exactly hermitian
+    a = _complex_normal(rng, 2, 2)
+    return (a + a.conj().T) * 10.0 ** rng.uniform(-3, 6)
+
+
+def _near_half(rng):
+    return np.eye(2) / 2 + _complex_normal(rng, 2, 2) * 10.0 ** rng.uniform(-12, -3)
+
+
+def _near_jordan(rng):
+    # gamma = (1 / (2 (1 + i k0)), a + d1, i a + d2, d3) is a Jordan block with
+    # a double pole at k0 when d = 0; |d| = 10^e pulls the pole apart
+    k0 = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2))
+    a = complex(*rng.normal(size=2))
+    d = _complex_normal(rng, 3)
+    d1, d2, d3 = d * 10.0 ** rng.integers(-16, -5) / np.linalg.norm(d)
+    g0, g1, g2 = 1 / (2 * (1 + 1j * k0)), a + d1, 1j * a + d2
+    return np.array([[g0 + d3, g1 - 1j * g2], [g1 + 1j * g2, g0 - d3]])
+
+
+def _pole_errors(draw, seed, n=1000):
+    rng = np.random.default_rng(seed)
+    errors = []
+    for _ in range(n):
+        try:
+            s = build(Interaction.from_matrix(draw(rng)))
+        except NotRepresentable:
+            continue
+        refs = exact_poles(s.interaction.matrix.tolist())
+        for k, mult in s.roots:
+            if k == 0j or not refs:  # no exact roots: p is constant
+                continue
+            ref = min(refs, key=lambda r: abs(k - r)) if mult == 1 else sum(refs) / len(refs)
+            errors.append(abs(k - ref) / max(1.0, abs(ref)))
+    return np.array(errors)
+
+
+# family: (draw, seed, p99 bound, max bound). Near-Jordan roots are as far
+# off as their conditioning allows; the others are within a few eps.
+_ACCURACY = {
+    "random": (_random, 191, 2e-15, 1e-14),
+    "hermitian-diag": (_hermitian_diag, 192, 1e-15, 2e-15),
+    "hermitian-random": (_hermitian_random, 193, 5e-15, 1e-12),
+    "near-half": (_near_half, 194, 1e-15, 2e-15),
+    "near-jordan": (_near_jordan, 195, 1e-9, 5e-9),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_ACCURACY))
+def test_poles_match_the_exact_reference(family):
+    draw, seed, p99, worst = _ACCURACY[family]
+    errors = _pole_errors(draw, seed)
+    assert len(errors) > 500
+    assert np.percentile(errors, 99) <= p99
+    assert errors.max() <= worst
+
+
+def test_hermitian_diagonal_poles_lie_on_the_axis():
+    # a quadratic formula in k took the square root of a discriminant that
+    # cancels, and put these poles 1.5e-8 off the axis, with complex
+    # eigenvalues, region I and no negative eigenvalue
+    T = [[528926.8104022248, 0], [0, 528945.8049787055]]
+    c = classify(Interaction.from_matrix(T))
+    poles = [0.9999990546896278j, 0.9999990547235742j]
+    assert exact_poles(T) == poles
+    assert [(p.location, p.order, p.sheet) for p in c.poles] == [(k, 1, Sheet.PHYSICAL) for k in poles]
+    assert c.similarity is Similarity.SELF_ADJOINT
+    assert c.region is Region.III
+    assert c.has_negative_eigenvalues
+
+
+def test_exactly_hermitian_poles_lie_on_the_axis():
+    rng = np.random.default_rng(19)
+    answered = 0
+    for draw in range(4000):
+        T = _hermitian_random(rng) if draw % 2 else _hermitian_diag(rng)
+        try:
+            c = classify(Interaction.from_matrix(T))
+        except InternalInconsistency:  # merged roots the certificate rejects
+            continue
+        for p in c.poles:
+            if p.location is not None:
+                assert p.location.real == 0.0, (T, p)
+        assert c.region is not Region.I, T
+        answered += 1
+    assert answered > 3000

@@ -1,10 +1,12 @@
-"""The scalar path against the numpy formulas it replaced, bit for bit.
+"""The scalar path against the numpy formulas it replaced and exact references.
 
 Interaction and SMatrixFn work on Python complex and float;
 tests/oracles.py keeps the same formulas on numpy scalars and 2x2 arrays.
-Matrix entries, gamma, det T, the coefficients of p and its roots must be
-equal (==, not approximately), and the exceptional-point certificate must
-give the same verdict.
+Matrix entries, gamma, det T and the coefficients of p must be equal (==,
+not approximately), and so must the multiplicities of the roots of p and
+which of them are snapped to the origin; the exceptional-point certificate
+must give the same verdict. Root locations and the entries from couplings
+are judged against exact references instead.
 """
 
 import cmath
@@ -16,18 +18,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    abcd_numerators,
+    exact_invariants,
+    exact_poles,
+    exact_quotient,
     numpy_characteristic,
     numpy_compose,
     numpy_decompose,
-    numpy_from_abcd,
     numpy_nilpotent,
     xi_from_abcd,
 )
 from zrs.classifier import PoleReport, Sheet, classify, exceptional_points, find_poles
 from zrs.errors import InternalInconsistency, NotRepresentable
 from zrs.interaction import Interaction
-from zrs.pauli import PauliVector, _div, _sqrt
+from zrs.pauli import PauliVector
 from zrs.smatrix import build
+
+EPS = 2.0**-52
 
 small = st.floats(min_value=-10, max_value=10, allow_nan=False)
 coeff = st.builds(complex, small, small)
@@ -41,6 +48,47 @@ def _bits(z):
     return tuple(b"nan" if math.isnan(x) else struct.pack("<d", x) for x in (z.real, z.imag))
 
 
+def _assert_quotient(got, a, b):
+    # Python's complex division is within 2 eps |a / b| of the exact quotient
+    want = exact_quotient(a, b)
+    assert abs(got - want) <= 2 * EPS * abs(want), (got, want)
+
+
+def _assert_roots_near_exact(s):
+    """Each root of p where the exact references put it.
+
+    The two simple roots of the quadratic are matched with exact_poles. The
+    theta route is backward stable: its theta is a root of det(sigma0 - theta
+    (T + E)) with |E_ij| <= 4 eps m, m = max |T_ij|. That moves p(theta) by
+    at most B = 16 eps m |theta| (1 + m |theta|), and a theta where
+    |p| = |D (theta - theta+)(theta - theta-)| <= B lies within
+    min(B / |xi|, sqrt(B / |D|)) of a root, as |theta+ - theta-| = 2 |xi / D|;
+    k = i (1 - theta / 2) lies within half that. A double or degree-one root
+    is a quotient of the float coefficients of p.
+    """
+    c0, c1, c2 = s.p_coeffs
+    if len(s.roots) < 2:
+        for k, mult in s.roots:
+            if k != 0j:
+                _assert_quotient(k, *((-c1, 2 * c2) if mult == 2 else (-c0, c1)))
+        return
+    T = s.interaction.matrix.tolist()
+    refs = exact_poles(T)
+    ks = [k for k, _ in s.roots if k != 0j]
+    if len(refs) < 2:
+        # det T is exactly 0, and the float D is its rounding error: only the
+        # root nearest the exact one, if there is one, is a root of p
+        ks = [min(ks, key=lambda k: abs(k - ref)) for ref in refs]
+    _, xi2, D = (math.hypot(*map(float, x)) for x in exact_invariants(T))
+    m = max(abs(t) for row in T for t in row)
+    for k in ks:
+        ref = min(refs, key=lambda r: abs(k - r))
+        theta = 2 * (1 + abs(k))
+        bound = 16 * EPS * m * theta * (1 + m * theta)
+        reach = min(bound / math.sqrt(xi2) if xi2 else math.inf, math.sqrt(bound / D) if D else math.inf)
+        assert 2 * abs(k - ref) <= reach, (k, ref)
+
+
 def _assert_matches_numpy(i, numpy_matrix):
     assert i.matrix.tolist() == numpy_matrix.tolist()
     gamma = numpy_decompose(numpy_matrix)
@@ -52,7 +100,8 @@ def _assert_matches_numpy(i, numpy_matrix):
     det_t, p_coeffs, roots = numpy_characteristic(gamma, s.tol)
     assert s.det_t == det_t
     assert s.p_coeffs == p_coeffs
-    assert s.roots == roots
+    assert [(k == 0j, mult) for k, mult in s.roots] == [(k == 0j, mult) for k, mult in roots]
+    _assert_roots_near_exact(s)
     for p in find_poles(s):
         if p.sheet is not Sheet.PHYSICAL:
             continue
@@ -63,35 +112,6 @@ def _assert_matches_numpy(i, numpy_matrix):
         except InternalInconsistency:
             nilpotent = False
         assert nilpotent == numpy_nilpotent(numpy_matrix, p.location, s.tol)
-
-
-def _extreme_complexes():
-    """Axis-aligned values, signed zeros, and moduli from 1e-300 to 1e300."""
-    values = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, -2.5, 1e-300, -3e-300, 1e300, -7e299, 1.5e-308]
-    zs = [complex(x, y) for x in values for y in values]
-    rng = np.random.default_rng(8)
-    parts = rng.normal(size=(200, 2)) * 10.0 ** rng.uniform(-300, 300, size=(200, 2))
-    return zs + [complex(x, y) for x, y in parts.tolist()]
-
-
-def test_square_root_matches_numpy():
-    values = [0.0, -0.0, 5e-324, -1e-320, 2.2e-308, 1.7e-307, 1e-150, 1.0, -2.0, 1e150, -4.5e307, 1.7e308]
-    zs = _extreme_complexes() + [complex(x, y) for x in values for y in values]
-    for z in zs:
-        assert _bits(_sqrt(z)) == _bits(np.sqrt(np.complex128(z)))
-
-
-def test_division_matches_numpy():
-    zs = _extreme_complexes()
-    numerators = np.array(zs)
-    with np.errstate(all="ignore"):
-        for b in zs:
-            if b == 0:
-                continue
-            by_array = (numerators / b).tolist()
-            for a, want in zip(zs, by_array):
-                got = _bits(_div(a, b))
-                assert got == _bits(want) == _bits(np.complex128(a) / np.complex128(b))
 
 
 _ENTRY_KINDS = {
@@ -136,7 +156,11 @@ def test_entries_and_matrix_match_numpy_conversion(m):
 @settings(deadline=None, max_examples=300)
 def test_couplings_match_numpy(a, b, c, d):
     assume(abs(xi_from_abcd(a, b, c, d)) > 1e-6 * (1 + abs(a) + abs(b) + abs(c) + abs(d)) ** 2)
-    _assert_matches_numpy(Interaction.from_abcd(a, b, c, d), numpy_from_abcd(a, b, c, d))
+    i = Interaction.from_abcd(a, b, c, d)
+    numerators, norm = abcd_numerators(a, b, c, d)
+    for got, numerator in zip(i._entries, (z for row in numerators for z in row)):
+        _assert_quotient(got, numerator, norm)
+    _assert_matches_numpy(i, i.matrix)
 
 
 @given(entry, entry, entry, entry)
@@ -169,4 +193,7 @@ def test_scale_beyond_the_float_range():
     i = Interaction.from_matrix(m)
     with np.errstate(over="ignore"):
         _assert_matches_numpy(i, m)
-    assert [(p.location, p.order) for p in classify(i).poles] == [(1j, 1), (1j, 1)]
+    # the exact roots i (1 -+ 1 / (2 xi)) lie 6.4e-78 off i, on either side
+    poles = [(p.location, p.order) for p in classify(i).poles]
+    assert poles == [(-6.369830209199535e-78 + 1j, 1), (6.369830209199535e-78 + 1j, 1)]
+    assert sorted(exact_poles(m), key=lambda k: k.real) == [k for k, _ in poles]

@@ -15,14 +15,32 @@ identical:
     python3 tools/cli_digest.py ../parent > old.txt
     cmp old.txt new.txt
 
+With two roots it compares the answers of two checkouts instead, each run
+in its own subprocess:
+
+    python3 tools/cli_digest.py ROOT_A ROOT_B
+
+It prints every command line whose exit code, stderr or any non-numeric
+field differs: the JSON values and CSV fields of stdout other than floats,
+integers included. Then, per subcommand, the number of command lines whose
+floats differ and the largest |b - a| / max(1, |a|) over their floats.
+It exits 1 when a command line differs in more than floats. Each
+subprocess runs `python3 tools/cli_digest.py --answers ROOT`, which prints
+the seed, argv, exit code, stdout and stderr of each command line as one
+JSON line.
+
 The command lines come from bench/corpus.py of the checkout this script is
 in, so both runs send the same requests.
 """
 
+import csv
 import hashlib
 import io
 import json
+import math
+import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -78,25 +96,114 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def main(argv):
-    if len(argv) != 1:
-        print("usage: cli_digest.py ROOT", file=sys.stderr)
-        return 2
-    src = Path(argv[0]).resolve() / "src"
-    if not (src / "zrs" / "cli.py").is_file():
-        print(f"error: no zrs sources under {src}", file=sys.stderr)
-        return 2
+def answers(root):
+    """(seed, argv, exit code, stdout, stderr) of every command line, at one checkout."""
+    src = Path(root).resolve() / "src"
     sys.path[:0] = [str(src), str(BENCH)]
     import corpus
     import zrs.cli
 
     for seed in SEEDS:
         for cmd, payload in command_lines(corpus, seed):
-            code, out, err = run(zrs.cli.main, cmd, payload)
-            print(seed, json.dumps(cmd), code, _sha(out), _sha(err))
+            yield (seed, cmd, *run(zrs.cli.main, cmd, payload))
     for cmd, abcd in EDGE_PROBES:
-        code, out, err = run(zrs.cli.main, cmd, corpus.abcd_payload(*abcd))
-        print("edge", json.dumps(cmd), code, _sha(out), _sha(err))
+        yield ("edge", cmd, *run(zrs.cli.main, cmd, corpus.abcd_payload(*abcd)))
+
+
+def _floats_apart(value, floats):
+    """value with every float moved into floats and replaced by None."""
+    if isinstance(value, float):
+        floats.append(value)
+        return None
+    if isinstance(value, list):
+        return [_floats_apart(v, floats) for v in value]
+    if isinstance(value, dict):
+        return {k: _floats_apart(v, floats) for k, v in value.items()}
+    return value
+
+
+def _csv_field(field, floats):
+    try:
+        int(field)
+        return field
+    except ValueError:
+        pass
+    try:
+        x = float(field)
+    except ValueError:
+        return field
+    if not math.isfinite(x):
+        return field
+    floats.append(x)
+    return None
+
+
+def fields(out):
+    """(the non-numeric fields of one stdout, its floats in order)."""
+    floats = []
+    try:
+        rest = [_floats_apart(json.loads(line), floats) for line in out.splitlines()]
+    except ValueError:  # not JSON lines: CSV
+        floats.clear()
+        rest = [[_csv_field(f, floats) for f in row] for row in csv.reader(io.StringIO(out))]
+    return rest, floats
+
+
+def compare(root_a, root_b):
+    """Print how the answers at root_b differ from those at root_a; the number of differences."""
+    sides = []
+    for root in (root_a, root_b):
+        run = subprocess.run(
+            [sys.executable, __file__, "--answers", str(root)], capture_output=True, text=True, check=True
+        )
+        sides.append([json.loads(line) for line in run.stdout.splitlines()])
+    differences = 0
+    lines, moved, worst = defaultdict(int), defaultdict(int), defaultdict(float)
+    for (seed, cmd, code_a, out_a, err_a), (_, _, code_b, out_b, err_b) in zip(*sides):
+        sub = cmd[0]
+        lines[sub] += 1
+        (rest_a, floats_a), (rest_b, floats_b) = fields(out_a), fields(out_b)
+        what = [
+            name
+            for name, same in (
+                (f"exit {code_a} -> {code_b}", code_a == code_b),
+                ("stderr", err_a == err_b),
+                ("non-numeric fields", rest_a == rest_b and len(floats_a) == len(floats_b)),
+            )
+            if not same
+        ]
+        if what:
+            differences += 1
+            print(seed, json.dumps(cmd), "differs:", ", ".join(what))
+            continue
+        delta = max((abs(b - a) / max(1.0, abs(a)) for a, b in zip(floats_a, floats_b)), default=0.0)
+        if delta:
+            moved[sub] += 1
+            worst[sub] = max(worst[sub], delta)
+    for sub in sorted(lines):
+        print(f"{sub}: {lines[sub]} command lines, {moved[sub]} with floats that differ,"
+              f" largest |b - a| / max(1, |a|) = {worst[sub]:.2g}")
+    print(f"{sum(lines.values())} command lines, {differences} differ in more than floats")
+    return differences
+
+
+def main(argv):
+    if len(argv) == 2 and argv[0] == "--answers":
+        for answer in answers(argv[1]):
+            print(json.dumps(answer))
+        return 0
+    if len(argv) not in (1, 2):
+        print("usage: cli_digest.py ROOT [ROOT_B]", file=sys.stderr)
+        return 2
+    for root in argv:
+        src = Path(root).resolve() / "src"
+        if not (src / "zrs" / "cli.py").is_file():
+            print(f"error: no zrs sources under {src}", file=sys.stderr)
+            return 2
+    if len(argv) == 2:
+        return 1 if compare(*argv) else 0
+    for seed, cmd, code, out, err in answers(argv[0]):
+        print(seed, json.dumps(cmd), code, _sha(out), _sha(err))
     return 0
 
 
