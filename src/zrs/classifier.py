@@ -85,7 +85,7 @@ def find_poles(s):
             order -= 1
         if order <= 0:
             continue
-        # adding 0.0 clears negative zeros left by the quadratic formula
+        # adding 0.0 clears the negative zeros that k = i(1 - theta/2) can carry
         loc = complex(loc.real + 0.0, loc.imag + 0.0)
         reports.append(PoleReport(loc, order, _sheet_of(loc, s.tol), loc * loc))
     reports.sort(key=lambda r: (r.location.real, r.location.imag))
@@ -119,43 +119,42 @@ def spectral_singularities(s, poles=None):
 def exceptional_points(s, poles=None):
     """Degenerate eigenvalues z where the operator has a Jordan block.
 
-    These are z = k0^2 for order-two poles k0 in the upper half-plane. Each
-    candidate is certified independently: N = sigma0 - theta_k0 T must be
-    nonzero with N^2 = 0. Order-one poles must fail that certificate. A
-    disagreement raises InternalInconsistency.
+    These are z = k0^2 for order-two poles k0 in the upper half-plane, each
+    certified at the theta s.thetas records for its root: N = sigma0 - theta T
+    must be nonzero with N^2 = 0. Order-one poles, and poles that are no root
+    of s, must fail that certificate; a disagreement raises InternalInconsistency.
     """
     if poles is None:
         poles = find_poles(s)
-    tol = s.tol
-    t00, t01, t10, t11 = s.interaction._entries
-    tmax = max(abs(t00), abs(t01), abs(t10), abs(t11))
+    thetas = {k: theta for (k, _), theta in zip(s.roots, s.thetas)}
     out = []
     for p in poles:
         if p.sheet is not Sheet.PHYSICAL:
             continue
-        theta0 = 2 * (1 + 1j * p.location)
-        # N = sigma0 - theta0 T and its square, entry by entry
-        n00, n01, n10, n11 = 1 - theta0 * t00, -theta0 * t01, -theta0 * t10, 1 - theta0 * t11
-        nmax = max(_modulus(n00), _modulus(n01), _modulus(n10), _modulus(n11))
-        n2max = max(
-            _modulus(n00 * n00 + n01 * n10),
-            _modulus(n00 * n01 + n01 * n11),
-            _modulus(n10 * n00 + n11 * n10),
-            _modulus(n10 * n01 + n11 * n11),
-        )
-        scale = 1 + tmax * (1 + abs(theta0))
-        nilpotent = nmax > 100 * tol * scale and n2max <= 100 * tol * _square(1 + nmax)
+        theta0 = thetas.get(p.location)
+        nilpotent = theta0 is not None and _nilpotent(theta0, s.interaction._entries, s.tol)
         if p.order >= 2 and not nilpotent:
-            raise InternalInconsistency(
-                f"order-{p.order} pole at {p.location} without a nilpotent residue"
-            )
+            raise InternalInconsistency(f"order-{p.order} pole at {p.location} without a nilpotent residue")
         if p.order == 1 and nilpotent:
-            raise InternalInconsistency(
-                f"simple pole at {p.location} with a nilpotent residue"
-            )
+            raise InternalInconsistency(f"simple pole at {p.location} with a nilpotent residue")
         if p.order >= 2:
             out.append(p.z)
     return out
+
+
+def _nilpotent(theta, entries, tol):
+    """Whether N = sigma0 - theta T is nonzero and nilpotent; N^2 is taken on N / |N|, so it cannot overflow."""
+    t00, t01, t10, t11 = entries
+    n00, n01, n10, n11 = 1 - theta * t00, -theta * t01, -theta * t10, 1 - theta * t11
+    nmax = max(_modulus(n00), _modulus(n01), _modulus(n10), _modulus(n11))
+    scale = 1 + max(abs(t00), abs(t01), abs(t10), abs(t11)) * abs(theta)
+    if not nmax > 100 * tol * scale:
+        return False
+    n00, n01, n10, n11 = n00 / nmax, n01 / nmax, n10 / nmax, n11 / nmax
+    n2max = max(
+        abs(n00 * n00 + n01 * n10), abs(n00 * n01 + n01 * n11), abs(n10 * n00 + n11 * n10), abs(n10 * n01 + n11 * n11)
+    )
+    return n2max <= 1000 * tol * (1 + tol * scale / nmax) ** 2
 
 
 def _metric_certificate(gamma, tol):

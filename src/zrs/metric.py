@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DegenerateGamma, NotApplicable
 from .pauli import SIGMA0, SIGMA1, SIGMA2, SIGMA3
 from .smatrix import build
-from .classifier import _metric_certificate, find_poles
+from .classifier import _metric_certificate
 from .interaction import _is_hermitian
 
 
@@ -41,7 +41,7 @@ def _applicability(s):
     failure, expected = _metric_certificate(s.gamma, s.tol)
     if failure is not None:
         return Applicability.NOT_APPLICABLE, failure
-    if any(p.order >= 2 for p in find_poles(s)):
+    if any(mult >= 2 for _, mult in s.roots):
         return Applicability.NOT_APPLICABLE, "pole of order 2"
     if expected == 1:
         return Applicability.ONE_IMAGINARY_POLE, None
@@ -65,18 +65,19 @@ def construct(interaction):
     if applicability is Applicability.NOT_APPLICABLE:
         raise NotApplicable(reason)
     space = np.array(s.gamma[1:], dtype=complex)
-    u = space.real
-    v = space.imag
+    u, v = space.real, space.imag
     cross = np.cross(u, v)
-    norm_u = float(np.linalg.norm(u))
-    norm_v = float(np.linalg.norm(v))
-    norm_cross = float(np.linalg.norm(cross))
+    norm_u, norm_v, norm_cross = _norm(u), _norm(v), _norm(cross)
     if norm_cross <= 0.1 * s.tol * (1 + norm_u * norm_v):
         raise DegenerateGamma("Re gamma and Im gamma are collinear")
-    alpha = -cross / norm_cross
     kappa = norm_v / norm_u
-    chi = math.atanh(kappa)
-    return MetricSpec(alpha=alpha, chi=chi, kappa=kappa, applicability=applicability, s=s)
+    return MetricSpec(alpha=-cross / norm_cross, chi=math.atanh(kappa), kappa=kappa, applicability=applicability, s=s)
+
+
+def _norm(x):
+    """np.linalg.norm(x), bit for bit, taken on x scaled by a power of two so that it cannot overflow."""
+    scale = 2.0 ** math.frexp(float(np.abs(x).max()))[1]
+    return float(np.linalg.norm(x / scale)) * scale
 
 
 def metric_matrix(spec):
@@ -105,24 +106,12 @@ def cosh_chi_from_poles(spec):
     """cosh(chi) recovered from the two imaginary poles of S.
 
     Equals |Re gamma| / |(k_minus - k_plus) det T| from the poles of spec.s,
-    not spec.chi. Defined in the two-pole case only; raises NotApplicable otherwise.
+    not spec.chi; with k = i(1 - theta/2), it is read off the two roots theta
+    that spec.s records, as |Re gamma| / |(theta_minus - theta_plus) det T / 2|.
+    Defined in the two-pole case only; raises NotApplicable otherwise.
     """
     if spec.applicability is not Applicability.TWO_IMAGINARY_POLES:
         raise NotApplicable("needs two imaginary poles")
-    s = spec.s
-    theta_plus, theta_minus = _theta_roots(s)
-    k_plus = 1j * (1 - theta_plus / 2)
-    k_minus = 1j * (1 - theta_minus / 2)
-    norm_u = float(np.linalg.norm(np.array(s.gamma[1:], dtype=complex).real))
-    return norm_u / abs((k_minus - k_plus) * s.det_t)
-
-
-def _theta_roots(s):
-    """Roots 1/(gamma0 +- xi) of p in the theta variable, as numpy scalars.
-
-    In the two-pole case neither denominator vanishes: gamma0 = +-xi would
-    make det T = gamma0^2 - xi^2 vanish, and the certificate counts one pole
-    there.
-    """
-    g0 = np.complex128(s.gamma.x0)
-    return 1 / (g0 + s.xi), 1 / (g0 - s.xi)
+    theta_plus, theta_minus = spec.s.thetas
+    norm_u = math.hypot(*(g.real for g in spec.s.gamma[1:]))
+    return norm_u / abs((theta_minus - theta_plus) * spec.s.det_t / 2)

@@ -15,7 +15,7 @@ import cmath
 
 from .errors import AtPole, NotRepresentable
 from . import pauli
-from .pauli import _modulus, _square, det_pauli
+from .pauli import _modulus, det_pauli
 from .tolerances import base_tol
 
 class SMatrixFn:
@@ -42,6 +42,11 @@ class SMatrixFn:
         k = i(1 - theta/2): for hermitian T they lie exactly on the imaginary
         axis. The only record of the structure of p: the classifier reports
         its poles from it and evaluate deflates its origin root.
+    thetas : tuple
+        theta = 2(1 + ik) of each root, in the order of roots, as found (not
+        from the rounded k): w / D and 1 / w, gamma0 / D for a double root,
+        (1 - 4D) / (2 (gamma0 - 2D)) for a degree-one p, 2 at the origin. The
+        certificate of exceptional points and cosh_chi_from_poles read it.
     scalar : bool
         Whether the boundary matrix is a multiple of sigma0.
     constant : bool
@@ -53,7 +58,7 @@ class SMatrixFn:
     Raises
     ------
     NotRepresentable
-        If det T, the coefficients of p or its discriminant overflow.
+        If det T or the coefficients of p overflow, from |T| of about 1e154.
     """
 
     def __init__(self, interaction):
@@ -64,50 +69,54 @@ class SMatrixFn:
         # Python complex arithmetic overflows quietly to inf and NaN
         self.det_t = D = det_pauli(self.gamma)
         self.p_coeffs = c0, c1, c2 = (1 - 4 * g0 + 4 * D, 4j * (2 * D - g0), -4 * D)
-        disc = c1 * c1 - 4 * c2 * c0
-        if not all(map(cmath.isfinite, (D, c0, c1, c2, disc))):
+        if not all(map(cmath.isfinite, (D, c0, c1, c2))):
             raise NotRepresentable(f"characteristic polynomial of {interaction!r} overflows")
-        # Past that check each gamma_j has a finite square and 4 c2 c0 is
-        # finite, so |gamma_j|, |xi| and |c1| are below 2e154 and |c0|, |c2|
-        # below 7e307: their moduli are floats. disc, xi2, their products and
-        # the squared scales can exceed the float range and go through
-        # _modulus and _square, which give inf there.
+        # past that check |gamma_j| < 2e154, but the moduli of c0, c1, c2 can overflow
         xi2 = g1 * g1 + g2 * g2 + g3 * g3
         self.xi = cmath.sqrt(xi2)
 
-        a0, a1, a2 = abs(c0), abs(c1), abs(c2)
+        a0, a1, a2 = _modulus(c0), _modulus(c1), _modulus(c2)
         origin_root = a0 <= 100 * tol * max(1.0, a1, a2)
         simple_origin = a1 > 100 * tol * max(1.0, a2)
         self.scalar = max(abs(g1), abs(g2), abs(g3)) <= 100 * tol * max(1.0, abs(g0))
         self.constant = _constant_family(interaction._entries, g0, xi2, tol)
         self._term_sizes = max(1.0, a0), a1, a2
         if a2 > 100 * tol * max(1.0, a0, a1):
-            # A double root needs disc to vanish at the scale of the
-            # coefficients, and the residue N = sigma0 - theta T at the merged
-            # root theta = g0 / D to pass the nilpotency test of
-            # classifier.exceptional_points, |N^2| <= 100 tol (1 + |N|)^2.
-            # With disc = -16 xi2, N = -(xi2 sigma0 + g0 gamma.sigma) / D and
-            # N^2 = xi2 ((xi2 + g0^2) sigma0 + 2 g0 gamma.sigma) / D^2, so that
-            # test is a second bound on |disc| / 16 = |xi2|, taken on xi2
-            # itself, which carries no cancellation error.
-            if _modulus(disc) <= 100 * tol * _square(max(1.0, a0, a1, a2)) and (
-                _modulus(xi2) * _max_entry(xi2 + g0 * g0, 2 * g0 * g1, 2 * g0 * g2, 2 * g0 * g3)
-                <= 100 * tol * _square(abs(D) + _max_entry(xi2, g0 * g1, g0 * g2, g0 * g3))
-            ):
-                double = 0j if origin_root and not simple_origin else -c1 / (2 * c2)
-                self.roots = ((double, 2),)
+            # At the merged root theta = g0 / D the residue N = sigma0 - theta T
+            # is -(xi2 sigma0 + g0 gamma.sigma) / D and
+            # N^2 = xi2 ((xi2 + g0^2) sigma0 + 2 g0 gamma.sigma) / D^2. The root
+            # is double where |N^2| is at most 100 tol |N|^2 in the max-entry
+            # norm, or where T is scalar. D cancels and both sides have degree 4
+            # in gamma, so the test is taken on gamma / max |gamma_j|: it cannot
+            # overflow and does not depend on the scale of T.
+            m = max(abs(g0), abs(g1), abs(g2), abs(g3))
+            h0, h1, h2, h3 = g0 / m, g1 / m, g2 / m, g3 / m
+            q, p1, p2, p3 = h1 * h1 + h2 * h2 + h3 * h3, h0 * h1, h0 * h2, h0 * h3
+            n2 = abs(q) * _max_entry(q + h0 * h0, 2 * p1, 2 * p2, 2 * p3)  # |N^2| |D|^2 / m^4
+            if self.scalar or n2 <= 100 * tol * _max_entry(q, p1, p2, p3) ** 2:
+                # k is -c1 / (2 c2) to the bit, without the factor 4 that can
+                # overflow Python's complex division
+                at_origin = origin_root and not simple_origin
+                self.roots = ((0j if at_origin else 1j * (2 * D - g0) / D / 2, 2),)
+                self.thetas = (2.0 if at_origin else g0 / D,)
             else:
                 # In theta = 2(1 + ik), p = D theta^2 - 2 g0 theta + 1 has the
                 # roots (g0 +- xi) / D = 1 / (g0 -+ xi). With w the larger of
                 # g0 +- xi, w / D and 1 / w are those roots, and neither cancels.
                 # An origin root is the one of smaller |k|.
                 w = max(g0 + self.xi, g0 - self.xi, key=abs)
-                big, small = sorted((1j * (1 - w / (2 * D)), 1j * (1 - 1 / (2 * w))), key=abs, reverse=True)
-                self.roots = ((big, 1), (0j if origin_root else small, 1))
+                t1, t2 = w / D, 1 / w
+                k1, k2 = 1j * (1 - t1 / 2), 1j * (1 - t2 / 2)
+                if abs(k1) < abs(k2):
+                    k1, k2, t1, t2 = k2, k1, t2, t1
+                if origin_root:
+                    k2, t2 = 0j, 2.0
+                self.roots, self.thetas = ((k1, 1), (k2, 1)), (t1, t2)
         elif a1 > 100 * tol * max(1.0, a0):
             self.roots = ((0j if origin_root else -c0 / c1, 1),)
+            self.thetas = (2.0 if origin_root else (1 - 4 * D) / (2 * (g0 - 2 * D)),)
         else:
-            self.roots = ()
+            self.roots = self.thetas = ()
 
     def p(self, k):
         """Characteristic polynomial det(sigma0 - theta_k T) at k."""
@@ -190,7 +199,7 @@ def _constant_family(entries, g0, xi2, tol):
 
 def _max_entry(x0, x1, x2, x3):
     """Largest entry modulus of the matrix with Pauli coefficients (x0, x1, x2, x3)."""
-    return max(_modulus(x0 + x3), _modulus(x0 - x3), _modulus(x1 - 1j * x2), _modulus(x1 + 1j * x2))
+    return max(abs(x0 + x3), abs(x0 - x3), abs(x1 - 1j * x2), abs(x1 + 1j * x2))
 
 
 def build(interaction):

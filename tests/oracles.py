@@ -28,7 +28,8 @@ separate route, so the tests can cross-check the package against it:
 * abcd_numerators(a, b, c, d): the float numerators and the 4 Xi that
   Interaction.from_abcd divides them by;
 * numpy_decompose, numpy_characteristic and numpy_nilpotent: gamma, the
-  characteristic data and the exceptional-point certificate computed on
+  characteristic data and the exceptional-point certificate (at the theta
+  SMatrixFn.thetas records for a root) computed on
   numpy scalars and 2x2 arrays, against the package's Python scalar path,
   which must give the same gamma, det T and coefficients of p bit for bit,
   the same structure of roots and the same certificate verdicts.
@@ -426,13 +427,16 @@ def numpy_characteristic(gamma, tol):
         D = det_pauli(gamma)
         c0, c1, c2 = (1 - 4 * g0 + 4 * D, 4j * (2 * D - g0), -4 * D)
         disc = c1 * c1 - 4 * c2 * c0
-    xi2 = g1 * g1 + g2 * g2 + g3 * g3
     origin_root = abs(c0) <= 100 * tol * max(1.0, abs(c1), abs(c2))
     simple_origin = abs(c1) > 100 * tol * max(1.0, abs(c2))
     if abs(c2) > 100 * tol * max(1.0, abs(c0), abs(c1)):
-        if abs(disc) <= 100 * tol * max(1.0, abs(c0), abs(c1), abs(c2)) ** 2 and (
-            abs(xi2) * _numpy_max_entry(xi2 + g0 * g0, 2 * g0 * g1, 2 * g0 * g2, 2 * g0 * g3)
-            <= 100 * tol * (abs(D) + _numpy_max_entry(xi2, g0 * g1, g0 * g2, g0 * g3)) ** 2
+        # the nilpotency test at the merged root gamma0 / D, on gamma / max |gamma_j|
+        m = max(abs(g) for g in gamma)
+        h0, h1, h2, h3 = (g / m for g in gamma)
+        q = h1 * h1 + h2 * h2 + h3 * h3
+        scalar = max(abs(g1), abs(g2), abs(g3)) <= 100 * tol * max(1.0, abs(g0))
+        if scalar or abs(q) * _numpy_max_entry(q + h0 * h0, 2 * h0 * h1, 2 * h0 * h2, 2 * h0 * h3) <= (
+            100 * tol * _numpy_max_entry(q, h0 * h1, h0 * h2, h0 * h3) ** 2
         ):
             double = 0j if origin_root and not simple_origin else -c1 / (2 * c2)
             roots = ((double, 2),)
@@ -447,15 +451,17 @@ def numpy_characteristic(gamma, tol):
     return D, (c0, c1, c2), roots
 
 
-def numpy_nilpotent(T, location, tol):
-    """The exceptional-point certificate at a pole, with N @ N on 2x2 arrays.
+def numpy_nilpotent(T, theta, tol):
+    """The exceptional-point certificate at a root theta of p, with N @ N on 2x2 arrays.
 
-    Whether N = sigma0 - theta T at theta = 2(1 + i location) is nonzero
-    with N^2 = 0, at the thresholds of classifier.exceptional_points.
+    Whether N = sigma0 - theta T is nonzero with N^2 = 0, at the thresholds
+    of classifier.exceptional_points.
     """
     T = np.asarray(T, dtype=complex)
-    theta0 = 2 * (1 + 1j * location)
-    N = SIGMA0 - theta0 * T
+    N = SIGMA0 - theta * T
     nmax = np.abs(N).max()
-    scale = 1 + np.abs(T).max() * (1 + abs(theta0))
-    return bool(nmax > 100 * tol * scale and np.abs(N @ N).max() <= 100 * tol * (1 + nmax) ** 2)
+    scale = 1 + np.abs(T).max() * abs(theta)
+    if not nmax > 100 * tol * scale:
+        return False
+    N = N / nmax
+    return bool(np.abs(N @ N).max() <= 1000 * tol * (1 + tol * scale / nmax) ** 2)

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from oracles import numpy_compose
+from oracles import exact_poles, numpy_compose
 from zrs.classifier import (
     PoleReport,
     Region,
@@ -232,6 +232,35 @@ def test_certificate_rejects_inconsistent_poles():
         exceptional_points(s, [PoleReport(shifted, 2, Sheet.PHYSICAL, shifted * shifted)])
     with pytest.raises(InternalInconsistency, match="simple pole"):
         exceptional_points(s, [PoleReport(k0, 1, Sheet.PHYSICAL, k0 * k0)])
+
+
+def test_jordan_block_at_large_scale_is_an_exceptional_point():
+    # certified at the merged root's theta0 = gamma0 / D, not at 2(1 + i k0)
+    # of the rounded k0, whose rounding times |T| = 1e8 left N far from nilpotent
+    c = classify(Interaction.from_matrix([[1e8, 1], [0, 1e8]]))
+    assert [(p.location, p.order) for p in c.poles] == [(0.999999995j, 2)]
+    assert len(c.exceptional_points) == 1
+    assert (c.similarity, c.region) == (Similarity.NOT_SIMILAR, Region.II)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[1, 0], [0, 1.00001]],
+        [[1000, 0], [0, 1000.01]],
+        [[1005348, 0], [0, 1005352]],
+        [[1e4, 5e-5 + 3e-5j], [5e-5 - 3e-5j, 1e4]],
+    ],
+)
+def test_close_hermitian_poles_stay_simple(m):
+    # a hermitian T has sum gamma_j^2 = sum |gamma_j|^2, which vanishes only
+    # for a scalar T: its close poles are two simple ones, at the exact roots,
+    # and no exceptional point
+    c = classify(Interaction.from_matrix(m))
+    assert (c.similarity, c.region, c.exceptional_points) == (Similarity.SELF_ADJOINT, Region.III, ())
+    assert [(p.order, p.sheet) for p in c.poles] == [(1, Sheet.PHYSICAL)] * 2
+    refs = sorted(exact_poles(m), key=lambda k: k.imag)
+    assert [p.location for p in c.poles] == pytest.approx(refs, rel=1e-15)
 
 
 def _same_up_to_order(xs, ys):

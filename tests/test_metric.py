@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import theta_roots
+from zrs.classifier import Region, Sheet, Similarity, classify
 from zrs.errors import DegenerateGamma, NotApplicable
 from zrs.interaction import Interaction
 from zrs.metric import (
     Applicability,
     _applicability,
-    _theta_roots,
     construct,
     cosh_chi_from_poles,
     metric_matrix,
@@ -56,13 +56,15 @@ def test_golden_two_pole_case():
 
 
 def test_theta_roots():
-    # the roots of p in the theta variable, which cosh_chi_from_poles reads
-    # the poles from; the product-form oracle takes the same roots from gamma
+    # the roots of p in the theta variable, which SMatrixFn records beside
+    # its roots and cosh_chi_from_poles reads; the product-form oracle takes
+    # the same roots from gamma
     s = build(GOLDEN)
-    theta_plus, theta_minus = _theta_roots(s)
+    theta_minus, theta_plus = s.thetas
     assert np.isclose(theta_plus, 8 / (1 + np.sqrt(3)))
     assert np.isclose(theta_minus, 8 / (1 - np.sqrt(3)))
-    assert theta_roots(s.gamma, s.tol) == (theta_plus, theta_minus)
+    assert theta_roots(s.gamma, s.tol) == pytest.approx((theta_plus, theta_minus), rel=1e-15)
+    assert [k for k, _ in s.roots] == [1j * (1 - t / 2) for t in s.thetas]
 
 
 def test_one_pole_case():
@@ -98,9 +100,38 @@ def test_rejects_nonpositive_square():
 
 
 def test_rejects_double_pole():
-    # extreme scale separation collapses the two roots numerically
-    i = Interaction.from_gamma(PauliVector(1e4, 5e-5, 3e-5j, 0))
+    # roots 1/(100 -+ 1.4e-5) in theta, 3e-7 apart, relative: under the
+    # nilpotency test at the merged root, a double root
+    i = Interaction.from_gamma(PauliVector(100, 100, 100j * (1 - 1e-13), 0))
     assert rejection(i) == "pole of order 2"
+    # a scalar T, whose double root S reports as one simple pole, has no gap
+    # of two roots to read cosh chi off
+    i = Interaction.from_gamma(PauliVector(1e9, 0.05, 0.025j, 0))
+    assert rejection(i) == "pole of order 2"
+
+
+def test_close_simple_poles_are_two_poles():
+    # roots 1/(1e4 -+ 4e-5) in theta, 8e-9 apart, relative: two simple
+    # imaginary poles, on which classify agrees; cosh chi read off them loses
+    # about eps |gamma0 / xi| = 5.5e-8, relative, to the rounding of each root
+    i = Interaction.from_gamma(PauliVector(1e4, 5e-5, 3e-5j, 0))
+    spec = construct(i)
+    assert spec.applicability is Applicability.TWO_IMAGINARY_POLES
+    assert cosh_chi_from_poles(spec) == pytest.approx(math.cosh(spec.chi), rel=1e-7)
+    c = classify(i)
+    assert (c.similarity, c.region) == (Similarity.SIMILAR_TO_SELF_ADJOINT, Region.III)
+    assert [(p.order, p.sheet, p.location.real) for p in c.poles] == [(1, Sheet.PHYSICAL, 0.0)] * 2
+
+
+def test_cosh_chi_from_poles_at_large_scale():
+    # the gap of the poles in theta, 2 xi / D, does not round away with the
+    # scale of T, nor do the norms overflow
+    for scale in (1, 100):
+        i = Interaction.from_gamma(PauliVector(3e15 * scale, 2e15 * scale, 1.5e15j * scale, 0))
+        spec = construct(i)
+        assert spec.applicability is Applicability.TWO_IMAGINARY_POLES
+        assert math.cosh(spec.chi) == pytest.approx(1.5118578920369088)
+        assert cosh_chi_from_poles(spec) == pytest.approx(math.cosh(spec.chi), rel=1e-14)
 
 
 def test_collinear_parts_raise():

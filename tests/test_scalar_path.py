@@ -102,6 +102,7 @@ def _assert_matches_numpy(i, numpy_matrix):
     assert s.p_coeffs == p_coeffs
     assert [(k == 0j, mult) for k, mult in s.roots] == [(k == 0j, mult) for k, mult in roots]
     _assert_roots_near_exact(s)
+    thetas = dict(zip((k for k, _ in s.roots), s.thetas))
     for p in find_poles(s):
         if p.sheet is not Sheet.PHYSICAL:
             continue
@@ -111,7 +112,7 @@ def _assert_matches_numpy(i, numpy_matrix):
             nilpotent = True
         except InternalInconsistency:
             nilpotent = False
-        assert nilpotent == numpy_nilpotent(numpy_matrix, p.location, s.tol)
+        assert nilpotent == numpy_nilpotent(numpy_matrix, thetas[p.location], s.tol)
 
 
 _ENTRY_KINDS = {
@@ -185,9 +186,9 @@ def test_near_jordan_blocks_match_numpy():
 
 
 def test_scale_beyond_the_float_range():
-    # gamma = (0, 0, 0, g3) with 8 det T = -(0.6e154 + 1.3e154 i): the square
-    # of the scale |c1| that the discriminant is judged at is beyond the
-    # float range, where Python's ** raises and numpy gives inf
+    # gamma = (0, 0, 0, g3) with 8 det T = -(0.6e154 + 1.3e154 i): the
+    # discriminant c1^2 - 4 c2 c0 of the oracle's quadratic formula is beyond
+    # the float range, where numpy gives inf; SMatrixFn does not form it
     g3 = cmath.sqrt((0.6e154 + 1.3e154j) / 8)
     m = numpy_compose(PauliVector(0j, 0j, 0j, g3))
     i = Interaction.from_matrix(m)

@@ -6,8 +6,13 @@ draws every family in FAMILIES at its fixed seed, classifies each draw with
 the zrs sources under ROOT_A/src and then under ROOT_B/src, each checkout in
 its own subprocess, and prints one block per family:
 
-    family hermitian-diag: 4000 draws, seed 1906; exit 1: 628 -> 628; SelfAdjoint in region I: 37 -> 0
+    family hermitian-diag: 4000 draws, seed 1906; exit 1: 628 -> 628; SelfAdjoint in region I: 37 -> 0;
+    SelfAdjoint with an exceptional point: 554 -> 554
          37  SelfAdjoint/I 1P 1P ep0  ->  SelfAdjoint/III 1P 1P ep0
+
+where the family line, printed as one line, is wrapped here. A self-adjoint
+operator has neither a non-real eigenvalue nor a Jordan block, so the two
+SelfAdjoint counts read 0 on working code.
 
 A verdict is the similarity and region, the order and sheet of each pole
 (P physical, R real axis, N nonphysical, inf the pole at infinity) and the
@@ -191,9 +196,11 @@ def main(argv):
     for name, (_, seed) in FAMILIES.items():
         exit1 = [sum(v.endswith("(exit 1)") for v in side[name]) for side in (a, b)]
         region1 = [sum(v.startswith("SelfAdjoint/I ") for v in side[name]) for side in (a, b)]
+        ep = [sum(v.startswith("SelfAdjoint/") and not v.endswith(" ep0") for v in side[name]) for side in (a, b)]
         print(
             f"family {name}: {DRAWS} draws, seed {seed}; exit 1: {exit1[0]} -> {exit1[1]};"
-            f" SelfAdjoint in region I: {region1[0]} -> {region1[1]}"
+            f" SelfAdjoint in region I: {region1[0]} -> {region1[1]};"
+            f" SelfAdjoint with an exceptional point: {ep[0]} -> {ep[1]}"
         )
         moves = Counter((va, vb) for va, vb in zip(a[name], b[name]) if va != vb)
         for (va, vb), n in sorted(moves.items(), key=lambda item: (-item[1], item[0])):
