@@ -12,7 +12,15 @@ difference applied to g is
 The probe integrates that quantity for two fixed unit-rate one-sided
 exponentials along the line z = xi + i*eps and scales by eps: bounded
 values as eps shrinks are consistent with a bounded similarity transform,
-while a real spectral singularity makes the probe grow like 1/eps.
+while a real spectral singularity makes the probe grow like 1/eps. Their
+transforms are i / (k + i) times a basis vector, and W is sqrt(2) times a
+unitary, so the two squared norms add up to
+
+    (|p'(k) / 2|^2 + C) / (Im k |p(k)|^2 |k + i|^2),
+    C = |t00 - t11|^2 + 2 |t01|^2 + 2 |t10|^2,
+
+as 2 |T - theta_k D sigma0|_F^2 = |2 theta_k D - tr T|^2 + C and
+2 theta_k D - tr T = -i p'(k) / 2.
 
 Only f_transform with a custom test function loads scipy, when it is
 called; the probe integrates without it.
@@ -33,7 +41,7 @@ _W = np.array([[1, 1], [-1, 1]], dtype=complex)
 _TAIL_THRESHOLD = 1e-8
 _TRUNCATION = 40.0
 # node triples per block of _simpson: the probe's integrand on a block's
-# 2 * _BLOCK + 1 nodes and all of its buffers, about 1.1 MB, stay in cache
+# 2 * _BLOCK + 1 nodes and all of its buffers, about 0.6 MB, stay in cache
 _BLOCK = 4096
 
 
@@ -174,57 +182,49 @@ def probe_nodes(n):
     return n + 1 if n % 2 == 0 else n
 
 
-def _guarded_divide(a, b, out, mask):
-    """a / b into out, and 0 where b is zero, as scipy guards Simpson's weights."""
-    if b.all():  # as in nearly every block, no b is zero (NaN is not): no mask
-        return np.true_divide(a, b, out=out)
-    out.fill(0)
-    return np.true_divide(a, b, out=out, where=np.not_equal(b, 0, out=mask))
-
-
-def _simpson(x, fill):
-    """scipy.integrate.simpson(y, x=x) for an odd number of nodes, bit for bit.
+def _simpson(h, n, fill):
+    """Composite Simpson's rule on n equally spaced nodes h apart, n odd.
 
     fill(start, stop, out) writes y[start:stop] into out, a block of _BLOCK
     node triples at a time, so y is never held whole; each block's last node
-    is carried over as the next one's first. The terms are those of the
-    x-given branch of scipy 1.17.1's _basic_simpson (taken for an odd node
-    count) operation for operation; one np.sum adds them in scipy's order.
-    scipy's guards, which give 0 where a divisor (the spacing h1, the ratio
-    h0 / h1 or the product h0 h1) is zero, are masks only in a block that
-    has such a zero.
+    is carried over as the next one's first. Each triple's y0 + 4 y1 + y2 is
+    kept and one np.sum adds them all, so where blocks end moves no bit.
     """
-    m = (len(x) - 1) // 2
+    m = (n - 1) // 2
     terms = np.empty(m)
-    y = np.empty(min(len(x), 2 * _BLOCK + 1))
-    bufs = np.empty((7, min(m, _BLOCK)))
-    nonzero = np.empty(min(m, _BLOCK), dtype=bool)
+    y = np.empty(min(n, 2 * _BLOCK + 1))
     for a in range(0, m, _BLOCK):
         b = min(a + _BLOCK, m)
-        h0, h1, hsum, hprod, q, w0, w1 = bufs[:, : b - a]
-        mask = nonzero[: b - a]
         first = min(a, 1)
         if first:  # node 2 * a ended the block before, which was whole
             y[0] = y[-1]
         fill(2 * a + first, 2 * b + 1, y[first : 2 * (b - a) + 1])
-        xc = x[2 * a : 2 * b + 1]
-        np.subtract(xc[1::2], xc[0:-1:2], out=h0)
-        np.subtract(xc[2::2], xc[1::2], out=h1)
-        np.add(h0, h1, out=hsum)
-        np.multiply(h0, h1, out=hprod)
-        _guarded_divide(h0, h1, q, mask)
-        np.subtract(2.0, _guarded_divide(1.0, q, w0, mask), out=w0)
-        np.multiply(hsum, _guarded_divide(hsum, hprod, w1, mask), out=w1)
-        w2 = np.subtract(2.0, q, out=q)
-        # hsum / 6.0 * (y0 * w0 + y1 * w1 + y2 * w2)
-        np.true_divide(hsum, 6.0, out=hsum)
-        np.multiply(y[0 : 2 * (b - a) : 2], w0, out=w0)
-        np.multiply(y[1 : 2 * (b - a) : 2], w1, out=w1)
-        np.add(w0, w1, out=w0)
-        np.multiply(y[2 : 2 * (b - a) + 1 : 2], w2, out=w2)
-        np.add(w0, w2, out=w0)
-        np.multiply(hsum, w0, out=terms[a:b])
-    return np.sum(terms)
+        y0, y1, y2 = y[0 : 2 * (b - a) : 2], y[1 : 2 * (b - a) : 2], y[2 : 2 * (b - a) + 1 : 2]
+        t = terms[a:b]
+        np.add(np.add(y0, np.multiply(y1, 4, out=y1), out=t), y2, out=t)
+    return h / 3 * np.sum(terms)
+
+
+def _sqrt_line(xi, epsilon, k):
+    """The principal sqrt(xi + i epsilon) into k, for ascending xi and epsilon > 0.
+
+    In real arithmetic, in about half the time of numpy's complex sqrt and
+    equal to it to the bit, but for an ulp in subnormal parts: with
+    t = sqrt(|z| / 2 + |xi| / 2), k is epsilon / (2t) + it where xi < 0,
+    t + i epsilon / (2t) where xi > 0 and t + it at xi = 0, so no difference
+    cancels. Halving before the sum keeps it in range unless |z| overflows.
+    """
+    re, im = k.real, k.imag
+    np.multiply(np.hypot(xi, epsilon, out=re), 0.5, out=re)
+    np.multiply(xi, 0.5, out=im)
+    # the nodes ascend: xi < 0 before j, xi = 0 from j to j0
+    j, j0 = np.searchsorted(xi, 0.0), np.searchsorted(xi, 0.0, "right")
+    np.sqrt(np.subtract(re[:j], im[:j], out=im[:j]), out=im[:j])
+    np.true_divide(0.5 * epsilon, im[:j], out=re[:j])
+    np.sqrt(np.add(re[j:], im[j:], out=re[j:]), out=re[j:])
+    np.true_divide(0.5 * epsilon, re[j0:], out=im[j0:])
+    im[j:j0] = re[j:j0]
+    return k
 
 
 def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
@@ -239,7 +239,7 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
 
     Memory: the nodes (8 bytes per node), the (n - 1) / 2 Simpson terms
     (4 bytes per node) and the buffers of one block of _BLOCK node triples,
-    about 1.1 MB; the integrand is never held whole. A block whose least |p|
+    about 0.6 MB; the integrand is never held whole. A block whose least |p|
     clears the pole test at the line's largest |k| skips the per-node test.
 
     Raises
@@ -263,8 +263,9 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     n = probe_nodes(n)
     s = build(interaction)
     c0, c1, c2 = s.p_coeffs
-    D = s.det_t
-    t00, m01, m10, t11 = s.interaction._entries
+    half_c1 = c1 / 2
+    t00, t01, t10, t11 = s.interaction._entries
+    h = (hi - lo) / (n - 1)
     xi = np.linspace(lo, hi, n)
     # |k|^2 = |xi + i eps| <= max(-A, B) + eps on the line, so _near_root's
     # t0 + t1 |k| + t2 |k|^2 is at most its value at kmax, and no node of a
@@ -274,43 +275,38 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     t0, t1, t2 = s._term_sizes
     kmax = math.sqrt(float(max(-xi[0], xi[-1])) + epsilon) * (1 + 1e-9)
     clear = s.tol * (t0 + t1 * kmax + t2 * kmax * kmax) * (1 + 1e-9)
-    cbufs = np.empty((5, min(n, 2 * _BLOCK + 1)), dtype=complex)
+    cbufs = np.empty((3, min(n, 2 * _BLOCK + 1)), dtype=complex)
     fbufs = np.empty((2, min(n, 2 * _BLOCK + 1)))
+    C = 0.0  # the module docstring's C, set in the try below, where its overflow raises
 
     def integrand(start, stop, out):
-        # the ufuncs of the integrand in their order, into this probe's buffers
-        k, ik, u, v, w = cbufs[:, : stop - start]
+        k, u, p = cbufs[:, : stop - start]
         abs_p, g = fbufs[:, : stop - start]
-        np.sqrt(np.add(xi[start:stop], 1j * epsilon, out=k), out=k)
-        np.multiply(1j, k, out=ik)
-        theta = np.multiply(2, np.add(1, ik, out=u), out=u)
-        p = np.add(c0, np.multiply(np.add(c1, np.multiply(c2, k, out=v), out=v), k, out=v), out=v)
+        _sqrt_line(xi[start:stop], epsilon, k)
+        c2k = np.multiply(c2, k, out=u)
+        np.add(c0, np.multiply(np.add(c1, c2k, out=p), k, out=p), out=p)
         np.abs(p, out=abs_p)
         if not abs_p.min() > clear and s._near_root(abs_p, np.abs(k, out=g)).any():
             raise AtEigenvalue("sweep line passes through a pole")
-        theta_d = np.multiply(theta, D, out=u)
-        m00 = np.subtract(t00, theta_d, out=v)
-        m11 = np.subtract(t11, theta_d, out=w)
-        # Frobenius norm of W M, with F g proportional to each basis vector
-        fro2 = np.square(np.abs(np.add(m00, m10, out=u), out=out), out=out)
-        np.add(fro2, np.square(np.abs(np.add(m01, m11, out=u), out=g), out=g), out=fro2)
-        np.add(fro2, np.square(np.abs(np.subtract(m10, m00, out=u), out=g), out=g), out=fro2)
-        np.add(fro2, np.square(np.abs(np.subtract(m11, m01, out=u), out=g), out=g), out=fro2)
-        # fro2 / (k.imag * abs_p ** 2 * np.abs(1 - 1j * k) ** 2)
+        half_dp = np.add(half_c1, c2k, out=u)
+        fro2 = np.add(np.square(half_dp.real, out=out), np.square(half_dp.imag, out=g), out=out)
+        np.add(fro2, C, out=fro2)
+        # fro2 / (k.imag * abs_p ** 2 * np.abs(k + 1j) ** 2)
         den = np.multiply(k.imag, np.square(abs_p, out=abs_p), out=abs_p)
-        np.multiply(den, np.square(np.abs(np.subtract(1, ik, out=u), out=g), out=g), out=den)
+        np.multiply(den, np.square(np.abs(np.add(k, 1j, out=p), out=g), out=g), out=den)
         np.true_divide(fro2, den, out=out)
 
     # an overflow, an invalid operation or a division by zero would leave a
-    # value resting on inf, NaN or zeroed Simpson weights
+    # value resting on inf or NaN
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return float(epsilon * _simpson(xi, integrand))
+            C = np.square(np.abs(np.subtract(t00, t11))) + 2 * (np.square(np.abs(t01)) + np.square(np.abs(t10)))
+            return float(epsilon * _simpson(h, n, integrand))
     except FloatingPointError as exc:
         # a pole anywhere on the line is reported ahead of the overflow,
         # wherever the blocks end: the blocks are run again, quietly, to find it
         with np.errstate(all="ignore"):
-            _simpson(xi, integrand)
+            _simpson(h, n, integrand)
         raise ValueError(
             f"probe arithmetic leaves the float range at epsilon = {epsilon}, xi in [{lo}, {hi}] ({exc})"
         ) from None

@@ -23,6 +23,9 @@ separate route, so the tests can cross-check the package against it:
 * similarity_integral_probe(interaction, epsilon, xi_range, n): the probe
   integrand built on the whole grid at once, against the chunked
   resolvent.similarity_integral_probe, which must agree bit for bit;
+* direct_solve_probe(interaction, epsilon, xi_range, n): the probe from the
+  boundary coefficients solved at each node and the norms of the
+  resolvent difference, not from p, against the package's integrand;
 * numpy_compose(x): the matrix with Pauli coefficients x, for building test
   inputs and comparing Pauli coefficients as matrices;
 * abcd_numerators(a, b, c, d): the float numerators and the 4 Xi that
@@ -40,7 +43,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import simpson
 
 from zrs.errors import AtEigenvalue, AtPole, ZrsError
 from zrs.pauli import SIGMA0, PauliVector, det_pauli
@@ -343,7 +345,10 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     """The similarity probe with its integrand built on all nodes at once.
 
     The same ufuncs in the same order as the chunked package version, on
-    probe-sized arrays; the two must return the same float.
+    probe-sized arrays: k = sqrt(xi + i eps) in real arithmetic, the
+    integrand (|p'(k) / 2|^2 + C) / (Im k |p|^2 |k + i|^2) and Simpson's
+    rule as h / 3 times the sum of y0 + 4 y1 + y2 over node triples. The two
+    must return the same float.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -352,29 +357,53 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     n = probe_nodes(n)
     s = build(interaction)
     c0, c1, c2 = s.p_coeffs
-    D = s.det_t
-    xi = np.linspace(xi_range[0], xi_range[1], n)
-    k = np.sqrt(xi + 1j * epsilon)
-    theta = 2 * (1 + 1j * k)
-    p = c0 + (c1 + c2 * k) * k
+    lo, hi = xi_range
+    xi = np.linspace(lo, hi, n)
+    # eps / (2t) + it where xi < 0, t + i eps / (2t) where xi > 0, t + it at 0
+    t = np.sqrt(0.5 * np.hypot(xi, epsilon) + 0.5 * np.abs(xi))
+    other = np.where(xi == 0, t, 0.5 * epsilon / t)
+    k = np.empty(n, dtype=complex)
+    k.real = np.where(xi < 0, other, t)
+    k.imag = np.where(xi < 0, t, other)
+    c2k = c2 * k
+    p = c0 + (c1 + c2k) * k
     # |p| against the size of its terms at k
     scaled = np.abs(p) / (max(1.0, abs(c0)) + abs(c1) * np.abs(k) + abs(c2) * np.abs(k) ** 2)
     if scaled.min() <= s.tol:
         raise AtEigenvalue("sweep line passes through a pole")
-    T = s.interaction.matrix
-    m00 = T[0, 0] - theta * D
-    m11 = T[1, 1] - theta * D
-    m01 = complex(T[0, 1])
-    m10 = complex(T[1, 0])
-    # Frobenius norm of W M, with F g proportional to each basis vector
-    fro2 = (
-        np.abs(m00 + m10) ** 2
-        + np.abs(m01 + m11) ** 2
-        + np.abs(m10 - m00) ** 2
-        + np.abs(m11 - m01) ** 2
-    )
-    integrand = fro2 / (k.imag * np.abs(p) ** 2 * np.abs(1 - 1j * k) ** 2)
-    return float(epsilon * simpson(integrand, x=xi))
+    t00, t01, t10, t11 = s.interaction._entries
+    C = np.square(np.abs(np.subtract(t00, t11))) + 2 * (np.square(np.abs(t01)) + np.square(np.abs(t10)))
+    half_dp = c1 / 2 + c2k
+    fro2 = half_dp.real**2 + half_dp.imag**2 + C
+    integrand = fro2 / (k.imag * np.abs(p) ** 2 * np.abs(k + 1j) ** 2)
+    h = (hi - lo) / (n - 1)
+    return float(epsilon * (h / 3 * np.sum(integrand[0:-1:2] + 4 * integrand[1::2] + integrand[2::2])))
+
+
+def direct_solve_probe(interaction, epsilon, xi_range, n=200001):
+    """The similarity probe from the boundary conditions, solved node by node.
+
+    At each node k = sqrt(xi + i eps) by numpy's complex sqrt. The test
+    function e^{-|x|} on one half-line has F g = i / (k + i) e_j; the
+    boundary coefficients solve (I - theta T) c = 2 T F g, and the
+    difference has squared norm |c|^2 / (2 Im k). The nodes are summed with
+    Simpson's weights h / 3 (1, 4, 2, 4, ..., 2, 4, 1) in one dot product.
+    """
+    n = probe_nodes(n)
+    T = interaction.matrix
+    lo, hi = xi_range
+    xi = np.linspace(lo, hi, n)
+    k = np.sqrt(xi + 1j * epsilon)
+    theta = 2 * (1 + 1j * k)
+    system = SIGMA0 - theta[:, None, None] * T
+    # column j of c (k + i) / i solves for 2 T e_j; |k + i|^2 divides last,
+    # as |i / (k + i)|^2 is subnormal where |k| nears 1e154
+    c = np.linalg.solve(system, np.broadcast_to(2 * T, system.shape))
+    norms2 = np.sum(np.abs(c) ** 2, axis=(1, 2)) / (2 * k.imag) / np.abs(k + 1j) ** 2
+    weights = np.full(n, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = weights[-1] = 1.0
+    return float(epsilon * (hi - lo) / (n - 1) / 3 * np.dot(weights, norms2))
 
 
 def abcd_numerators(a, b, c, d):

@@ -12,8 +12,10 @@ from zrs.interaction import Interaction
 from zrs.pauli import SIGMA0, PauliVector
 from zrs.resolvent import (
     _BLOCK,
+    _W,
     TestFunctionKind,
     _simpson,
+    _sqrt_line,
     custom,
     f_transform,
     minus_exponential,
@@ -114,6 +116,9 @@ def test_argument_validation(monkeypatch):
     for epsilon in (1e-300, 1.0):
         with pytest.raises(ValueError, match="leaves the float range"):
             similarity_integral_probe(i, epsilon, (-1e300, 1e300), n=2001)
+    # p is in range, but 2 |t01|^2 is not
+    with pytest.raises(ValueError, match="leaves the float range"):
+        similarity_integral_probe(Interaction.from_matrix([[0, 1.5e154], [1e-300, 0]]), 0.5, (-1, 1), n=17)
 
     # the probe rejects its arguments before it builds S or any array
     def unreachable(interaction):
@@ -298,20 +303,28 @@ def test_probe_pole_early_out_at_the_edge_of_the_pole_test():
 
 def test_probe_matches_oracle_where_simpson_guards_act():
     # spacings that round to 0 near 1e16 (in one block and in several) and
-    # spacing products that underflow near 0 take scipy's masked weights
-    i = Interaction.from_abcd(0.4, 0.2 + 0.1j, -0.3, 0.5)
-    for xi_range, n in (((1e16, 1e16 + 4), 4097), ((1e16, 1e16 + 4), 6 * _BLOCK + 1), ((-1e-300, 1e-300), 4097)):
+    # spacing products that underflow near 0, where scipy's weights for
+    # given nodes divide by 0 and its guards zero terms: the nodes were laid
+    # out equally spaced, and Simpson's rule on them is the direct solve's
+    cases = [
+        (Interaction.from_abcd(0.4, 0.2 + 0.1j, -0.3, 0.5), (1e16, 1e16 + 4), 4097),
+        (Interaction.from_abcd(0.4, 0.2 + 0.1j, -0.3, 0.5), (1e16, 1e16 + 4), 6 * _BLOCK + 1),
+        (Interaction.from_abcd(0.4, 0.2 + 0.1j, -0.3, 0.5), (-1e-300, 1e-300), 4097),
+        (Interaction.from_abcd(-1, 0, 0, 0), (-1e-300, 1e-300), 4097),
+    ]
+    for i, xi_range, n in cases:
         h = np.diff(np.linspace(*xi_range, n))
         assert not (h[::2] * h[1::2]).all()
         got = similarity_integral_probe(i, 0.5, xi_range, n=n)
-        assert got == oracles.similarity_integral_probe(i, 0.5, xi_range, n=n), (xi_range, n)
+        assert got == pytest.approx(oracles.direct_solve_probe(i, 0.5, xi_range, n=n), rel=1e-12), (xi_range, n)
         assert 0 < got < 1e-23
 
 
 def test_probe_memory_is_two_node_arrays():
     # a default probe keeps the nodes (1.6 MB), the (n - 1) / 2 Simpson terms
-    # (0.8 MB) and the buffers of one block (1.1 MB), 3.69 MB at its peak;
-    # with the integrand held whole it peaked at 4.8 MB, built on the whole
+    # (0.8 MB) and the buffers of one block (0.6 MB), 3.00 MB at its peak;
+    # with scipy's weights for given nodes and their seven buffers it peaked
+    # at 3.62 MB, with the integrand held whole at 4.8 MB, built on the whole
     # grid at once at 28.9 MB, and with scipy's simpson over the nodes and
     # the integrand at 10.1 MB
     i = Interaction.from_abcd(-1, 0, 0, 0)
@@ -322,34 +335,72 @@ def test_probe_memory_is_two_node_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4_600_000, peak
+    assert peak < 3_800_000, peak
 
 
-def block_simpson(y, x):
-    # _simpson with y handed over a block at a time, as the probe hands over
-    # its integrand
-    return _simpson(x, lambda start, stop, out: np.copyto(out, y[start:stop]))
-
-
-def test_simpson_matches_scipy():
-    # _simpson transcribes scipy's arithmetic: every grid gives scipy's
-    # float, so this fails first if an installed scipy changes its rule
+def test_blocked_simpson_matches_the_whole_array_rule():
+    # y handed over a block at a time, as the probe hands over its integrand,
+    # gives the textbook rule on the whole array to the bit, and scipy's
+    # rule for the same equally spaced nodes to rounding; y is positive, as
+    # the probe's integrand is, so no sum cancels
     rng = np.random.default_rng(2)
     sizes = (3, 5, 2 * _BLOCK - 1, 2 * _BLOCK + 1, 2 * _BLOCK + 3, 6 * _BLOCK + 1, 200001)
     for n in sizes:
         for scale in (1e-5, 1e-2, 1.0, 1e3, 1e5):
             lo = rng.uniform(-10, 0) * scale
             hi = rng.uniform(0.1, 10) * scale
-            y = rng.standard_normal(n) * scale
-            for x in (np.linspace(lo, hi, n), np.sort(rng.uniform(lo, hi, n))):
-                assert block_simpson(y, x) == simpson(y, x=x), (n, scale)
-    # at 1e16 the spacing rounds to 0 or 4: scipy's guards on zero
-    # spacings decide the terms, in one block and in several
-    for n in (4097, 6 * _BLOCK + 1):
-        x = np.linspace(1e16, 1e16 + 4, n)
-        assert np.count_nonzero(np.diff(x) == 0) > 0
-        y = rng.standard_normal(n)
-        assert block_simpson(y, x) == simpson(y, x=x), n
+            y = rng.uniform(0.1, 2, n) * scale
+            h = (hi - lo) / (n - 1)
+            got = _simpson(h, n, lambda start, stop, out: np.copyto(out, y[start:stop]))
+            assert got == h / 3 * np.sum(y[0:-1:2] + 4 * y[1::2] + y[2::2]), (n, scale)
+            assert got == pytest.approx(simpson(y, x=np.linspace(lo, hi, n)), rel=1e-13), (n, scale)
+
+
+def test_integrand_is_the_norm_of_w_m():
+    # |W (T - theta D sigma0)|_F^2 = |p'(k) / 2|^2 + C with
+    # C = |t00 - t11|^2 + 2 |t01|^2 + 2 |t10|^2, for any T and any k
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        m = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
+        i = Interaction.from_matrix(m * 10 ** rng.uniform(-6, 6))
+        k = 10 ** rng.uniform(-3, 3) * np.exp(1j * rng.uniform(0.001, np.pi - 0.001))
+        s = SMatrixFn(i)
+        (t00, t01), (t10, t11) = i.matrix
+        c0, c1, c2 = s.p_coeffs
+        theta = 2 * (1 + 1j * k)
+        want = np.sum(np.abs(_W @ (i.matrix - theta * s.det_t * SIGMA0)) ** 2)
+        C = abs(t00 - t11) ** 2 + 2 * abs(t01) ** 2 + 2 * abs(t10) ** 2
+        assert abs(c1 / 2 + c2 * k) ** 2 + C == pytest.approx(want, rel=1e-12), (i.matrix, k)
+
+
+def test_probe_square_root_is_numpys():
+    # the probe's k = sqrt(xi + i eps), in real arithmetic, is numpy's complex
+    # sqrt within 2 ulp in each part: over wide and tiny ranges, at a tiny
+    # eps, at xi = -0.0 and out to the largest floats
+    def ulps(a, b):
+        return np.abs(a.view(np.int64) - b.view(np.int64)).max()
+
+    lines = [
+        (np.linspace(-1e200, 1e200, 4097), 1.0),
+        (np.linspace(-1e-300, 1e-300, 4097), 0.5),
+        (np.linspace(-1e-300, 1e-300, 4097), 1e-300),
+        (np.linspace(-10, 10, 4097), 1e-300),
+        (np.linspace(-10, 10, 4097), 0.01),
+        (np.linspace(-0.0, 1, 17), 0.1),
+        (np.array([-1.0, -0.0, 0.0, 1.0]), 2.0),
+        (np.linspace(1e308, 1.7e308, 4097), 1.0),
+        (np.linspace(-1.7e308, -1e308, 4097), 1e300),
+    ]
+    for xi, eps in lines:
+        got = _sqrt_line(xi, eps, np.empty(len(xi), dtype=complex))
+        want = np.sqrt(xi + 1j * eps)
+        assert ulps(got.real, want.real) <= 2 and ulps(got.imag, want.imag) <= 2, (xi[0], xi[-1], eps)
+    # a small nilpotent T keeps the probe in range out there: 0.5 |z| + 0.5 xi
+    # is at most 1.7e308 where |z| + xi is not
+    i = Interaction.from_matrix([[0, 1e-3], [0, 0]])
+    got = similarity_integral_probe(i, 1.0, (1e308, 1.7e308), n=2001)
+    assert got == oracles.similarity_integral_probe(i, 1.0, (1e308, 1.7e308), n=2001)
+    assert got == pytest.approx(oracles.direct_solve_probe(i, 1.0, (1e308, 1.7e308), n=2001), rel=1e-12)
 
 
 def test_probe_matches_pointwise_norms():
