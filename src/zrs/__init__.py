@@ -11,7 +11,7 @@ from .errors import (
     NotRepresentable,
     ZrsError,
 )
-from .pauli import PauliVector, det_pauli
+from .pauli import PauliVector
 from .interaction import FRIEDRICHS, KREIN, Interaction
 from .smatrix import SMatrixFn, build
 from .classifier import (
@@ -57,7 +57,6 @@ __all__ = [
     "NonConvergent",
     "AtEigenvalue",
     "PauliVector",
-    "det_pauli",
     "Interaction",
     "FRIEDRICHS",
     "KREIN",

@@ -75,8 +75,8 @@ def find_poles(s):
     Returns
     -------
     list of PoleReport
-        Finite poles first (ordered by real then imaginary part), then the
-        pole at infinity if there is one.
+        Finite poles first (ordered by real then imaginary part, or on the
+        imaginary axis by imaginary part first), then the pole at infinity.
     """
     reports = []
     for loc, mult in s.roots:
@@ -88,7 +88,10 @@ def find_poles(s):
         # adding 0.0 clears the negative zeros that k = i(1 - theta/2) can carry
         loc = complex(loc.real + 0.0, loc.imag + 0.0)
         reports.append(PoleReport(loc, order, _sheet_of(loc, s.tol), loc * loc))
-    reports.sort(key=lambda r: (r.location.real, r.location.imag))
+    # on the imaginary axis Re k is rounding noise, so those poles are ordered by Im k first
+    reports.sort(
+        key=lambda r: (0.0 if _is_real(1j * r.location, s.tol) else r.location.real, r.location.imag, r.location.real)
+    )
 
     # a constant p leaves S either constant or growing linearly in k
     if not s.roots and not s.constant:

@@ -14,7 +14,7 @@ import cmath
 from numbers import Number
 
 from .errors import NotRepresentable
-from .pauli import _compose, _decompose, _modulus, det_pauli
+from .pauli import _compose, _decompose, _modulus
 from .tolerances import base_tol
 
 
@@ -110,8 +110,9 @@ class Interaction:
 
     @property
     def det(self):
-        """Determinant of the boundary matrix."""
-        return det_pauli(self.gamma)
+        """Determinant ad - bc of the boundary matrix [[a, b], [c, d]], as SMatrixFn.det_t."""
+        a, b, c, d = self._entries
+        return a * d - b * c
 
     def adjoint(self):
         """Interaction whose boundary matrix is the conjugate transpose."""
@@ -134,12 +135,9 @@ def _named(a, b, c, d):
 
 
 def _is_hermitian(entries, tol):
-    """Whether [[a, b], [c, d]] is self-adjoint at tol, from its Python complex entries."""
+    """Whether [[a, b], [c, d]] is self-adjoint at tol, each entry of T - T* against the two it compares."""
     a, b, c, d = entries
-    # the off-diagonal entries of T - T* have one modulus
-    diff = max(_modulus(a - a.conjugate()), _modulus(b - c.conjugate()), _modulus(d - d.conjugate()))
-    scale = 1 + max(map(_modulus, entries))
-    return diff <= tol * scale
+    return all(_modulus(u - v.conjugate()) <= tol * max(_modulus(u), _modulus(v)) for u, v in ((a, a), (b, c), (d, d)))
 
 
 FRIEDRICHS = Interaction([[0, 0], [0, 0]])

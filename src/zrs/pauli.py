@@ -2,8 +2,8 @@
 
 Every 2x2 complex matrix M has a unique expansion
 M = x0*sigma0 + x1*sigma1 + x2*sigma2 + x3*sigma3 with complex coefficients.
-The determinant takes a closed form in these coordinates, which is what
-makes the scattering-matrix algebra below tractable.
+The metric construction reads its axis off them; the characteristic data
+of SMatrixFn are taken from the entries of M instead.
 
 The package does this algebra on Python complex and float scalars, with
 Python's own complex division and cmath.sqrt. The helpers at the end give
@@ -48,12 +48,6 @@ def _compose(x):
     """Rows of the matrix with Pauli coefficients x, as nested lists."""
     x0, x1, x2, x3 = x
     return [[x0 + x3, x1 - 1j * x2], [x1 + 1j * x2, x0 - x3]]
-
-
-def det_pauli(x):
-    """Determinant x0^2 - (x1^2 + x2^2 + x3^2) in Pauli coordinates."""
-    x0, x1, x2, x3 = x
-    return x0 * x0 - (x1 * x1 + x2 * x2 + x3 * x3)
 
 
 def _modulus(z):

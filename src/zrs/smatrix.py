@@ -3,11 +3,12 @@
 With theta_k = 2(1 + ik) and D = det of the boundary matrix T, the matrix
 
     S(k) = sigma0 + 4ik (T - theta_k D sigma0) / p(k),
-    p(k) = det(sigma0 - theta_k T) = D theta_k^2 - 2 gamma0 theta_k + 1
+    p(k) = det(sigma0 - theta_k T) = (1 - theta_k lam+)(1 - theta_k lam-)
 
-is meromorphic in k with at most two finite poles, the roots of p that
-SMatrixFn.roots records and the classifier reports. A root of p at the origin
-is cancelled by the explicit k factor in the numerator, so the evaluator
+is meromorphic in k with at most two finite poles, the roots theta = 1 / lam
+of p for the eigenvalues lam of T that are not 0, which SMatrixFn.roots
+records and the classifier reports. The root of lam = 1/2 is at the origin,
+where the explicit k factor in the numerator cancels it, so the evaluator
 deflates it, by its multiplicity in roots, instead of reporting a pole there.
 """
 
@@ -15,7 +16,7 @@ import cmath
 
 from .errors import AtPole, NotRepresentable
 from . import pauli
-from .pauli import _modulus, det_pauli
+from .pauli import _modulus
 from .tolerances import base_tol
 
 class SMatrixFn:
@@ -27,25 +28,27 @@ class SMatrixFn:
     gamma : PauliVector
         Pauli coefficients of the boundary matrix.
     det_t : complex
-        Determinant of the boundary matrix.
+        Determinant ad - bc of the boundary matrix [[a, b], [c, d]].
     xi : complex
-        Principal square root of gamma1^2 + gamma2^2 + gamma3^2.
+        Principal root of ((a - d)/2)^2 + bc: T has eigenvalues gamma0 +- xi.
     p_coeffs : tuple
         (c0, c1, c2) with p(k) = c0 + c1 k + c2 k^2.
     tol : float
         Base tolerance, read once when the function is built; every
         decision about the structure of p below is taken at it.
     roots : tuple
-        (root, multiplicity) pairs of p in the k variable, leading
-        coefficients below 100 tol dropped; a root at the origin is exactly
-        0j. Two simple roots are found in theta, where neither cancels, and
-        k = i(1 - theta/2): for hermitian T they lie exactly on the imaginary
-        axis. The only record of the structure of p: the classifier reports
-        its poles from it and evaluate deflates its origin root.
+        (root, multiplicity) pairs of p in the k variable: k = i(1 - theta/2)
+        for the root theta = 1 / lam of each eigenvalue lam of T that is not
+        0 (one double root for a double lam) and has theta in the float range
+        (parts below 1e154), exactly 0j where |1 - 2 lam| is at most 100 tol.
+        For hermitian T they lie exactly on the imaginary axis. The only
+        record of the structure of p: the classifier reports its poles from
+        it and evaluate deflates its origin root.
     thetas : tuple
-        theta = 2(1 + ik) of each root, in the order of roots, as found (not
-        from the rounded k): w / D and 1 / w, gamma0 / D for a double root,
-        (1 - 4D) / (2 (gamma0 - 2D)) for a degree-one p, 2 at the origin. The
+        theta of each root, in the order of roots, as found (not from the
+        rounded k): w / D and 1 / w for two simple roots, with w the larger of
+        gamma0 +- xi so that neither cancels; their mean gamma0 / D for a
+        double root; 1 / (a + d) for a degree-one p; 2 at the origin. The
         certificate of exceptional points and cosh_chi_from_poles read it.
     scalar : bool
         Whether the boundary matrix is a multiple of sigma0.
@@ -58,65 +61,48 @@ class SMatrixFn:
     Raises
     ------
     NotRepresentable
-        If det T or the coefficients of p overflow, from |T| of about 1e154.
+        If det T, xi^2, p or a modulus overflows, from |T| of about 1e154.
     """
 
     def __init__(self, interaction):
         self.interaction = interaction
         self.gamma = interaction.gamma
-        g0, g1, g2, g3 = self.gamma
         self.tol = tol = base_tol()
-        # Python complex arithmetic overflows quietly to inf and NaN
-        self.det_t = D = det_pauli(self.gamma)
+        a, b, c, d = interaction._entries
+        g0, x, ad, bc = (a + d) / 2, (a - d) / 2, a * d, b * c  # T = g0 sigma0 + M, M = [[x, b], [c, -x]]
+        self.det_t = D = ad - bc
+        xi2 = x * x + bc
         self.p_coeffs = c0, c1, c2 = (1 - 4 * g0 + 4 * D, 4j * (2 * D - g0), -4 * D)
-        if not all(map(cmath.isfinite, (D, c0, c1, c2))):
+        try:  # Python complex arithmetic overflows quietly to inf and NaN, abs raises past the float range
+            abs_b, abs_c, cancelled = abs(b), abs(c), abs(ad) + abs(bc)
+            t_max, m_max = max(abs(a), abs_b, abs_c, abs(d)), max(abs(x), abs_b, abs_c)
+        except OverflowError:
+            t_max = cmath.inf
+        if not all(map(cmath.isfinite, (D, xi2, c0, c1, c2, t_max))):
             raise NotRepresentable(f"characteristic polynomial of {interaction!r} overflows")
-        # past that check |gamma_j| < 2e154, but the moduli of c0, c1, c2 can overflow
-        xi2 = g1 * g1 + g2 * g2 + g3 * g3
-        self.xi = cmath.sqrt(xi2)
-
-        a0, a1, a2 = _modulus(c0), _modulus(c1), _modulus(c2)
-        origin_root = a0 <= 100 * tol * max(1.0, a1, a2)
-        simple_origin = a1 > 100 * tol * max(1.0, a2)
-        self.scalar = max(abs(g1), abs(g2), abs(g3)) <= 100 * tol * max(1.0, abs(g0))
+        self.xi = xi = cmath.sqrt(xi2)
+        self._term_sizes = max(1.0, _modulus(c0)), _modulus(c1), _modulus(c2)
+        self.scalar = m_max <= 100 * tol * t_max
         self.constant = _constant_family(interaction._entries, g0, xi2, tol)
-        self._term_sizes = max(1.0, a0), a1, a2
-        if a2 > 100 * tol * max(1.0, a0, a1):
-            # At the merged root theta = g0 / D the residue N = sigma0 - theta T
-            # is -(xi2 sigma0 + g0 gamma.sigma) / D and
-            # N^2 = xi2 ((xi2 + g0^2) sigma0 + 2 g0 gamma.sigma) / D^2. The root
-            # is double where |N^2| is at most 100 tol |N|^2 in the max-entry
-            # norm, or where T is scalar. D cancels and both sides have degree 4
-            # in gamma, so the test is taken on gamma / max |gamma_j|: it cannot
-            # overflow and does not depend on the scale of T.
-            m = max(abs(g0), abs(g1), abs(g2), abs(g3))
-            h0, h1, h2, h3 = g0 / m, g1 / m, g2 / m, g3 / m
-            q, p1, p2, p3 = h1 * h1 + h2 * h2 + h3 * h3, h0 * h1, h0 * h2, h0 * h3
-            n2 = abs(q) * _max_entry(q + h0 * h0, 2 * p1, 2 * p2, 2 * p3)  # |N^2| |D|^2 / m^4
-            if self.scalar or n2 <= 100 * tol * _max_entry(q, p1, p2, p3) ** 2:
-                # k is -c1 / (2 c2) to the bit, without the factor 4 that can
-                # overflow Python's complex division
-                at_origin = origin_root and not simple_origin
-                self.roots = ((0j if at_origin else 1j * (2 * D - g0) / D / 2, 2),)
-                self.thetas = (2.0 if at_origin else g0 / D,)
-            else:
-                # In theta = 2(1 + ik), p = D theta^2 - 2 g0 theta + 1 has the
-                # roots (g0 +- xi) / D = 1 / (g0 -+ xi). With w the larger of
-                # g0 +- xi, w / D and 1 / w are those roots, and neither cancels.
-                # An origin root is the one of smaller |k|.
-                w = max(g0 + self.xi, g0 - self.xi, key=abs)
-                t1, t2 = w / D, 1 / w
-                k1, k2 = 1j * (1 - t1 / 2), 1j * (1 - t2 / 2)
-                if abs(k1) < abs(k2):
-                    k1, k2, t1, t2 = k2, k1, t2, t1
-                if origin_root:
-                    k2, t2 = 0j, 2.0
-                self.roots, self.thetas = ((k1, 1), (k2, 1)), (t1, t2)
-        elif a1 > 100 * tol * max(1.0, a0):
-            self.roots = ((0j if origin_root else -c0 / c1, 1),)
-            self.thetas = (2.0 if origin_root else (1 - 4 * D) / (2 * (g0 - 2 * D)),)
+        # p(theta) = (1 - theta lam+)(1 - theta lam-), lam+- = g0 +- xi: lams holds (lam, its root theta,
+        # multiplicity) of each lam that is not 0. A value vanishes where below 100 tol times the terms it cancels.
+        if abs(D) <= 100 * tol * cancelled:
+            # a lam at 0 leaves lam = a + d, the root of p = 1 - theta (a + d)
+            lams = () if abs(a + d) <= 100 * tol * (abs(a) + abs(d)) else ((a + d, 1 / (a + d), 1),)
+        elif self.scalar or _double_root(g0, x, b, c, xi2, max(abs(g0), m_max), tol):
+            lams = ((g0, g0 / D, 2),)
         else:
-            self.roots = self.thetas = ()
+            w = max(g0 + xi, g0 - xi, key=abs)
+            lams = ((D / w, w / D, 1), (w, 1 / w, 1))
+        roots, thetas = [], []
+        for lam, theta, mult in lams:
+            if max(abs(theta.real), abs(theta.imag)) < 1e154:  # past it no z = k^2 is in the float range
+                theta = 2.0 if abs(1 - 2 * lam) <= 100 * tol else theta  # lam = 1/2 at k = 0, asked of 1 - 2 lam
+                roots.append((1j * (1 - theta / 2), mult))
+                thetas.append(theta)
+        if thetas == [2.0, 2.0]:  # both lam at 1/2: one double root
+            roots, thetas = [(0j, 2)], [2.0]
+        self.roots, self.thetas = tuple(roots), tuple(thetas)
 
     def p(self, k):
         """Characteristic polynomial det(sigma0 - theta_k T) at k."""
@@ -185,7 +171,7 @@ def _constant_family(entries, g0, xi2, tol):
     """Whether the matrix is in a constant-S family of SMatrixFn.constant at tol.
 
     entries are those of the boundary matrix, g0 its gamma0 and xi2 the
-    square gamma1^2 + gamma2^2 + gamma3^2 of its space part.
+    square ((a - d)/2)^2 + bc of its space part.
     """
     a, b, c, d = entries
     # both scalar families have vanishing off-diagonal entries
@@ -197,9 +183,28 @@ def _constant_family(entries, g0, xi2, tol):
     return abs(g0 - 0.25) <= tol and _modulus(xi2 - 0.0625) <= tol
 
 
-def _max_entry(x0, x1, x2, x3):
-    """Largest entry modulus of the matrix with Pauli coefficients (x0, x1, x2, x3)."""
-    return max(abs(x0 + x3), abs(x0 - x3), abs(x1 - 1j * x2), abs(x1 + 1j * x2))
+def _double_root(g0, x, b, c, xi2, m, tol):
+    """Whether T = g0 sigma0 + M, M = [[x, b], [c, -x]], has a double eigenvalue, at tol.
+
+    At theta0 = g0 / D, N = sigma0 - theta0 T has N D = -(xi2 sigma0 + g0 M)
+    and, as M^2 = xi2 sigma0, N^2 D^2 = xi2 ((xi2 + g0^2) sigma0 + 2 g0 M).
+    The root is double where |N^2| is at most 100 tol |N|^2 (max-entry norm),
+    the certificate exceptional_points applies at 1000 tol; both sides have
+    degree 4, so it is taken on T / m, m = max(|g0|, |x|, |b|, |c|).
+    """
+    # With r = |xi2| / m^2 and s = |g0| / m: |N^2 D^2| / m^4 is at least half its spectral radius,
+    # r max |sqrt(xi2) +- g0|^2 / m^2, which is at least r (r + s^2); and |N D| / m^2 is at most r + s.
+    # So the test needs r (r + s^2) / 2 to be at most 100 tol (r + s)^2, itself at most 200 tol (r^2 + s^2),
+    # which fails for r above 400 tol while tol is below 1/400. It is skipped past twice that bound.
+    if _modulus(xi2) > 800 * tol * m * m:
+        return False
+    h0, hx, hb, hc = g0 / m, x / m, b / m, c / m
+    q, p, u = hx * hx + hb * hc, h0 * hx, h0 * h0  # q = xi2 / m^2
+    n = max(abs(q + p), abs(q - p), abs(h0 * hb), abs(h0 * hc))  # |N D| / m^2, at least |q|
+    n2 = max(abs(q + u + 2 * p), abs(q + u - 2 * p), 2 * abs(h0 * hb), 2 * abs(h0 * hc))  # |N^2 D^2| / (|q| m^4)
+    # |N^2| / |N|^2 as |q| / n times n2 / n, where neither underflows; n is 0 only where q and g0 / m
+    # underflow (D is not 0 and T not scalar here), and there +-xi, with g0 = 0, are not one eigenvalue
+    return n > 0 and abs(q) / n * (n2 / n) <= 100 * tol
 
 
 def build(interaction):

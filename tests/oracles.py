@@ -45,7 +45,7 @@ from fractions import Fraction
 import numpy as np
 
 from zrs.errors import AtEigenvalue, AtPole, ZrsError
-from zrs.pauli import SIGMA0, PauliVector, det_pauli
+from zrs.pauli import SIGMA0, PauliVector
 from zrs.resolvent import probe_nodes
 from zrs.smatrix import build
 from zrs.tolerances import base_tol
@@ -309,7 +309,7 @@ def scattering_coefficients(interaction, k):
     theta_bar = 2 * (1 - 1j * k.conjugate())
     A = theta * T - SIGMA0
     det_a = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    D = det_pauli(interaction.gamma)
+    D = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
     if abs(det_a) <= tol * (1 + abs(k) ** 2) * max(1.0, abs(D)):
         raise DegenerateSystem(f"boundary system singular at k = {k}")
     sol = np.linalg.solve(A, SIGMA0 - theta_bar * T)
@@ -438,46 +438,49 @@ def numpy_decompose(m):
     return PauliVector(x0, x1, x2, x3)
 
 
-def _numpy_max_entry(x0, x1, x2, x3):
-    return max(abs(x0 + x3), abs(x0 - x3), abs(x1 - 1j * x2), abs(x1 + 1j * x2))
-
-
-def numpy_characteristic(gamma, tol):
+def numpy_characteristic(T, tol):
     """(det_t, p_coeffs, roots) of SMatrixFn, computed on numpy scalars.
 
-    gamma is a PauliVector of numpy complex128 (numpy_decompose). The roots
-    come from the quadratic formula in k, a second route to the same
-    decisions: their multiplicities and origin snaps are those of
-    SMatrixFn.roots, their locations are not. Callers keep the
-    characteristic data finite.
+    T is a 2x2 array. The decisions are SMatrixFn's, taken on numpy
+    complex128 scalars from the entries: a vanishing det T or trace against
+    the terms they cancel, the scalar test, the double-root test on the
+    residue at gamma0 / D, the float range of each root theta and the origin
+    test |1 - 2 lam| of each eigenvalue lam. The double-root test
+    is taken on 2x2 arrays, without the bound that SMatrixFn checks first,
+    so a verdict that bound skips shows here. The multiplicities, order and
+    origin snaps of the roots are those of SMatrixFn.roots; their locations,
+    i (1 - 1 / (2 lam)), are not. Callers keep the characteristic data finite.
     """
-    g0, g1, g2, g3 = gamma
-    with np.errstate(over="ignore", invalid="ignore"):
-        D = det_pauli(gamma)
+    a, b, c, d = np.asarray(T, dtype=complex).ravel()
+    g0, x = (a + d) / 2, (a - d) / 2
+    # the package's Python complex arithmetic overflows quietly to inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        D = a * d - b * c
+        xi2 = x * x + b * c
         c0, c1, c2 = (1 - 4 * g0 + 4 * D, 4j * (2 * D - g0), -4 * D)
-        disc = c1 * c1 - 4 * c2 * c0
-    origin_root = abs(c0) <= 100 * tol * max(1.0, abs(c1), abs(c2))
-    simple_origin = abs(c1) > 100 * tol * max(1.0, abs(c2))
-    if abs(c2) > 100 * tol * max(1.0, abs(c0), abs(c1)):
-        # the nilpotency test at the merged root gamma0 / D, on gamma / max |gamma_j|
-        m = max(abs(g) for g in gamma)
-        h0, h1, h2, h3 = (g / m for g in gamma)
-        q = h1 * h1 + h2 * h2 + h3 * h3
-        scalar = max(abs(g1), abs(g2), abs(g3)) <= 100 * tol * max(1.0, abs(g0))
-        if scalar or abs(q) * _numpy_max_entry(q + h0 * h0, 2 * h0 * h1, 2 * h0 * h2, 2 * h0 * h3) <= (
-            100 * tol * _numpy_max_entry(q, h0 * h1, h0 * h2, h0 * h3) ** 2
-        ):
-            double = 0j if origin_root and not simple_origin else -c1 / (2 * c2)
-            roots = ((double, 2),)
+        m_max = max(abs(x), abs(b), abs(c))
+        m = max(abs(g0), m_max)
+        if abs(D) <= 100 * tol * (abs(a * d) + abs(b * c)):
+            lams = [] if abs(a + d) <= 100 * tol * (abs(a) + abs(d)) else [(a + d, 1 / complex(a + d), 1)]
         else:
-            sq = np.sqrt(disc)
-            q = -(c1 + sq) / 2 if abs(c1 + sq) >= abs(c1 - sq) else -(c1 - sq) / 2
-            roots = ((q / c2, 1), (0j if origin_root else c0 / q, 1))
-    elif abs(c1) > 100 * tol * max(1.0, abs(c0)):
-        roots = ((0j if origin_root else -c0 / c1, 1),)
-    else:
-        roots = ()
-    return D, (c0, c1, c2), roots
+            # N D / m^2 and N^2 D^2 / (q m^4) at theta0 = gamma0 / D as 2x2 arrays, q = xi^2 / m^2
+            M, h0 = np.array([[x, b], [c, -x]]) / m, g0 / m
+            q = M[0, 0] * M[0, 0] + M[0, 1] * M[1, 0]
+            n = np.abs(q * SIGMA0 + h0 * M).max()
+            n2 = np.abs((q + h0 * h0) * SIGMA0 + 2 * h0 * M).max()
+            if m_max <= 100 * tol * max(abs(a), abs(b), abs(c), abs(d)) or n > 0 and abs(q) / n * (n2 / n) <= 100 * tol:
+                lams = [(g0, complex(g0) / complex(D), 2)]
+            else:
+                xi = np.sqrt(xi2)
+                w = g0 + xi if abs(g0 + xi) >= abs(g0 - xi) else g0 - xi
+                lams = [(D / w, complex(w) / complex(D), 1), (w, 1 / complex(w), 1)]
+        # a root theta with a part past 1e154 gives no root; theta is taken with Python's complex
+        # division, which numpy's differs from where a divisor is subnormal
+        lams = [(lam, mult) for lam, theta, mult in lams if max(abs(theta.real), abs(theta.imag)) < 1e154]
+        roots = [(0j if abs(1 - 2 * lam) <= 100 * tol else 1j * (1 - 1 / (2 * lam)), mult) for lam, mult in lams]
+    if len(roots) == 2 and roots[0] == roots[1] == (0j, 1):
+        roots = [(0j, 2)]
+    return D, (c0, c1, c2), tuple(roots)
 
 
 def numpy_nilpotent(T, theta, tol):
@@ -487,9 +490,10 @@ def numpy_nilpotent(T, theta, tol):
     of classifier.exceptional_points.
     """
     T = np.asarray(T, dtype=complex)
-    N = SIGMA0 - theta * T
-    nmax = np.abs(N).max()
-    scale = 1 + np.abs(T).max() * abs(theta)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, as the package's Python complex gives
+        N = SIGMA0 - theta * T
+        nmax = np.abs(N).max()
+        scale = 1 + np.abs(T).max() * abs(theta)
     if not nmax > 100 * tol * scale:
         return False
     N = N / nmax

@@ -20,6 +20,7 @@ import zrs.interaction
 import zrs.metric
 import zrs.resolvent
 import zrs.smatrix
+from oracles import exact_poles
 from zrs.cli import CSV_COLUMNS, MAX_GRID, _COMMANDS, _build_parser, _dump, _plain_args, main
 
 DELTA_ATTRACTIVE = '{"form": "abcd", "a": [-1, 0], "b": [0, 0], "c": [0, 0], "d": [0, 0]}'
@@ -73,9 +74,14 @@ def test_eval_at_the_pole_classify_reports_near_half_identity(monkeypatch, capsy
     code, out, _ = run_cli(["classify"], payload, monkeypatch, capsys)
     assert code == 0
     (pole,) = json.loads(out)["poles"]
-    assert pole["k"] == [0.0, 1.9999959999770245e-06] and pole["order"] == 1
-    code, out, _ = run_cli(["eval", "--k=0,1.9999959999770245e-06"], payload, monkeypatch, capsys)
-    assert (code, out) == (0, '{"k":[0.0,1.9999959999770245e-06],"pole":true}\n')
+    assert pole["order"] == 1
+    # where exact_poles puts the double root, to a few eps: 1 - theta / 2
+    # cancels near theta = 2
+    (ref, _) = exact_poles([[0.500001, 0], [0, 0.500001]])
+    re, im = pole["k"]
+    assert re == 0.0 and abs(im - ref.imag) <= 4 * 2.0**-52
+    code, out, _ = run_cli(["eval", f"--k=0,{im!r}"], payload, monkeypatch, capsys)
+    assert (code, out) == (0, f'{{"k":[0.0,{im!r}],"pole":true}}\n')
 
 
 def test_classify_output_is_canonical(monkeypatch, capsys):

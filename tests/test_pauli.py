@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import numpy_compose
 from zrs.interaction import Interaction
-from zrs.pauli import SIGMA0, SIGMA1, SIGMA2, SIGMA3, PauliVector, det_pauli
+from zrs.pauli import SIGMA0, SIGMA1, SIGMA2, SIGMA3, PauliVector
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 complexes = st.builds(complex, finite, finite)
@@ -33,17 +32,6 @@ def test_compose_decompose_round_trip(x0, x1, x2, x3):
     back = Interaction.from_gamma(x).gamma
     for a, b in zip(back, x):
         assert np.isclose(a, b, atol=1e-9 * (1 + abs(b)))
-
-
-@given(complexes, complexes, complexes, complexes)
-@settings(deadline=None, max_examples=200)
-def test_det_matches_numpy(x0, x1, x2, x3):
-    x = PauliVector(x0, x1, x2, x3)
-    assert np.isclose(
-        det_pauli(x),
-        np.linalg.det(numpy_compose(x)),
-        atol=1e-6 * (1 + abs(x0) ** 2 + abs(x1) ** 2 + abs(x2) ** 2 + abs(x3) ** 2),
-    )
 
 
 def test_matrix_round_trip():

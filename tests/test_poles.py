@@ -73,14 +73,15 @@ def _pole_errors(draw, seed, n=1000):
     return np.array(errors)
 
 
-# family: (draw, seed, p99 bound, max bound). Near-Jordan roots are as far
-# off as their conditioning allows; the others are within a few eps.
+# family: (draw, seed, p99 bound, max bound). Every family's roots are
+# within a few eps, near-Jordan ones too since D and xi^2 come from the
+# entries (from the Pauli coefficients they were 1.4e-10 off).
 _ACCURACY = {
     "random": (_random, 191, 2e-15, 1e-14),
     "hermitian-diag": (_hermitian_diag, 192, 1e-15, 2e-15),
     "hermitian-random": (_hermitian_random, 193, 5e-15, 1e-12),
     "near-half": (_near_half, 194, 1e-15, 2e-15),
-    "near-jordan": (_near_jordan, 195, 1e-9, 5e-9),
+    "near-jordan": (_near_jordan, 195, 1e-15, 2e-15),
 }
 
 
@@ -122,3 +123,58 @@ def test_exactly_hermitian_poles_lie_on_the_axis():
         assert c.region is not Region.I, T
         answered += 1
     assert answered > 3000
+
+
+def test_small_diagonal_entry_next_to_a_large_one():
+    # a + d = 9007199254740997 + 0.0078125i has no float, so gamma0 and the
+    # Pauli route to det T lost d and put a pole at k = -64 + i; the entries
+    # give the exact root 1 / d in theta
+    T = [[9007199254740996, 0], [0, 1 + 0.0078125j]]
+    c = classify(Interaction.from_matrix(T))
+    poles = [p.location for p in c.poles]
+    assert poles == sorted(exact_poles(T), key=lambda k: k.real)
+    assert poles[0] == -0.0039060115959719255 + 0.5000305157155935j
+    assert (c.similarity, c.region) == (Similarity.NOT_SIMILAR, Region.I)
+
+
+@pytest.mark.parametrize("x", [-1e-8, 1e-8])
+def test_small_jordan_blocks_keep_their_double_pole(x):
+    # det T = x^2 is not small against the ad it comes from, so p keeps its
+    # degree and its double root 1 / x in theta, an exceptional point for x < 0
+    T = [[x, 1], [0, x]]
+    c = classify(Interaction.from_matrix(T))
+    ((k, order),) = [(p.location, p.order) for p in c.poles]
+    refs = exact_poles(T)
+    assert order == 2 and refs[0] == refs[1]
+    assert abs(k - refs[0]) <= 4 * 2.0**-52 * abs(refs[0])
+    assert len(c.exceptional_points) == (1 if x < 0 else 0)
+
+
+def test_small_hermitian_matrix_has_two_imaginary_poles():
+    # T of size 1e-12 has two real eigenvalues that are not 0, so p has
+    # degree two and S is bounded at infinity
+    T = [[-4e-13, -9e-13 - 5e-13j], [-9e-13 + 5e-13j, 6e-13]]
+    c = classify(Interaction.from_matrix(T))
+    assert not c.singularity_at_infinity
+    assert [(p.location.real, p.order) for p in c.poles] == [(0.0, 1), (0.0, 1)]
+    assert (c.similarity, c.region) == (Similarity.SELF_ADJOINT, Region.III)
+
+
+def test_near_half_snaps_only_an_eigenvalue_at_one_half():
+    # a root goes to the origin when its own factor 1 - 2 lam vanishes, not
+    # when the product c0 = (1 - 2 lam+)(1 - 2 lam-) is small
+    rng = np.random.default_rng(22)
+    snapped = 0
+    for _ in range(2000):
+        s = build(Interaction.from_matrix(_near_half(rng)))
+        if any(k == 0j for k, _ in s.roots):
+            lams = np.linalg.eigvals(s.interaction.matrix)
+            assert np.abs(1 - 2 * lams).min() <= 100 * s.tol + 1e-15, lams
+            snapped += 1
+    assert snapped > 50
+    # an eigenvalue 9.3e-11 from 1/2 puts its root at the origin
+    T = [
+        [-0.3875390821716302 + 0.8733721674594868j, 0.5446633818762849 + 0.06861976551966886j],
+        [0.293283352101677 - 0.6419571694321112j, 0.19772969934064705 + 0.07383456309520044j],
+    ]
+    assert [k for k, _ in build(Interaction.from_matrix(T)).roots].count(0j) == 1

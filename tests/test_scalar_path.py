@@ -63,15 +63,22 @@ def _assert_roots_near_exact(s):
     at most B = 16 eps m |theta| (1 + m |theta|), and a theta where
     |p| = |D (theta - theta+)(theta - theta-)| <= B lies within
     min(B / |xi|, sqrt(B / |D|)) of a root, as |theta+ - theta-| = 2 |xi / D|;
-    k = i (1 - theta / 2) lies within half that. A double or degree-one root
-    is a quotient of the float coefficients of p.
+    k = i (1 - theta / 2) lies within half that. The theta of a double root
+    is the quotient gamma0 / D, and that of a degree-one p is 1 / (a + d); a
+    lone simple root that is not is the one left where the other is past the
+    float range, and is judged as one of two.
     """
-    c0, c1, c2 = s.p_coeffs
     if len(s.roots) < 2:
-        for k, mult in s.roots:
-            if k != 0j:
-                _assert_quotient(k, *((-c1, 2 * c2) if mult == 2 else (-c0, c1)))
-        return
+        (a, _), (_, d) = s.interaction.matrix.tolist()
+        for (k, mult), theta in zip(s.roots, s.thetas):
+            num, den = (s.gamma.x0, s.det_t) if mult == 2 else (1, a + d)
+            want = exact_quotient(num, den) if den else None
+            if k != 0j and (want is None or abs(theta - want) > 2 * EPS * abs(want)):
+                assert mult == 1, (theta, want)  # the lone simple root, judged below
+                break
+            assert k == 0j or k == 1j * (1 - theta / 2)
+        else:
+            return
     T = s.interaction.matrix.tolist()
     refs = exact_poles(T)
     ks = [k for k, _ in s.roots if k != 0j]
@@ -97,7 +104,7 @@ def _assert_matches_numpy(i, numpy_matrix):
         s = build(i)
     except NotRepresentable:
         return
-    det_t, p_coeffs, roots = numpy_characteristic(gamma, s.tol)
+    det_t, p_coeffs, roots = numpy_characteristic(numpy_matrix, s.tol)
     assert s.det_t == det_t
     assert s.p_coeffs == p_coeffs
     assert [(k == 0j, mult) for k, mult in s.roots] == [(k == 0j, mult) for k, mult in roots]

@@ -3,7 +3,8 @@
 Every family of T is drawn at a scale 10^U(-150, 150). Each subcommand's
 library call must answer or raise one of its documented errors, with every
 warning an error: no InternalInconsistency, no RuntimeWarning, no
-exceptional point or non-real eigenvalue for a self-adjoint verdict, a unit
+exceptional point or non-real eigenvalue for a self-adjoint verdict, no
+singularity at infinity for a (nearly) hermitian family, a unit
 alpha wherever the metric applies, and cosh(chi) read off the poles where
 construct's cosh(chi) is, to within the rounding of each route.
 """
@@ -78,11 +79,14 @@ FAMILIES = {
 }
 
 
-def _check_classify(i):
+def _check_classify(i, hermitian):
     c = classify(i)
     if c.similarity is Similarity.SELF_ADJOINT:
         assert c.exceptional_points == ()
         assert c.region is not Region.I
+    if hermitian:
+        # the eigenvalues of T are real, and both 0 only where T is: S is bounded at infinity
+        assert not c.singularity_at_infinity
 
 
 def _check_metric(i):
@@ -128,7 +132,7 @@ def test_every_scale_answers(name):
             m = FAMILIES[name](rng) * 10.0 ** rng.uniform(-150, 150)
             i = Interaction.from_matrix(m)
             try:
-                _check_classify(i)
+                _check_classify(i, name.startswith("hermitian"))
             except NotRepresentable:
                 continue
             answered += 1

@@ -120,6 +120,16 @@ def _near_scalar(rng):
     return s * np.eye(2) + _cnormal(rng, 2, 2) * abs(s) * 10.0 ** rng.uniform(-14, -4)
 
 
+def _hermitian_small_diag(rng):
+    # [[a, b], [conj(b), d]] with |a| = 10^U(3, 16), b complex normal and d a
+    # real normal plus i |a| 10^U(-16, -12) times a normal: hermitian up to a
+    # perturbation that is small against a, not against d
+    a = _sign(rng) * 10.0 ** rng.uniform(3, 16)
+    b = complex(*rng.normal(size=2))
+    d = rng.normal() + 1j * abs(a) * 10.0 ** rng.uniform(-16, -12) * rng.normal()
+    return [[a, b], [b.conjugate(), d]]
+
+
 def _abcd(rng):
     # coupling coefficients (a, b, c, d), each complex normal times 10^U(-1, 1)
     return tuple((_cnormal(rng, 4) * 10.0 ** rng.uniform(-1, 1, size=4)).tolist())
@@ -138,6 +148,7 @@ FAMILIES = {
     "near-half": (_near_half, 1909),
     "near-scalar": (_near_scalar, 1910),
     "abcd": (_abcd, 1911),
+    "hermitian-small-diag": (_hermitian_small_diag, 2201),
 }
 
 
