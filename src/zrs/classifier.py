@@ -1,9 +1,9 @@
 """Pole location and spectral classification.
 
 The characteristic polynomial p has degree at most two, so everything is
-done in closed form. Poles of S are roots of p with an effective order:
-scalar boundary matrices cap the order at one, and a root at the origin
-loses one order to the explicit k factor in the numerator of S - sigma0.
+done in closed form. Poles of S are roots of p with the order that
+SMatrixFn.orders records: the multiplicity, less the factors the numerator
+cancels (one for scalar T, one at the origin for its k).
 
 A pole in the open upper half-plane is an eigenvalue z = k0^2 of the
 operator; a pole on the real axis is a spectral singularity; an order-two
@@ -79,11 +79,8 @@ def find_poles(s):
         imaginary axis by imaginary part first), then the pole at infinity.
     """
     reports = []
-    for loc, mult in s.roots:
-        order = min(mult, 1) if s.scalar else mult
-        if loc == 0:
-            order -= 1
-        if order <= 0:
+    for (loc, _), order in zip(s.roots, s.orders):
+        if not order:  # every factor at this root cancels
             continue
         # adding 0.0 clears the negative zeros that k = i(1 - theta/2) can carry
         loc = complex(loc.real + 0.0, loc.imag + 0.0)
@@ -93,7 +90,7 @@ def find_poles(s):
         key=lambda r: (0.0 if _is_real(1j * r.location, s.tol) else r.location.real, r.location.imag, r.location.real)
     )
 
-    # a constant p leaves S either constant or growing linearly in k
+    # with no factor recorded, S = sigma0 + 4ik T is constant or grows linearly in k
     if not s.roots and not s.constant:
         reports.append(PoleReport(None, 1, Sheet.INFINITY, None))
     return reports

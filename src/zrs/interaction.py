@@ -137,7 +137,10 @@ def _named(a, b, c, d):
 def _is_hermitian(entries, tol):
     """Whether [[a, b], [c, d]] is self-adjoint at tol, each entry of T - T* against the two it compares."""
     a, b, c, d = entries
-    return all(_modulus(u - v.conjugate()) <= tol * max(_modulus(u), _modulus(v)) for u, v in ((a, a), (b, c), (d, d)))
+    # halved entries have finite sizes, so a difference that overflows is never measured against an inf
+    return all(
+        _modulus(u - v.conjugate()) <= 2 * tol * max(abs(u / 2), abs(v / 2)) for u, v in ((a, a), (b, c), (d, d))
+    )
 
 
 FRIEDRICHS = Interaction([[0, 0], [0, 0]])

@@ -33,15 +33,17 @@ from enum import Enum
 import numpy as np
 
 from .errors import AtEigenvalue, NonConvergent
+from .pauli import _modulus
 from .smatrix import build
 
 # W = sigma0 + i sigma2
 _W = np.array([[1, 1], [-1, 1]], dtype=complex)
 
 _TAIL_THRESHOLD = 1e-8
+_EPS = 2.0**-52  # the spacing of floats at 1
 _TRUNCATION = 40.0
 # node triples per block of _simpson: the probe's integrand on a block's
-# 2 * _BLOCK + 1 nodes and all of its buffers, about 0.6 MB, stay in cache
+# 2 * _BLOCK + 1 nodes and all of its buffers, about 0.7 MB, stay in cache
 _BLOCK = 4096
 
 
@@ -150,8 +152,8 @@ def resolvent_diff_norm(interaction, k, g):
     Raises
     ------
     AtEigenvalue
-        If k is within tolerance of a pole of S, where the difference is
-        unbounded.
+        If k is within tolerance of a root of p, where the difference, with no
+        k to cancel one, is unbounded.
     ValueError
         If the norm is not finite, as F g, p(k) or their products leave the
         float range.
@@ -163,14 +165,14 @@ def resolvent_diff_norm(interaction, k, g):
     try:
         with np.errstate(all="ignore"):  # an overflow is reported once, below
             F = f_transform(g, k)
+            if s._at_pole(k, s.lams):
+                raise AtEigenvalue(f"k = {k} within tolerance of a root of p")
             pk = s.p(k)
-            if s._near_root(abs(pk), abs(k)):
-                raise AtEigenvalue(f"p({k}) within tolerance of zero")
             theta = 2 * (1 + 1j * k)
             M = s.interaction.matrix - theta * s.det_t * np.eye(2)
             vec = _W @ M @ np.array([F.plus, F.minus]) / pk
             norm = math.sqrt((abs(vec[0]) ** 2 + abs(vec[1]) ** 2) / k.imag)
-    except OverflowError:  # abs(k) or abs(p(k)) in the pole test, past the float range
+    except OverflowError:  # abs() in the pole test, past the float range
         norm = math.nan
     if not math.isfinite(norm):
         raise ValueError(f"resolvent difference leaves the float range at k = {k}")
@@ -237,10 +239,10 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     of similarity to a self-adjoint operator, growth like 1/eps locates a
     spectral singularity. Evidence only, not a certificate.
 
-    Memory: the nodes (8 bytes per node), the (n - 1) / 2 Simpson terms
-    (4 bytes per node) and the buffers of one block of _BLOCK node triples,
-    about 0.6 MB; the integrand is never held whole. A block whose least |p|
-    clears the pole test at the line's largest |k| skips the per-node test.
+    Memory: the (n - 1) / 2 Simpson terms (4 bytes per node) and the
+    buffers of one block of _BLOCK node triples, about 0.7 MB. A block whose
+    least |p| clears every factor's pole test at the line's largest |k|
+    skips the per-node test.
 
     Raises
     ------
@@ -265,28 +267,39 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     c0, c1, c2 = s.p_coeffs
     half_c1 = c1 / 2
     t00, t01, t10, t11 = s.interaction._entries
+    lo, hi = float(lo), float(hi)
     h = (hi - lo) / (n - 1)
-    xi = np.linspace(lo, hi, n)
-    # |k|^2 = |xi + i eps| <= max(-A, B) + eps on the line, so _near_root's
-    # t0 + t1 |k| + t2 |k|^2 is at most its value at kmax, and no node of a
-    # block whose every |p| exceeds clear = tol times that value passes it.
-    # The 1e-9 margins cover the rounding of the nodes, k, |k|, |p| and both
-    # sides; an inf or NaN clear never skips the exact test or a flag it raises.
-    t0, t1, t2 = s._term_sizes
-    kmax = math.sqrt(float(max(-xi[0], xi[-1])) + epsilon) * (1 + 1e-9)
-    clear = s.tol * (t0 + t1 * kmax + t2 * kmax * kmax) * (1 + 1e-9)
-    cbufs = np.empty((3, min(n, 2 * _BLOCK + 1)), dtype=complex)
-    fbufs = np.empty((2, min(n, 2 * _BLOCK + 1)))
+    # On the line |k|^2 = |xi + i eps| <= max(-A, B) + eps, so |theta_k| <= th = 2 (1 + kmax). A node passes the pole
+    # test of a recorded factor where it is at most tol (1 + th |lam|); every factor is at most 1 + th |lam|, so their
+    # product (lam with multiplicity), 1 - theta_k s1 + theta_k^2 s2 with s1, s2 the sum and product of the lam
+    # (s2 = 0 below two), is then at most tol prod (1 + th |lam|). p = 1 - theta_k tr T + theta_k^2 D is within
+    # th |s1 - tr T| + th^2 |s2 - D| of it, and Horner's p within 16 eps R of p, R = 1 + th (|tr T| + |s1|) +
+    # th^2 (|D| + |s2|), which covers the rounding of the test and of the differences. A block whose every |p| exceeds
+    # that sum, clear, holds no such node; 1e-9 margins cover rounding, and an inf or NaN clear skips no block.
+    lams = [lam for lam, (_, mult) in zip(s.lams, s.roots) for _ in range(mult)]
+    s1, s2, trace, D = sum(lams), lams[0] * lams[1] if len(lams) == 2 else 0, t00 + t11, s.det_t
+    th = 2 * (1 + math.sqrt(max(-lo, hi) + epsilon) * (1 + 1e-9))
+    R = 1 + th * (_modulus(trace) + _modulus(s1)) + th * th * (_modulus(D) + _modulus(s2))
+    clear = (s.tol + 16 * _EPS) * (math.prod(1 + th * _modulus(lam) for lam in lams) + R)
+    clear = (clear + th * _modulus(s1 - trace) + th * th * _modulus(s2 - D)) * (1 + 1e-9)
+    index = np.arange(min(n, 2 * _BLOCK + 1), dtype=float)
+    cbufs = np.empty((3, index.size), dtype=complex)
+    fbufs = np.empty((3, index.size))
     C = 0.0  # the module docstring's C, set in the try below, where its overflow raises
 
     def integrand(start, stop, out):
         k, u, p = cbufs[:, : stop - start]
-        abs_p, g = fbufs[:, : stop - start]
-        _sqrt_line(xi[start:stop], epsilon, k)
+        abs_p, g, xi = fbufs[:, : stop - start]
+        # node i is lo + i h, the last one hi, as np.linspace lays them out; i / (n - 1) (hi - lo) where h is 0
+        i = np.add(index[: stop - start], start, out=xi)
+        np.add(np.multiply(i, h, out=xi) if h else np.multiply(i / (n - 1), hi - lo, out=xi), lo, out=xi)
+        if stop == n:
+            xi[-1] = hi
+        _sqrt_line(xi, epsilon, k)
         c2k = np.multiply(c2, k, out=u)
         np.add(c0, np.multiply(np.add(c1, c2k, out=p), k, out=p), out=p)
         np.abs(p, out=abs_p)
-        if not abs_p.min() > clear and s._near_root(abs_p, np.abs(k, out=g)).any():
+        if not abs_p.min() > clear and np.any(s._at_pole(k, s.lams)):
             raise AtEigenvalue("sweep line passes through a pole")
         half_dp = np.add(half_c1, c2k, out=u)
         fro2 = np.add(np.square(half_dp.real, out=out), np.square(half_dp.imag, out=g), out=out)

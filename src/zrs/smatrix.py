@@ -5,11 +5,13 @@ With theta_k = 2(1 + ik) and D = det of the boundary matrix T, the matrix
     S(k) = sigma0 + 4ik (T - theta_k D sigma0) / p(k),
     p(k) = det(sigma0 - theta_k T) = (1 - theta_k lam+)(1 - theta_k lam-)
 
-is meromorphic in k with at most two finite poles, the roots theta = 1 / lam
-of p for the eigenvalues lam of T that are not 0, which SMatrixFn.roots
-records and the classifier reports. The root of lam = 1/2 is at the origin,
-where the explicit k factor in the numerator cancels it, so the evaluator
-deflates it, by its multiplicity in roots, instead of reporting a pole there.
+is meromorphic in k, with a pole at the root theta = 1 / lam of each factor
+for the eigenvalues lam of T that are not 0. SMatrixFn records those factors
+once and decides there which of them cancel: a lam at 1/2 has the factor
+1 - theta_k / 2 = -ik, which cancels the numerator's k, and for scalar
+T = lam sigma0 the numerator 4ik lam (1 - theta_k lam) sigma0 cancels one
+factor. evaluate divides by the factors that are left, each tested for a
+pole on its own, and the classifier reports their roots with the orders left.
 """
 
 import cmath
@@ -41,22 +43,24 @@ class SMatrixFn:
         for the root theta = 1 / lam of each eigenvalue lam of T that is not
         0 (one double root for a double lam) and has theta in the float range
         (parts below 1e154), exactly 0j where |1 - 2 lam| is at most 100 tol.
-        For hermitian T they lie exactly on the imaginary axis. The only
-        record of the structure of p: the classifier reports its poles from
-        it and evaluate deflates its origin root.
+        For hermitian T they lie exactly on the imaginary axis. The record of
+        the structure of p that the classifier and evaluate read.
     thetas : tuple
         theta of each root, in the order of roots, as found (not from the
         rounded k): w / D and 1 / w for two simple roots, with w the larger of
         gamma0 +- xi so that neither cancels; their mean gamma0 / D for a
         double root; 1 / (a + d) for a degree-one p; 2 at the origin. The
         certificate of exceptional points and cosh_chi_from_poles read it.
+    lams : tuple
+        lam of each root's factor 1 - theta_k lam: 1 / theta, 0.5 at the origin.
+    orders : tuple
+        Order of the pole of S at each root: its multiplicity less the factors
+        the numerator cancels, 0 where none is left.
     scalar : bool
         Whether the boundary matrix is a multiple of sigma0.
     constant : bool
-        Whether S(k) does not depend on k. Exactly three families are
-        constant: the zero boundary matrix (S = sigma0), the half-identity
-        (S = -sigma0), and gamma0 = 1/4 with the space part of gamma
-        squaring to 1/16 (S = sigma0 - 4T).
+        Whether S(k) does not depend on k: T = 0, or every factor cancels
+        together with the k (the half-identity, eigenvalues 1/2 and 0).
 
     Raises
     ------
@@ -81,28 +85,37 @@ class SMatrixFn:
         if not all(map(cmath.isfinite, (D, xi2, c0, c1, c2, t_max))):
             raise NotRepresentable(f"characteristic polynomial of {interaction!r} overflows")
         self.xi = xi = cmath.sqrt(xi2)
-        self._term_sizes = max(1.0, _modulus(c0)), _modulus(c1), _modulus(c2)
         self.scalar = m_max <= 100 * tol * t_max
-        self.constant = _constant_family(interaction._entries, g0, xi2, tol)
         # p(theta) = (1 - theta lam+)(1 - theta lam-), lam+- = g0 +- xi: lams holds (lam, its root theta,
         # multiplicity) of each lam that is not 0. A value vanishes where below 100 tol times the terms it cancels.
         if abs(D) <= 100 * tol * cancelled:
             # a lam at 0 leaves lam = a + d, the root of p = 1 - theta (a + d)
             lams = () if abs(a + d) <= 100 * tol * (abs(a) + abs(d)) else ((a + d, 1 / (a + d), 1),)
         elif self.scalar or _double_root(g0, x, b, c, xi2, max(abs(g0), m_max), tol):
-            lams = ((g0, g0 / D, 2),)
+            lams = ((D / g0, g0 / D, 2),)  # lam = 1 / theta, so that its factor vanishes at the root reported
         else:
             w = max(g0 + xi, g0 - xi, key=abs)
             lams = ((D / w, w / D, 1), (w, 1 / w, 1))
-        roots, thetas = [], []
+        roots, thetas, kept = [], [], []
         for lam, theta, mult in lams:
             if max(abs(theta.real), abs(theta.imag)) < 1e154:  # past it no z = k^2 is in the float range
-                theta = 2.0 if abs(1 - 2 * lam) <= 100 * tol else theta  # lam = 1/2 at k = 0, asked of 1 - 2 lam
+                if abs(1 - 2 * lam) <= 100 * tol:  # lam = 1/2 at k = 0, asked of 1 - 2 lam
+                    lam, theta = 0.5, 2.0
                 roots.append((1j * (1 - theta / 2), mult))
                 thetas.append(theta)
+                kept.append(lam)
         if thetas == [2.0, 2.0]:  # both lam at 1/2: one double root
-            roots, thetas = [(0j, 2)], [2.0]
-        self.roots, self.thetas = tuple(roots), tuple(thetas)
+            roots, thetas, kept = [(0j, 2)], [2.0], [0.5]
+        # Which factors cancel. For scalar T the numerator T - theta_k D sigma0 = lam (1 - theta_k lam) sigma0
+        # cancels one factor and leaves lam sigma0 = T, so its D, d, is 0, as it is where fewer than two lam are
+        # kept. The factor 1 - theta_k / 2 = -ik of a lam at 1/2 cancels the numerator's k: 4ik / (-ik) = -4.
+        orders = [1] * len(roots) if self.scalar else [mult for _, mult in roots]
+        self._d = D if sum(orders) == 2 else 0
+        self._cancels_k = 2.0 in thetas
+        if self._cancels_k:
+            orders[thetas.index(2.0)] -= 1
+        self.roots, self.thetas, self.lams, self.orders = tuple(roots), tuple(thetas), tuple(kept), tuple(orders)
+        self.constant = not any(orders) and (self._cancels_k or not any((a, b, c, d)))
 
     def p(self, k):
         """Characteristic polynomial det(sigma0 - theta_k T) at k."""
@@ -113,74 +126,47 @@ class SMatrixFn:
     def evaluate(self, k):
         """S(k) as a 2x2 ndarray.
 
-        Raises AtPole when k is within tolerance of a genuine pole. At a
-        root of p that is cancelled by the numerator the analytic limit is
-        returned instead. Raises ValueError when S(k) is not finite, as
-        theta_k D, p(k) or their products overflow from |k| of about 1e154.
+        S(k) = sigma0 + 4ik (T - theta_k d sigma0) / prod (1 - theta_k lam)^order
+        over the roots, 4ik read as -4 where the origin's factor cancels it.
+        Raises AtPole where a factor left is within tolerance of zero, and
+        ValueError where S(k) is not finite, as theta_k d, a factor or their
+        products overflow, for |k| near the end of the float range.
         """
         import numpy as np
 
+        SIGMA0 = pauli.SIGMA0  # an ndarray, made (with numpy) on first access
         k = complex(k)
+        left = [lam for lam, order in zip(self.lams, self.orders) for _ in range(order)]
         try:
+            if self._at_pole(k, left):
+                raise AtPole(f"k = {k} within tolerance of a pole of S")
+            q = -4.0 if self._cancels_k else 4j * k
+            for lam in left:
+                q /= _factor(lam, k)
+            theta_d = 2 * (1 + 1j * k) * self._d if self._d else 0  # 0, not inf times 0, past 1e308
             with np.errstate(all="ignore"):  # an overflow is reported once, below
-                s = self._evaluate(k)
-        except OverflowError:  # abs(k) in a pole test, past the float range
+                s = SIGMA0 + q * (self.interaction.matrix - theta_d * SIGMA0)
+        except OverflowError:  # abs() in the pole test, past the float range
             s = None
         if s is None or not all(map(cmath.isfinite, s.flat)):
             raise ValueError(f"S(k) leaves the float range at k = {k}")
         return s
 
-    def _evaluate(self, k):
-        SIGMA0 = pauli.SIGMA0  # an ndarray, made (with numpy) on first access
-        tol = self.tol
-        c0, c1, c2 = self.p_coeffs
-        D = self.det_t
-        theta_k = 2 * (1 + 1j * k)
-        num = 4j * (self.interaction.matrix - theta_k * D * SIGMA0)
-        # multiplicity of the origin root, whose k factors p and the numerator share
-        origin = sum(mult for root, mult in self.roots if root == 0j)
-        if origin == 0:
-            pk = c0 + (c1 + c2 * k) * k
-            if self._near_root(_modulus(pk), _modulus(k)):
-                raise AtPole(f"p({k}) = {pk} within tolerance of zero")
-            return SIGMA0 + k * num / pk
-        if origin == 1:
-            q = c1 + c2 * k
-            if _modulus(q) <= tol * (1 + abs(k)) * max(1.0, abs(c1), abs(c2)):
-                raise AtPole(f"deflated denominator vanishes at k = {k}")
-            return SIGMA0 + num / q
-        if self.scalar:  # k (T - theta_k D sigma0) vanishes twice too: S is constant
-            return SIGMA0 * (1 + 8 * D / c2)
-        q = c2 * k
-        if _modulus(q) <= tol * (1 + abs(k)) * max(1.0, abs(c2)):
-            raise AtPole(f"simple pole at the origin, k = {k}")
-        return SIGMA0 + num / q
+    def _at_pole(self, k, lams):
+        """Whether a factor 1 - theta_k lam, lam in lams, is within tolerance of zero, at k or at each k of an array.
 
-    def _near_root(self, abs_p, abs_k):
-        """Whether |p(k)| is within tolerance of zero, on floats or arrays alike.
-
-        |p(k)| is measured against the size of p's terms at |k|, so a root is
-        told apart at the same relative precision at any |k| and any degree
-        of p; a |p(k)| that overflows to inf is not near a root.
+        |1 - theta_k lam| <= tol (1 + 2 |lam| (1 + |k|)): against the size of
+        its terms, which is 1 + |theta_k lam| but near k = i, where theta_k
+        cancels and the roots of a large lam sit. As a quotient, it fails
+        where the factor overflows.
         """
-        t0, t1, t2 = self._term_sizes
-        return abs_p / (t0 + t1 * abs_k + t2 * abs_k * abs_k) <= self.tol
+        # the number of factors near zero, at k or at each k of an array, is above 0
+        return sum(abs(_factor(lam, k)) / (1 + 2 * abs(lam) * (1 + abs(k))) <= self.tol for lam in lams) > 0
 
 
-def _constant_family(entries, g0, xi2, tol):
-    """Whether the matrix is in a constant-S family of SMatrixFn.constant at tol.
-
-    entries are those of the boundary matrix, g0 its gamma0 and xi2 the
-    square ((a - d)/2)^2 + bc of its space part.
-    """
-    a, b, c, d = entries
-    # both scalar families have vanishing off-diagonal entries
-    if max(abs(b), abs(c)) <= tol:
-        if max(abs(a), abs(d)) <= tol:
-            return True
-        if max(abs(a - 0.5), abs(d - 0.5)) <= tol:
-            return True
-    return abs(g0 - 0.25) <= tol and _modulus(xi2 - 0.0625) <= tol
+def _factor(lam, k):
+    """1 - theta_k lam at k, or at each k of an array, as (1 - 2 lam) - 2i lam k: exactly -ik at lam = 1/2."""
+    return (1 - 2 * lam) - 2j * lam * k
 
 
 def _double_root(g0, x, b, c, xi2, m, tol):

@@ -347,8 +347,9 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     The same ufuncs in the same order as the chunked package version, on
     probe-sized arrays: k = sqrt(xi + i eps) in real arithmetic, the
     integrand (|p'(k) / 2|^2 + C) / (Im k |p|^2 |k + i|^2) and Simpson's
-    rule as h / 3 times the sum of y0 + 4 y1 + y2 over node triples. The two
-    must return the same float.
+    rule as h / 3 times the sum of y0 + 4 y1 + y2 over node triples, on the
+    nodes of np.linspace, and the pole test of each factor of p on every
+    node. The two must return the same float, or both raise AtEigenvalue.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -367,10 +368,10 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     k.imag = np.where(xi < 0, t, other)
     c2k = c2 * k
     p = c0 + (c1 + c2k) * k
-    # |p| against the size of its terms at k
-    scaled = np.abs(p) / (max(1.0, abs(c0)) + abs(c1) * np.abs(k) + abs(c2) * np.abs(k) ** 2)
-    if scaled.min() <= s.tol:
-        raise AtEigenvalue("sweep line passes through a pole")
+    # each factor 1 - theta_k lam that s records, (1 - 2 lam) - 2i lam k, against the size of its terms
+    for lam in s.lams:
+        if (np.abs((1 - 2 * lam) - 2j * lam * k) / (1 + 2 * abs(lam) * (1 + np.abs(k))) <= s.tol).any():
+            raise AtEigenvalue("sweep line passes through a pole")
     t00, t01, t10, t11 = s.interaction._entries
     C = np.square(np.abs(np.subtract(t00, t11))) + 2 * (np.square(np.abs(t01)) + np.square(np.abs(t10)))
     half_dp = c1 / 2 + c2k
@@ -445,7 +446,8 @@ def numpy_characteristic(T, tol):
     complex128 scalars from the entries: a vanishing det T or trace against
     the terms they cancel, the scalar test, the double-root test on the
     residue at gamma0 / D, the float range of each root theta and the origin
-    test |1 - 2 lam| of each eigenvalue lam. The double-root test
+    test |1 - 2 lam| of each eigenvalue lam, D / gamma0 for a double one. The
+    double-root test
     is taken on 2x2 arrays, without the bound that SMatrixFn checks first,
     so a verdict that bound skips shows here. The multiplicities, order and
     origin snaps of the roots are those of SMatrixFn.roots; their locations,
@@ -469,7 +471,7 @@ def numpy_characteristic(T, tol):
             n = np.abs(q * SIGMA0 + h0 * M).max()
             n2 = np.abs((q + h0 * h0) * SIGMA0 + 2 * h0 * M).max()
             if m_max <= 100 * tol * max(abs(a), abs(b), abs(c), abs(d)) or n > 0 and abs(q) / n * (n2 / n) <= 100 * tol:
-                lams = [(g0, complex(g0) / complex(D), 2)]
+                lams = [(D / g0, complex(g0) / complex(D), 2)]
             else:
                 xi = np.sqrt(xi2)
                 w = g0 + xi if abs(g0 + xi) >= abs(g0 - xi) else g0 - xi

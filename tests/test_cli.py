@@ -389,17 +389,24 @@ def test_probe_out_of_float_range_exits_2(monkeypatch, capsys):
 def test_eval_out_of_float_range_exits_2(monkeypatch, capsys):
     # S(k) that overflows at a finite k: one error line naming k, no
     # RuntimeWarning, no non-JSON NaN and no OverflowError; past theta_k D
-    # and p(k) on the attractive delta, on a coupling whose p(k) is still
-    # finite there, and past abs(k) where p has a root at the origin
+    # and the factors of p on the attractive delta, past theta_k on a
+    # coupling with two factors, and past abs(k) where p has a root at the
+    # origin
     mixed = '{"form": "abcd", "a": [0.4, 0], "b": [0.2, 0.1], "c": [-0.3, 0], "d": [0.5, 0]}'
     cases = [
         (DELTA_ATTRACTIVE, "1e308,1e308", "(1e+308+1e+308j)"),
-        (mixed, "1.8e154,0", "(1.8e+154+0j)"),
+        (mixed, "1.7e308,0", "(1.7e+308+0j)"),
         (DERIVATIVE, "1.5e308,1.5e308", "(1.5e+308+1.5e+308j)"),
     ]
     for payload, k, shown in cases:
         code, out, err = run_cli(["eval", f"--k={k}"], payload, monkeypatch, capsys)
         assert (code, out, err) == (2, "", f"error: S(k) leaves the float range at k = {shown}\n"), k
+    # 4ik is divided by each factor before it meets the numerator, so where
+    # p(k) and k theta_k D are past 1e300, S(k), about -sigma0, is printed
+    code, out, err = run_cli(["eval", "--k=1.8e154,0"], mixed, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    s = json.loads(out)["s"]
+    assert [[round(z[0], 12) for z in row] for row in s] == [[-1, 0], [0, -1]]
     # a constant S needs none of them, and is printed without a warning
     half = '{"form": "frakT", "t": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]}'
     for k in ("1.7e308,0", "1.5e308,1.5e308"):

@@ -75,6 +75,17 @@ def test_is_hermitian():
     assert not Interaction.from_abcd(1j, 0, 0, 0).is_hermitian()
 
 
+def test_is_hermitian_past_the_float_range():
+    # T - T* has an entry whose modulus, or whose part, overflows, as do the
+    # moduli it is measured against: no inf is measured against an inf
+    big = 1.7e308 + 1.7e308j
+    assert not Interaction.from_matrix([[big, 0], [0, 1]]).is_hermitian()
+    assert not Interaction.from_matrix([[big, 0], [0, 1.7e308 - 1e308j]]).is_hermitian()
+    assert not Interaction.from_matrix([[1, 1.5e308 + 1.5e308j], [1.5e308 - 1e308j, 1]]).is_hermitian()
+    # and a conjugate pair whose moduli overflow is still one
+    assert Interaction.from_matrix([[1, big], [big.conjugate(), 2]]).is_hermitian()
+
+
 def test_reference_extensions():
     assert np.allclose(FRIEDRICHS.matrix, np.zeros((2, 2)))
     assert np.allclose(KREIN.matrix, np.eye(2) / 2)

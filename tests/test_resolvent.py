@@ -242,19 +242,46 @@ def test_probe_matches_whole_grid_oracle():
                 assert got == want, (i.matrix, eps, xi_range, n)
 
 
+def test_probe_blocks_form_the_nodes_of_linspace(monkeypatch):
+    # each block forms its own nodes, and together they are np.linspace's to
+    # the bit: over several blocks, near 1e16, across 0 and where the spacing
+    # underflows to 0 and numpy divides by n - 1 before it multiplies
+    blocks = []
+
+    def spy(xi, epsilon, k):
+        blocks.append(xi.copy())
+        return _sqrt_line(xi, epsilon, k)
+
+    monkeypatch.setattr(zrs.resolvent, "_sqrt_line", spy)
+    i = Interaction.from_abcd(0.4, 0.2 + 0.1j, -0.3, 0.5)
+    cases = [
+        (-10.0, 10.0, 6 * _BLOCK + 5),
+        (0.1, 0.7, 2 * _BLOCK + 1),
+        (1e16, 1e16 + 4, 3 * _BLOCK + 1),
+        (-3.0, 7.0, 17),
+        (0.0, 1e-321, 4097),
+        (-1e-321, 1e-321, 6 * _BLOCK + 1),
+    ]
+    for lo, hi, n in cases:
+        blocks.clear()
+        similarity_integral_probe(i, 0.5, (lo, hi), n=n)
+        assert np.concatenate(blocks).tobytes() == np.linspace(lo, hi, n).tobytes(), (lo, hi, n)
+    assert (hi - lo) / (n - 1) == 0
+
+
 def test_probe_pole_early_out_hides_no_pole(monkeypatch):
     # a pole at a node's k, a distance eps 10^U(-16,-6) off the line: a
     # block skips the node-by-node pole test only when its least |p|
     # clears it, so the probe raises and returns exactly as the oracle does
     calls = []
-    near_root = SMatrixFn._near_root
+    at_pole = SMatrixFn._at_pole
 
-    def counted(self, abs_p, abs_k):
-        if isinstance(abs_p, np.ndarray):
-            calls.append(abs_p.size)
-        return near_root(self, abs_p, abs_k)
+    def counted(self, k, lams):
+        if isinstance(k, np.ndarray):
+            calls.append(k.size)
+        return at_pole(self, k, lams)
 
-    monkeypatch.setattr(SMatrixFn, "_near_root", counted)
+    monkeypatch.setattr(SMatrixFn, "_at_pole", counted)
     rng = np.random.default_rng(18)
     raised = 0
     for _ in range(300):
@@ -321,12 +348,12 @@ def test_probe_matches_oracle_where_simpson_guards_act():
 
 
 def test_probe_memory_is_two_node_arrays():
-    # a default probe keeps the nodes (1.6 MB), the (n - 1) / 2 Simpson terms
-    # (0.8 MB) and the buffers of one block (0.6 MB), 3.00 MB at its peak;
-    # with scipy's weights for given nodes and their seven buffers it peaked
-    # at 3.62 MB, with the integrand held whole at 4.8 MB, built on the whole
-    # grid at once at 28.9 MB, and with scipy's simpson over the nodes and
-    # the integrand at 10.1 MB
+    # a default probe keeps the (n - 1) / 2 Simpson terms (0.8 MB) and the
+    # buffers of one block, its nodes among them (0.7 MB), 1.53 MB at its
+    # peak; with all nodes held it peaked at 3.00 MB, with scipy's weights for
+    # given nodes and their seven buffers at 3.62 MB, with the integrand held
+    # whole at 4.8 MB, built on the whole grid at once at 28.9 MB, and with
+    # scipy's simpson over the nodes and the integrand at 10.1 MB
     i = Interaction.from_abcd(-1, 0, 0, 0)
     similarity_integral_probe(i, 0.1, (-10, 10), n=17)
     tracemalloc.start()
@@ -335,7 +362,7 @@ def test_probe_memory_is_two_node_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3_800_000, peak
+    assert peak < 1_600_000, peak
 
 
 def test_blocked_simpson_matches_the_whole_array_rule():
