@@ -33,14 +33,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import AtEigenvalue, NonConvergent
-from .pauli import _modulus
 from .smatrix import build
 
 # W = sigma0 + i sigma2
 _W = np.array([[1, 1], [-1, 1]], dtype=complex)
 
 _TAIL_THRESHOLD = 1e-8
-_EPS = 2.0**-52  # the spacing of floats at 1
 _TRUNCATION = 40.0
 # node triples per block of _simpson: the probe's integrand on a block's
 # 2 * _BLOCK + 1 nodes and all of its buffers, about 0.7 MB, stay in cache
@@ -241,8 +239,8 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
 
     Memory: the (n - 1) / 2 Simpson terms (4 bytes per node) and the
     buffers of one block of _BLOCK node triples, about 0.7 MB. A block whose
-    least |p| clears every factor's pole test at the line's largest |k|
-    skips the per-node test.
+    stretch of the line is far enough from the root of every recorded factor
+    of p skips the per-node pole test.
 
     Raises
     ------
@@ -269,19 +267,14 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     t00, t01, t10, t11 = s.interaction._entries
     lo, hi = float(lo), float(hi)
     h = (hi - lo) / (n - 1)
-    # On the line |k|^2 = |xi + i eps| <= max(-A, B) + eps, so |theta_k| <= th = 2 (1 + kmax). A node passes the pole
-    # test of a recorded factor where it is at most tol (1 + th |lam|); every factor is at most 1 + th |lam|, so their
-    # product (lam with multiplicity), 1 - theta_k s1 + theta_k^2 s2 with s1, s2 the sum and product of the lam
-    # (s2 = 0 below two), is then at most tol prod (1 + th |lam|). p = 1 - theta_k tr T + theta_k^2 D is within
-    # th |s1 - tr T| + th^2 |s2 - D| of it, and Horner's p within 16 eps R of p, R = 1 + th (|tr T| + |s1|) +
-    # th^2 (|D| + |s2|), which covers the rounding of the test and of the differences. A block whose every |p| exceeds
-    # that sum, clear, holds no such node; 1e-9 margins cover rounding, and an inf or NaN clear skips no block.
-    lams = [lam for lam, (_, mult) in zip(s.lams, s.roots) for _ in range(mult)]
-    s1, s2, trace, D = sum(lams), lams[0] * lams[1] if len(lams) == 2 else 0, t00 + t11, s.det_t
-    th = 2 * (1 + math.sqrt(max(-lo, hi) + epsilon) * (1 + 1e-9))
-    R = 1 + th * (_modulus(trace) + _modulus(s1)) + th * th * (_modulus(D) + _modulus(s2))
-    clear = (s.tol + 16 * _EPS) * (math.prod(1 + th * _modulus(lam) for lam in lams) + R)
-    clear = (clear + th * _modulus(s1 - trace) + th * th * _modulus(s2 - D)) * (1 + 1e-9)
+    # A node passes the pole test of a recorded factor 1 - theta_k lam = -2i lam (k - k_j), k_j its root, where
+    # |k - k_j| <= tol (1 / (2 |lam|) + 1 + |k|), and |k| <= kmax = sqrt(max(-A, B) + eps) on the line. As |k - k_j| >=
+    # |k^2 - k_j^2| / (|k| + |k_j|), no node of a block whose stretch of the line is farther from every k_j^2 than
+    # (kmax + |k_j|) times that bound at kmax passes. 16 ulps on tol cover the rounding of k, of the test and of k_j
+    # and the distance, 1e-9 margins that of the bound, and an inf or NaN bound skips no block.
+    kmax, window = math.sqrt(max(-lo, hi) + epsilon) * (1 + 1e-9), (s.tol + 16 * math.ulp(1.0)) * (1 + 1e-9)
+    poles = [(k_j * k_j, (kmax + abs(k_j)) * window * (0.5 / abs(lam) + 1 + kmax))
+             for (k_j, _), lam in zip(s.roots, s.lams)]
     index = np.arange(min(n, 2 * _BLOCK + 1), dtype=float)
     cbufs = np.empty((3, index.size), dtype=complex)
     fbufs = np.empty((3, index.size))
@@ -299,7 +292,8 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
         c2k = np.multiply(c2, k, out=u)
         np.add(c0, np.multiply(np.add(c1, c2k, out=p), k, out=p), out=p)
         np.abs(p, out=abs_p)
-        if not abs_p.min() > clear and np.any(s._at_pole(k, s.lams)):
+        clear = all(math.hypot(max(xi[0] - z.real, z.real - xi[-1], 0), epsilon - z.imag) > r for z, r in poles)
+        if not clear and np.any(s._at_pole(k, s.lams)):
             raise AtEigenvalue("sweep line passes through a pole")
         half_dp = np.add(half_c1, c2k, out=u)
         fro2 = np.add(np.square(half_dp.real, out=out), np.square(half_dp.imag, out=g), out=out)

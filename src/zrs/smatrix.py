@@ -10,8 +10,9 @@ for the eigenvalues lam of T that are not 0. SMatrixFn records those factors
 once and decides there which of them cancel: a lam at 1/2 has the factor
 1 - theta_k / 2 = -ik, which cancels the numerator's k, and for scalar
 T = lam sigma0 the numerator 4ik lam (1 - theta_k lam) sigma0 cancels one
-factor. evaluate divides by the factors that are left, each tested for a
-pole on its own, and the classifier reports their roots with the orders left.
+factor. evaluate tests each factor left for a pole on its own, and the
+classifier reports their roots with the orders left; the value of S reads
+the eigenvalues of T as they are, none merged or snapped.
 """
 
 import cmath
@@ -86,6 +87,10 @@ class SMatrixFn:
             raise NotRepresentable(f"characteristic polynomial of {interaction!r} overflows")
         self.xi = xi = cmath.sqrt(xi2)
         self.scalar = m_max <= 100 * tol * t_max
+        # S's value reads w, the larger of g0 +- xi, and D / w, which keeps a small one that g0 - xi cancels, or
+        # 2 g0 - w where w^2 is below the terms D cancels, as the sqrt leaves w too rough for D / w to keep tr T
+        w = max(g0 + xi, g0 - xi, key=abs)
+        self._eigenvalues = w, D / w if abs(w) * abs(w) > cancelled else 2 * g0 - w
         # p(theta) = (1 - theta lam+)(1 - theta lam-), lam+- = g0 +- xi: lams holds (lam, its root theta,
         # multiplicity) of each lam that is not 0. A value vanishes where below 100 tol times the terms it cancels.
         if abs(D) <= 100 * tol * cancelled:
@@ -94,7 +99,6 @@ class SMatrixFn:
         elif self.scalar or _double_root(g0, x, b, c, xi2, max(abs(g0), m_max), tol):
             lams = ((D / g0, g0 / D, 2),)  # lam = 1 / theta, so that its factor vanishes at the root reported
         else:
-            w = max(g0 + xi, g0 - xi, key=abs)
             lams = ((D / w, w / D, 1), (w, 1 / w, 1))
         roots, thetas, kept = [], [], []
         for lam, theta, mult in lams:
@@ -107,10 +111,8 @@ class SMatrixFn:
         if thetas == [2.0, 2.0]:  # both lam at 1/2: one double root
             roots, thetas, kept = [(0j, 2)], [2.0], [0.5]
         # Which factors cancel. For scalar T the numerator T - theta_k D sigma0 = lam (1 - theta_k lam) sigma0
-        # cancels one factor and leaves lam sigma0 = T, so its D, d, is 0, as it is where fewer than two lam are
-        # kept. The factor 1 - theta_k / 2 = -ik of a lam at 1/2 cancels the numerator's k: 4ik / (-ik) = -4.
+        # cancels one factor. The factor 1 - theta_k / 2 = -ik of a lam at 1/2 cancels the numerator's k.
         orders = [1] * len(roots) if self.scalar else [mult for _, mult in roots]
-        self._d = D if sum(orders) == 2 else 0
         self._cancels_k = 2.0 in thetas
         if self._cancels_k:
             orders[thetas.index(2.0)] -= 1
@@ -118,35 +120,39 @@ class SMatrixFn:
         self.constant = not any(orders) and (self._cancels_k or not any((a, b, c, d)))
 
     def p(self, k):
-        """Characteristic polynomial det(sigma0 - theta_k T) at k."""
-        c0, c1, c2 = self.p_coeffs
+        """Characteristic polynomial det(sigma0 - theta_k T) at k, the product of its eigenvalues' factors."""
         k = complex(k)
-        return c0 + (c1 + c2 * k) * k
+        return _factor(self._eigenvalues[0], k) * _factor(self._eigenvalues[1], k)
 
     def evaluate(self, k):
         """S(k) as a 2x2 ndarray.
 
-        S(k) = sigma0 + 4ik (T - theta_k d sigma0) / prod (1 - theta_k lam)^order
-        over the roots, 4ik read as -4 where the origin's factor cancels it.
-        Raises AtPole where a factor left is within tolerance of zero, and
-        ValueError where S(k) is not finite, as theta_k d, a factor or their
-        products overflow, for |k| near the end of the float range.
+        Raises AtPole where a factor the record leaves, each root's orders
+        times, is within tolerance of zero. The value is the formula above on
+        the eigenvalues of T, unmerged, with p(0) taken as 0 where a lam is
+        snapped to 1/2, and sigma0 - 4T where S is constant. Raises ValueError
+        where S(k) is not finite: theta_k D, a factor or their products
+        overflow, or a factor is 0 at a root the record merged or left out.
         """
         import numpy as np
 
         SIGMA0 = pauli.SIGMA0  # an ndarray, made (with numpy) on first access
+        T = self.interaction.matrix
+        if self.constant:
+            return SIGMA0 - 4 * T
         k = complex(k)
-        left = [lam for lam, order in zip(self.lams, self.orders) for _ in range(order)]
+        lam1, lam2 = self._eigenvalues
         try:
-            if self._at_pole(k, left):
+            if self._at_pole(k, [lam for lam, order in zip(self.lams, self.orders) for _ in range(order)]):
                 raise AtPole(f"k = {k} within tolerance of a pole of S")
-            q = -4.0 if self._cancels_k else 4j * k
-            for lam in left:
-                q /= _factor(lam, k)
-            theta_d = 2 * (1 + 1j * k) * self._d if self._d else 0  # 0, not inf times 0, past 1e308
+            if self._cancels_k:  # p(0) = (1 - 2 lam1)(1 - 2 lam2) taken as 0, (p(k) - p(0)) / k divides 4i
+                q = -2 / (lam1 * _factor(lam2, k) + (1 - 2 * lam1) * lam2)
+            else:
+                q = 4j * k / _factor(lam1, k) / _factor(lam2, k)
+            theta_d = 2 * (1 + 1j * k) * self.det_t if self.det_t else 0  # 0, not inf times 0, past 1e308
             with np.errstate(all="ignore"):  # an overflow is reported once, below
-                s = SIGMA0 + q * (self.interaction.matrix - theta_d * SIGMA0)
-        except OverflowError:  # abs() in the pole test, past the float range
+                s = SIGMA0 + q * (T - theta_d * SIGMA0)
+        except (OverflowError, ZeroDivisionError):  # abs() in the pole test past the float range, a factor at 0
             s = None
         if s is None or not all(map(cmath.isfinite, s.flat)):
             raise ValueError(f"S(k) leaves the float range at k = {k}")
@@ -160,7 +166,6 @@ class SMatrixFn:
         cancels and the roots of a large lam sit. As a quotient, it fails
         where the factor overflows.
         """
-        # the number of factors near zero, at k or at each k of an array, is above 0
         return sum(abs(_factor(lam, k)) / (1 + 2 * abs(lam) * (1 + abs(k))) <= self.tol for lam in lams) > 0
 
 

@@ -30,12 +30,13 @@ separate route, so the tests can cross-check the package against it:
   inputs and comparing Pauli coefficients as matrices;
 * abcd_numerators(a, b, c, d): the float numerators and the 4 Xi that
   Interaction.from_abcd divides them by;
-* numpy_decompose, numpy_characteristic and numpy_nilpotent: gamma, the
-  characteristic data and the exceptional-point certificate (at the theta
-  SMatrixFn.thetas records for a root) computed on
+* numpy_decompose, numpy_factors, numpy_characteristic and numpy_nilpotent:
+  gamma, the factors of p, the characteristic data and the exceptional-point
+  certificate (at the theta SMatrixFn.thetas records for a root) computed on
   numpy scalars and 2x2 arrays, against the package's Python scalar path,
   which must give the same gamma, det T and coefficients of p bit for bit,
-  the same structure of roots and the same certificate verdicts.
+  the same structure of roots and the same certificate verdicts; the probe
+  oracle tests its nodes against the factors numpy_factors decides.
 """
 
 from dataclasses import dataclass
@@ -368,8 +369,9 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     k.imag = np.where(xi < 0, t, other)
     c2k = c2 * k
     p = c0 + (c1 + c2k) * k
-    # each factor 1 - theta_k lam that s records, (1 - 2 lam) - 2i lam k, against the size of its terms
-    for lam in s.lams:
+    # each factor 1 - theta_k lam of p, (1 - 2 lam) - 2i lam k, against the size of its terms, with the
+    # eigenvalues lam decided on numpy scalars, apart from the package's record
+    for lam, _ in numpy_factors(interaction.matrix, s.tol)[2]:
         if (np.abs((1 - 2 * lam) - 2j * lam * k) / (1 + 2 * abs(lam) * (1 + np.abs(k))) <= s.tol).any():
             raise AtEigenvalue("sweep line passes through a pole")
     t00, t01, t10, t11 = s.interaction._entries
@@ -439,9 +441,11 @@ def numpy_decompose(m):
     return PauliVector(x0, x1, x2, x3)
 
 
-def numpy_characteristic(T, tol):
-    """(det_t, p_coeffs, roots) of SMatrixFn, computed on numpy scalars.
+def numpy_factors(T, tol):
+    """(det_t, p_coeffs, factors) of SMatrixFn, computed on numpy scalars.
 
+    factors are (lam, multiplicity) for each factor 1 - theta_k lam of p that
+    SMatrixFn records, lam exactly 0.5 where it is snapped to the origin.
     T is a 2x2 array. The decisions are SMatrixFn's, taken on numpy
     complex128 scalars from the entries: a vanishing det T or trace against
     the terms they cancel, the scalar test, the double-root test on the
@@ -449,9 +453,8 @@ def numpy_characteristic(T, tol):
     test |1 - 2 lam| of each eigenvalue lam, D / gamma0 for a double one. The
     double-root test
     is taken on 2x2 arrays, without the bound that SMatrixFn checks first,
-    so a verdict that bound skips shows here. The multiplicities, order and
-    origin snaps of the roots are those of SMatrixFn.roots; their locations,
-    i (1 - 1 / (2 lam)), are not. Callers keep the characteristic data finite.
+    so a verdict that bound skips shows here. Callers keep the
+    characteristic data finite.
     """
     a, b, c, d = np.asarray(T, dtype=complex).ravel()
     g0, x = (a + d) / 2, (a - d) / 2
@@ -479,10 +482,23 @@ def numpy_characteristic(T, tol):
         # a root theta with a part past 1e154 gives no root; theta is taken with Python's complex
         # division, which numpy's differs from where a divisor is subnormal
         lams = [(lam, mult) for lam, theta, mult in lams if max(abs(theta.real), abs(theta.imag)) < 1e154]
-        roots = [(0j if abs(1 - 2 * lam) <= 100 * tol else 1j * (1 - 1 / (2 * lam)), mult) for lam, mult in lams]
+        lams = [(0.5 if abs(1 - 2 * lam) <= 100 * tol else lam, mult) for lam, mult in lams]
+    return D, (c0, c1, c2), lams
+
+
+def numpy_characteristic(T, tol):
+    """(det_t, p_coeffs, roots) of SMatrixFn, computed on numpy scalars.
+
+    The roots of numpy_factors(T, tol): the multiplicities, order and origin
+    snaps are those of SMatrixFn.roots; their locations, i (1 - 1 / (2 lam)),
+    are not.
+    """
+    D, coeffs, lams = numpy_factors(T, tol)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        roots = [(0j if lam == 0.5 else 1j * (1 - 1 / (2 * lam)), mult) for lam, mult in lams]
     if len(roots) == 2 and roots[0] == roots[1] == (0j, 1):
         roots = [(0j, 2)]
-    return D, (c0, c1, c2), tuple(roots)
+    return D, coeffs, tuple(roots)
 
 
 def numpy_nilpotent(T, theta, tol):

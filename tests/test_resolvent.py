@@ -159,6 +159,20 @@ def test_norm_matches_boundary_solve():
                 assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_norm_near_a_root_by_the_origin_matches_boundary_solve():
+    # T = (1/2 + delta) sigma0 has its root k0 = 2i delta by the origin, where
+    # c0 = 1 - 4 gamma0 + 4D of p's coefficients cancels: at 2 k0 Horner's p
+    # put the norm 6e7 times too high for delta = 1e-9, while the factors
+    # 1 - theta_k lam of p keep it within what the numerator's own rounding,
+    # eps / |1 - theta_k lam|, allows
+    g = plus_exponential(1j)
+    for delta in (1e-9, 3e-9, 1e-8, 1e-7):
+        i = Interaction.from_matrix(((0.5 + delta) * np.eye(2)).tolist())
+        ((k0, _),) = SMatrixFn(i).roots
+        for k in (2 * k0, 3 * k0 + 1e-9, 10 * k0):
+            assert resolvent_diff_norm(i, k, g) == pytest.approx(boundary_solve_norm(i, k, g), rel=1e-7), (delta, k)
+
+
 def test_norm_at_bound_state_rejected():
     i = Interaction.from_abcd(-1, 0, 0, 0)
     with pytest.raises(AtEigenvalue):
@@ -303,6 +317,28 @@ def test_probe_pole_early_out_hides_no_pole(monkeypatch):
     calls.clear()
     similarity_integral_probe(Interaction.from_abcd(1, -1, 1, -1), 1.0, (-10, 10))
     assert not calls
+
+
+def test_probe_and_oracle_find_a_pole_of_two_simple_ones_apart():
+    # T = P diag(1 / theta_k0, mu) P^-1 has two simple eigenvalues, and k0,
+    # the root of the first, is a node's k or 1e-3 eps off the line: the
+    # probe, which reads the record, and the oracle, which decides the
+    # eigenvalues on numpy scalars, raise at the node and integrate off it
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        eps, n = 10 ** rng.uniform(-3, 0), 4097
+        for delta, raises in ((0.0, True), (1e-3 * eps, False)):
+            k0 = np.sqrt(complex(np.linspace(-10, 10, n)[rng.integers(n)], eps + delta))
+            P = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            T = P @ np.diag([1 / (2 * (1 + 1j * k0)), complex(*rng.normal(size=2))]) @ np.linalg.inv(P)
+            i = Interaction.from_matrix(T.tolist())
+            assert len(SMatrixFn(i).roots) == 2
+            for probe in (similarity_integral_probe, oracles.similarity_integral_probe):
+                if raises:
+                    with pytest.raises(AtEigenvalue):
+                        probe(i, eps, (-10, 10), n=n)
+                else:
+                    assert math.isfinite(probe(i, eps, (-10, 10), n=n))
 
 
 def test_probe_pole_early_out_at_the_edge_of_the_pole_test():
