@@ -137,10 +137,9 @@ class SMatrixFn:
         import numpy as np
 
         SIGMA0 = pauli.SIGMA0  # an ndarray, made (with numpy) on first access
-        T = self.interaction.matrix
+        k, T = complex(k), self.interaction.matrix
         if self.constant:
             return SIGMA0 - 4 * T
-        k = complex(k)
         lam1, lam2 = self._eigenvalues
         try:
             if self._at_pole(k, [lam for lam, order in zip(self.lams, self.orders) for _ in range(order)]):
