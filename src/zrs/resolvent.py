@@ -165,10 +165,8 @@ def resolvent_diff_norm(interaction, k, g):
             F = f_transform(g, k)
             if s._at_pole(k, s.lams):
                 raise AtEigenvalue(f"k = {k} within tolerance of a root of p")
-            pk = s.p(k)
-            theta = 2 * (1 + 1j * k)
-            M = s.interaction.matrix - theta * s.det_t * np.eye(2)
-            vec = _W @ M @ np.array([F.plus, F.minus]) / pk
+            M = s.interaction.matrix - 2 * (1 + 1j * k) * s.det_t * np.eye(2)
+            vec = _W @ M @ np.array([F.plus, F.minus]) / s.p(k)
             norm = math.sqrt((abs(vec[0]) ** 2 + abs(vec[1]) ** 2) / k.imag)
     except OverflowError:  # abs() in the pole test, past the float range
         norm = math.nan
@@ -205,17 +203,18 @@ def _simpson(h, n, fill):
     return h / 3 * np.sum(terms)
 
 
-def _sqrt_line(xi, epsilon, k):
-    """The principal sqrt(xi + i epsilon) into k, for ascending xi and epsilon > 0.
+def _sqrt_line(z, k, abs_z):
+    """The principal sqrt(z) into k and |z| into abs_z, for z = xi + i epsilon, ascending xi and epsilon > 0.
 
-    In real arithmetic, in about half the time of numpy's complex sqrt and
-    equal to it to the bit, but for an ulp in subnormal parts: with
-    t = sqrt(|z| / 2 + |xi| / 2), k is epsilon / (2t) + it where xi < 0,
-    t + i epsilon / (2t) where xi > 0 and t + it at xi = 0, so no difference
-    cancels. Halving before the sum keeps it in range unless |z| overflows.
+    |z| is numpy's complex abs, which scales, so it is in range wherever |z|
+    is. k, in real arithmetic, is numpy's complex sqrt within 2 ulp in each
+    part, in less than half its time: with t = sqrt(|z| / 2 + |xi| / 2), k
+    is epsilon / (2t) + it where xi < 0, t + i epsilon / (2t) where xi > 0
+    and t + it at xi = 0, so no difference cancels. Halving before the sum
+    keeps it in range unless |z| overflows.
     """
-    re, im = k.real, k.imag
-    np.multiply(np.hypot(xi, epsilon, out=re), 0.5, out=re)
+    re, im, xi, epsilon = k.real, k.imag, z.real, z.imag[0]
+    np.multiply(np.abs(z, out=abs_z), 0.5, out=re)
     np.multiply(xi, 0.5, out=im)
     # the nodes ascend: xi < 0 before j, xi = 0 from j to j0
     j, j0 = np.searchsorted(xi, 0.0), np.searchsorted(xi, 0.0, "right")
@@ -263,7 +262,6 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     n = probe_nodes(n)
     s = build(interaction)
     c0, c1, c2 = s.p_coeffs
-    half_c1 = c1 / 2
     t00, t01, t10, t11 = s.interaction._entries
     lo, hi = float(lo), float(hi)
     h = (hi - lo) / (n - 1)
@@ -281,26 +279,28 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     C = 0.0  # the module docstring's C, set in the try below, where its overflow raises
 
     def integrand(start, stop, out):
-        k, u, p = cbufs[:, : stop - start]
-        abs_p, g, xi = fbufs[:, : stop - start]
+        k, u, z = cbufs[:, : stop - start]
+        abs_z, g, d = fbufs[:, : stop - start]
         # node i is lo + i h, the last one hi, as np.linspace lays them out; i / (n - 1) (hi - lo) where h is 0
+        xi = z.real
         i = np.add(index[: stop - start], start, out=xi)
         np.add(np.multiply(i, h, out=xi) if h else np.multiply(i / (n - 1), hi - lo, out=xi), lo, out=xi)
         if stop == n:
             xi[-1] = hi
-        _sqrt_line(xi, epsilon, k)
+        z.imag = epsilon
+        clear = all(math.hypot(max(xi[0] - z0.real, z0.real - xi[-1], 0), epsilon - z0.imag) > r for z0, r in poles)
+        _sqrt_line(z, k, abs_z)
         c2k = np.multiply(c2, k, out=u)
-        np.add(c0, np.multiply(np.add(c1, c2k, out=p), k, out=p), out=p)
-        np.abs(p, out=abs_p)
-        clear = all(math.hypot(max(xi[0] - z.real, z.real - xi[-1], 0), epsilon - z.imag) > r for z, r in poles)
+        p = np.add(c0, np.multiply(np.add(c1, c2k, out=z), k, out=z), out=z)  # z is read to its end
         if not clear and np.any(s._at_pole(k, s.lams)):
             raise AtEigenvalue("sweep line passes through a pole")
-        half_dp = np.add(half_c1, c2k, out=u)
+        half_dp = np.add(c1 / 2, c2k, out=u)
         fro2 = np.add(np.square(half_dp.real, out=out), np.square(half_dp.imag, out=g), out=out)
         np.add(fro2, C, out=fro2)
-        # fro2 / (k.imag * abs_p ** 2 * np.abs(k + 1j) ** 2)
-        den = np.multiply(k.imag, np.square(abs_p, out=abs_p), out=abs_p)
-        np.multiply(den, np.square(np.abs(np.add(k, 1j, out=p), out=g), out=g), out=den)
+        # fro2 / (k.imag * |p|^2 * |k + i|^2), with |p|^2 = Re p^2 + Im p^2 and, as |k|^2 = |z|,
+        # |k + i|^2 = (|z| + 1) + 2 Im k, whose terms are all positive
+        den = np.multiply(k.imag, np.add(np.square(p.real, out=g), np.square(p.imag, out=d), out=g), out=g)
+        np.multiply(den, np.add(np.add(abs_z, 1, out=abs_z), np.multiply(k.imag, 2, out=d), out=abs_z), out=den)
         np.true_divide(fro2, den, out=out)
 
     # an overflow, an invalid operation or a division by zero would leave a

@@ -128,11 +128,12 @@ class SMatrixFn:
         """S(k) as a 2x2 ndarray.
 
         Raises AtPole where a factor the record leaves, each root's orders
-        times, is within tolerance of zero. The value is the formula above on
-        the eigenvalues of T, unmerged, with p(0) taken as 0 where a lam is
-        snapped to 1/2, and sigma0 - 4T where S is constant. Raises ValueError
-        where S(k) is not finite: theta_k D, a factor or their products
-        overflow, or a factor is 0 at a root the record merged or left out.
+        times, is within tolerance of zero, or where a factor of the value is
+        exactly 0, at a root the record merged or left out. The value is the
+        formula above on the eigenvalues of T, unmerged, with p(0) taken as 0
+        where a lam is snapped to 1/2, and sigma0 - 4T where S is constant.
+        Raises ValueError where S(k) is not finite: theta_k D, a factor or
+        their products overflow.
         """
         import numpy as np
 
@@ -151,7 +152,9 @@ class SMatrixFn:
             theta_d = 2 * (1 + 1j * k) * self.det_t if self.det_t else 0  # 0, not inf times 0, past 1e308
             with np.errstate(all="ignore"):  # an overflow is reported once, below
                 s = SIGMA0 + q * (T - theta_d * SIGMA0)
-        except (OverflowError, ZeroDivisionError):  # abs() in the pole test past the float range, a factor at 0
+        except ZeroDivisionError:  # a factor at 0
+            raise AtPole(f"k = {k} at a pole of S") from None
+        except OverflowError:  # abs() in the pole test past the float range
             s = None
         if s is None or not all(map(cmath.isfinite, s.flat)):
             raise ValueError(f"S(k) leaves the float range at k = {k}")

@@ -346,11 +346,12 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     """The similarity probe with its integrand built on all nodes at once.
 
     The same ufuncs in the same order as the chunked package version, on
-    probe-sized arrays: k = sqrt(xi + i eps) in real arithmetic, the
-    integrand (|p'(k) / 2|^2 + C) / (Im k |p|^2 |k + i|^2) and Simpson's
-    rule as h / 3 times the sum of y0 + 4 y1 + y2 over node triples, on the
-    nodes of np.linspace, and the pole test of each factor of p on every
-    node. The two must return the same float, or both raise AtEigenvalue.
+    probe-sized arrays: k = sqrt(xi + i eps) in real arithmetic from numpy's
+    complex abs of z, the integrand (|p'(k) / 2|^2 + C) / (Im k |p|^2
+    |k + i|^2) with |p|^2 and |k + i|^2 taken without a complex abs, and
+    Simpson's rule as h / 3 times the sum of y0 + 4 y1 + y2 over node
+    triples, on the nodes of np.linspace, and the pole test of each factor
+    of p on every node. The two must return the same float, or both raise AtEigenvalue.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -362,7 +363,8 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     lo, hi = xi_range
     xi = np.linspace(lo, hi, n)
     # eps / (2t) + it where xi < 0, t + i eps / (2t) where xi > 0, t + it at 0
-    t = np.sqrt(0.5 * np.hypot(xi, epsilon) + 0.5 * np.abs(xi))
+    abs_z = np.abs(xi + 1j * epsilon)
+    t = np.sqrt(0.5 * abs_z + 0.5 * np.abs(xi))
     other = np.where(xi == 0, t, 0.5 * epsilon / t)
     k = np.empty(n, dtype=complex)
     k.real = np.where(xi < 0, other, t)
@@ -378,7 +380,8 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     C = np.square(np.abs(np.subtract(t00, t11))) + 2 * (np.square(np.abs(t01)) + np.square(np.abs(t10)))
     half_dp = c1 / 2 + c2k
     fro2 = half_dp.real**2 + half_dp.imag**2 + C
-    integrand = fro2 / (k.imag * np.abs(p) ** 2 * np.abs(k + 1j) ** 2)
+    # |p|^2 from its parts, and |k + i|^2 = |k|^2 + 1 + 2 Im k with |k|^2 = |z|
+    integrand = fro2 / (k.imag * (p.real**2 + p.imag**2) * ((abs_z + 1) + 2 * k.imag))
     h = (hi - lo) / (n - 1)
     return float(epsilon * (h / 3 * np.sum(integrand[0:-1:2] + 4 * integrand[1::2] + integrand[2::2])))
 

@@ -36,6 +36,13 @@ def boundary_solve_norm(interaction, k, g):
     return np.sqrt((abs(coeff[0]) ** 2 + abs(coeff[1]) ** 2) / (2 * k.imag))
 
 
+def _line(xi, eps):
+    """z = xi + i eps as the probe lays it out, with the sign of a zero xi kept."""
+    z = np.empty(len(xi), dtype=complex)
+    z.real, z.imag = xi, eps
+    return z
+
+
 def test_exponential_transforms_closed_form():
     kg = 1.3 + 0.7j
     k = 0.4 + 1.1j
@@ -262,9 +269,9 @@ def test_probe_blocks_form_the_nodes_of_linspace(monkeypatch):
     # underflows to 0 and numpy divides by n - 1 before it multiplies
     blocks = []
 
-    def spy(xi, epsilon, k):
-        blocks.append(xi.copy())
-        return _sqrt_line(xi, epsilon, k)
+    def spy(z, k, abs_z):
+        blocks.append(z.real.copy())
+        return _sqrt_line(z, k, abs_z)
 
     monkeypatch.setattr(zrs.resolvent, "_sqrt_line", spy)
     i = Interaction.from_abcd(0.4, 0.2 + 0.1j, -0.3, 0.5)
@@ -436,34 +443,65 @@ def test_integrand_is_the_norm_of_w_m():
         assert abs(c1 / 2 + c2 * k) ** 2 + C == pytest.approx(want, rel=1e-12), (i.matrix, k)
 
 
+def _ulps(a, b):
+    return np.abs(a.view(np.int64) - b.view(np.int64)).max(initial=0)
+
+
+# lines (xi, eps) of z = xi + i eps: wide and tiny ranges, a tiny eps, xi = -0.0 and the largest floats
+SQRT_LINES = [
+    (np.linspace(-1e200, 1e200, 4097), 1.0),
+    (np.linspace(-1e-300, 1e-300, 4097), 0.5),
+    (np.linspace(-1e-300, 1e-300, 4097), 1e-300),
+    (np.linspace(-10, 10, 4097), 1e-300),
+    (np.linspace(-10, 10, 4097), 0.01),
+    (np.linspace(-0.0, 1, 17), 0.1),
+    (np.array([-1.0, -0.0, 0.0, 1.0]), 2.0),
+    (np.linspace(1e308, 1.7e308, 4097), 1.0),
+    (np.linspace(-1.7e308, -1e308, 4097), 1e300),
+]
+
+
 def test_probe_square_root_is_numpys():
     # the probe's k = sqrt(xi + i eps), in real arithmetic, is numpy's complex
     # sqrt within 2 ulp in each part: over wide and tiny ranges, at a tiny
     # eps, at xi = -0.0 and out to the largest floats
-    def ulps(a, b):
-        return np.abs(a.view(np.int64) - b.view(np.int64)).max()
-
-    lines = [
-        (np.linspace(-1e200, 1e200, 4097), 1.0),
-        (np.linspace(-1e-300, 1e-300, 4097), 0.5),
-        (np.linspace(-1e-300, 1e-300, 4097), 1e-300),
-        (np.linspace(-10, 10, 4097), 1e-300),
-        (np.linspace(-10, 10, 4097), 0.01),
-        (np.linspace(-0.0, 1, 17), 0.1),
-        (np.array([-1.0, -0.0, 0.0, 1.0]), 2.0),
-        (np.linspace(1e308, 1.7e308, 4097), 1.0),
-        (np.linspace(-1.7e308, -1e308, 4097), 1e300),
-    ]
-    for xi, eps in lines:
-        got = _sqrt_line(xi, eps, np.empty(len(xi), dtype=complex))
+    for xi, eps in SQRT_LINES:
+        got = _sqrt_line(_line(xi, eps), np.empty(len(xi), dtype=complex), np.empty(len(xi)))
         want = np.sqrt(xi + 1j * eps)
-        assert ulps(got.real, want.real) <= 2 and ulps(got.imag, want.imag) <= 2, (xi[0], xi[-1], eps)
+        assert _ulps(got.real, want.real) <= 2 and _ulps(got.imag, want.imag) <= 2, (xi[0], xi[-1], eps)
     # a small nilpotent T keeps the probe in range out there: 0.5 |z| + 0.5 xi
     # is at most 1.7e308 where |z| + xi is not
     i = Interaction.from_matrix([[0, 1e-3], [0, 0]])
     got = similarity_integral_probe(i, 1.0, (1e308, 1.7e308), n=2001)
     assert got == oracles.similarity_integral_probe(i, 1.0, (1e308, 1.7e308), n=2001)
     assert got == pytest.approx(oracles.direct_solve_probe(i, 1.0, (1e308, 1.7e308), n=2001), rel=1e-12)
+
+
+def test_probe_squared_moduli_are_complex_abs_squared():
+    # the probe's |k + i|^2 = (|z| + 1) + 2 Im k, from |k|^2 = |z|, and its
+    # |p|^2 = Re p^2 + Im p^2 are abs(k + 1j)**2 and abs(p)**2 within 6 ulp
+    # (5 seen), finite exactly where those are, on the lines of the square
+    # root's test and on 300 random lines across 10^+-300
+    rng = np.random.default_rng(24)
+    lines = list(SQRT_LINES)
+    for _ in range(300):
+        scale = 10 ** rng.uniform(-300, 300)
+        lo = scale * rng.uniform(-1, 1)
+        xi = np.linspace(lo, lo + scale * 10 ** rng.uniform(-6, 0.3), 1025)
+        lines.append((xi, 10 ** rng.uniform(-300, 300)))
+    coeffs = [SMatrixFn(Interaction.from_abcd(*abcd)).p_coeffs for abcd in ((0.4, 0.2 + 0.1j, -0.3, 0.5), (-1, 0, 0, 0))]
+    with np.errstate(over="ignore", under="ignore"):
+        for xi, eps in lines:
+            abs_z = np.empty(len(xi))
+            k = _sqrt_line(_line(xi, eps), np.empty(len(xi), dtype=complex), abs_z)
+            pairs = [((abs_z + 1) + 2 * k.imag, np.abs(k + 1j) ** 2)]
+            for c0, c1, c2 in coeffs:
+                p = c0 + (c1 + c2 * k) * k
+                pairs.append((p.real**2 + p.imag**2, np.abs(p) ** 2))
+            for got, want in pairs:
+                finite = np.isfinite(want)
+                assert (np.isfinite(got) == finite).all(), (xi[0], xi[-1], eps)
+                assert _ulps(got[finite], want[finite]) <= 6, (xi[0], xi[-1], eps)
 
 
 def test_probe_matches_pointwise_norms():

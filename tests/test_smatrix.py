@@ -117,6 +117,22 @@ def test_evaluate_at_pole_raises():
         s.evaluate(-0.5j)
 
 
+def test_evaluate_raises_at_a_pole_the_record_left_out():
+    # T = [[1, 1], [1, 1 + 1e-11]] has eigenvalues 2 and 5e-12; the record
+    # takes the second as 0 and keeps no pole for it, but S has one at its
+    # root, where the unmerged factor the value divides by is exactly 0:
+    # evaluate says AtPole there, and a relative 1e-6 off it S is about 1e6,
+    # within 1e-9 of exact_s (1.1e-10 seen)
+    T = [[1, 1], [1, 1 + 1e-11]]
+    s = build(Interaction.from_matrix(T))
+    k = -99999991725.21358j
+    with pytest.raises(AtPole):
+        s.evaluate(k)
+    got = s.evaluate(k * (1 + 1e-6))
+    assert 1e5 < np.abs(got).max() < 1e7
+    assert relative_error(got, exact_s(T, k * (1 + 1e-6))) < 1e-9
+
+
 def test_far_out_on_the_real_axis_is_not_a_pole():
     # attractive delta: p(k) = -1 - 2ik, S(k) tends to sigma0 - 2T
     s = build(Interaction.from_abcd(-1, 0, 0, 0))

@@ -24,10 +24,14 @@ It prints every command line whose exit code, stderr or any non-numeric
 field differs: the JSON values and CSV fields of stdout other than floats,
 integers included. Then, per subcommand, the number of command lines whose
 floats differ and the largest |b - a| / max(1, |a|) over their floats.
+For the probe lines whose value differs it also solves each probe node by
+node with tests/oracles.direct_solve_probe of this checkout and prints how
+many values moved closer to that reference and how many farther, and the
+largest relative error |value - ref| / |ref| at each root over them.
 It exits 1 when a command line differs in more than floats. Each
 subprocess runs `python3 tools/cli_digest.py --answers ROOT`, which prints
-the seed, argv, exit code, stdout and stderr of each command line as one
-JSON line.
+the seed, argv, payload, exit code, stdout and stderr of each command line
+as one JSON line.
 
 The command lines come from bench/corpus.py of the checkout this script is
 in, so both runs send the same requests.
@@ -43,7 +47,8 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+HERE = Path(__file__).resolve().parents[1]
+BENCH = HERE / "bench"
 SEEDS = range(1, 6)
 _MIXED = (0.4, 0.2 + 0.1j, -0.3, 0.5)
 # (argv, abcd) of probes at the edges of the probe's arithmetic
@@ -97,7 +102,7 @@ def _sha(text):
 
 
 def answers(root):
-    """(seed, argv, exit code, stdout, stderr) of every command line, at one checkout."""
+    """(seed, argv, payload, exit code, stdout, stderr) of every command line, at one checkout."""
     src = Path(root).resolve() / "src"
     sys.path[:0] = [str(src), str(BENCH)]
     import corpus
@@ -105,9 +110,10 @@ def answers(root):
 
     for seed in SEEDS:
         for cmd, payload in command_lines(corpus, seed):
-            yield (seed, cmd, *run(zrs.cli.main, cmd, payload))
+            yield (seed, cmd, payload, *run(zrs.cli.main, cmd, payload))
     for cmd, abcd in EDGE_PROBES:
-        yield ("edge", cmd, *run(zrs.cli.main, cmd, corpus.abcd_payload(*abcd)))
+        payload = corpus.abcd_payload(*abcd)
+        yield ("edge", cmd, payload, *run(zrs.cli.main, cmd, payload))
 
 
 def _floats_apart(value, floats):
@@ -149,6 +155,22 @@ def fields(out):
     return rest, floats
 
 
+def _probe_errors(probes):
+    """(error at root_a, error at root_b) of each (payload, stdout a, stdout b) of a probe line.
+
+    Each error is relative to tests/oracles.direct_solve_probe, run with the
+    zrs of this checkout.
+    """
+    sys.path[:0] = [str(HERE / "src"), str(HERE / "tests")]
+    import oracles
+    from zrs.cli import _interaction_from
+
+    for payload, out_a, out_b in probes:
+        a, b = json.loads(out_a), json.loads(out_b)
+        ref = oracles.direct_solve_probe(_interaction_from(json.loads(payload)), a["epsilon"], a["xi"], n=a["n"])
+        yield abs(a["value"] - ref) / abs(ref), abs(b["value"] - ref) / abs(ref)
+
+
 def compare(root_a, root_b):
     """Print how the answers at root_b differ from those at root_a; the number of differences."""
     sides = []
@@ -159,7 +181,8 @@ def compare(root_a, root_b):
         sides.append([json.loads(line) for line in run.stdout.splitlines()])
     differences = 0
     lines, moved, worst = defaultdict(int), defaultdict(int), defaultdict(float)
-    for (seed, cmd, code_a, out_a, err_a), (_, _, code_b, out_b, err_b) in zip(*sides):
+    probes = []  # (payload, stdout a, stdout b) of the probe lines whose value differs
+    for (seed, cmd, payload, code_a, out_a, err_a), (_, _, _, code_b, out_b, err_b) in zip(*sides):
         sub = cmd[0]
         lines[sub] += 1
         (rest_a, floats_a), (rest_b, floats_b) = fields(out_a), fields(out_b)
@@ -180,9 +203,16 @@ def compare(root_a, root_b):
         if delta:
             moved[sub] += 1
             worst[sub] = max(worst[sub], delta)
+            if sub == "probe":
+                probes.append((payload, out_a, out_b))
     for sub in sorted(lines):
         print(f"{sub}: {lines[sub]} command lines, {moved[sub]} with floats that differ,"
               f" largest |b - a| / max(1, |a|) = {worst[sub]:.2g}")
+    if probes:
+        errors = list(_probe_errors(probes))
+        closer, farther = sum(b < a for a, b in errors), sum(b > a for a, b in errors)
+        print(f"probe against direct_solve_probe: {closer} of {len(errors)} closer, {farther} farther;"
+              f" largest relative error {max(a for a, _ in errors):.3g} -> {max(b for _, b in errors):.3g}")
     print(f"{sum(lines.values())} command lines, {differences} differ in more than floats")
     return differences
 
@@ -202,7 +232,7 @@ def main(argv):
             return 2
     if len(argv) == 2:
         return 1 if compare(*argv) else 0
-    for seed, cmd, code, out, err in answers(argv[0]):
+    for seed, cmd, _, code, out, err in answers(argv[0]):
         print(seed, json.dumps(cmd), code, _sha(out), _sha(err))
     return 0
 
