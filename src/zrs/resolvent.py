@@ -20,7 +20,10 @@ unitary, so the two squared norms add up to
     C = |t00 - t11|^2 + 2 |t01|^2 + 2 |t10|^2,
 
 as 2 |T - theta_k D sigma0|_F^2 = |2 theta_k D - tr T|^2 + C and
-2 theta_k D - tr T = -i p'(k) / 2.
+2 theta_k D - tr T = -i p'(k) / 2. On the line, |k|^2 = |z|, so the probe
+takes |k + i|^2 as (|z| + 1) + 2 Im k, whose terms are all positive, and
+|p|^2 as Re p^2 + Im p^2: each within 6 ulp of its complex abs squared. The
+one complex abs per node is numpy's of z, which scales internally.
 
 Only f_transform with a custom test function loads scipy, when it is
 called; the probe integrates without it.
@@ -208,7 +211,7 @@ def _sqrt_line(z, k, abs_z):
 
     |z| is numpy's complex abs, which scales, so it is in range wherever |z|
     is. k, in real arithmetic, is numpy's complex sqrt within 2 ulp in each
-    part, in less than half its time: with t = sqrt(|z| / 2 + |xi| / 2), k
+    part, in about a third of its time: with t = sqrt(|z| / 2 + |xi| / 2), k
     is epsilon / (2t) + it where xi < 0, t + i epsilon / (2t) where xi > 0
     and t + it at xi = 0, so no difference cancels. Halving before the sum
     keeps it in range unless |z| overflows.
@@ -237,7 +240,8 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     spectral singularity. Evidence only, not a certificate.
 
     Memory: the (n - 1) / 2 Simpson terms (4 bytes per node) and the
-    buffers of one block of _BLOCK node triples, about 0.7 MB. A block whose
+    buffers of one block of _BLOCK node triples, about 0.7 MB; a default
+    probe peaks at 1.53 MB under tracemalloc. A block whose
     stretch of the line is far enough from the root of every recorded factor
     of p skips the per-node pole test.
 
@@ -297,8 +301,7 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
         half_dp = np.add(c1 / 2, c2k, out=u)
         fro2 = np.add(np.square(half_dp.real, out=out), np.square(half_dp.imag, out=g), out=out)
         np.add(fro2, C, out=fro2)
-        # fro2 / (k.imag * |p|^2 * |k + i|^2), with |p|^2 = Re p^2 + Im p^2 and, as |k|^2 = |z|,
-        # |k + i|^2 = (|z| + 1) + 2 Im k, whose terms are all positive
+        # fro2 / (k.imag * |p|^2 * |k + i|^2), |p|^2 = Re p^2 + Im p^2, |k + i|^2 = (|z| + 1) + 2 Im k
         den = np.multiply(k.imag, np.add(np.square(p.real, out=g), np.square(p.imag, out=d), out=g), out=g)
         np.multiply(den, np.add(np.add(abs_z, 1, out=abs_z), np.multiply(k.imag, 2, out=d), out=abs_z), out=den)
         np.true_divide(fro2, den, out=out)
