@@ -28,8 +28,8 @@ from .classifier import (
 
 __version__ = "0.1.0"
 
-# the modules that build ndarrays at import are loaded, and numpy with them,
-# when one of their names is first read
+# the modules that classify does not need are loaded when one of their names
+# is first read: zrs.resolvent builds ndarrays at import, and loads numpy
 _LAZY = {
     "Applicability": "metric",
     "MetricSpec": "metric",

@@ -221,9 +221,8 @@ def _cmd_classify(args):
 def _cmd_eval(args):
     k = _parse_complex(args.k, "--k")
     interaction = _interaction_from(_read_payload(args))
-    s = build(interaction)
     try:
-        m = s.evaluate(k)
+        m = build(interaction)._value(k)
     except AtPole:
         _emit({"k": _pair(k), "pole": True})
         return 0
@@ -234,7 +233,7 @@ def _cmd_eval(args):
 
 
 def _cmd_metric(args):
-    from .metric import Applicability, construct, cosh_chi_from_poles, metric_matrix, verify_intertwining
+    from .metric import Applicability, _metric_entries, construct, cosh_chi_from_poles, verify_intertwining
 
     interaction = _interaction_from(_read_payload(args))
     try:
@@ -242,7 +241,6 @@ def _cmd_metric(args):
     except NotApplicable as exc:
         _emit({"applicable": False, "reason": str(exc)})
         return 0
-    E = metric_matrix(spec)
     two_poles = spec.applicability is Applicability.TWO_IMAGINARY_POLES
     _emit(
         {
@@ -251,7 +249,7 @@ def _cmd_metric(args):
             "applicability": spec.applicability.value,
             "chi": _f(spec.chi),
             "cosh_chi_from_poles": _f(cosh_chi_from_poles(spec)) if two_poles else None,
-            "e": [[_pair(z) for z in row] for row in E],
+            "e": [[_pair(z) for z in row] for row in _metric_entries(spec)],
             "intertwining_residual": _f(verify_intertwining(spec)),
             "kappa": _f(spec.kappa),
         }

@@ -16,10 +16,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-import numpy as np
-
 from .errors import DegenerateGamma, NotApplicable
-from .pauli import SIGMA0, SIGMA1, SIGMA2, SIGMA3
 from .smatrix import build
 from .classifier import _metric_certificate
 from .interaction import _is_hermitian
@@ -64,27 +61,28 @@ def construct(interaction):
     applicability, reason = _applicability(s)
     if applicability is Applicability.NOT_APPLICABLE:
         raise NotApplicable(reason)
-    space = np.array(s.gamma[1:], dtype=complex)
-    u, v = space.real, space.imag
-    cross = np.cross(u, v)
-    norm_u, norm_v, norm_cross = _norm(u), _norm(v), _norm(cross)
+    (u1, v1), (u2, v2), (u3, v3) = ((g.real, g.imag) for g in s.gamma[1:])
+    cross = (u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1)
+    norm_u, norm_v, norm_cross = math.hypot(u1, u2, u3), math.hypot(v1, v2, v3), math.hypot(*cross)  # scale inside
     if norm_cross <= 0.1 * s.tol * (1 + norm_u * norm_v):
         raise DegenerateGamma("Re gamma and Im gamma are collinear")
     kappa = norm_v / norm_u
-    return MetricSpec(alpha=-cross / norm_cross, chi=math.atanh(kappa), kappa=kappa, applicability=applicability, s=s)
+    alpha = tuple(-x / norm_cross for x in cross)
+    return MetricSpec(alpha=alpha, chi=math.atanh(kappa), kappa=kappa, applicability=applicability, s=s)
 
 
-def _norm(x):
-    """np.linalg.norm(x), bit for bit, taken on x scaled by a power of two so that it cannot overflow."""
-    scale = 2.0 ** math.frexp(float(np.abs(x).max()))[1]
-    return float(np.linalg.norm(x / scale)) * scale
+def _metric_entries(spec):
+    """E = cosh(chi) sigma0 + sinh(chi) sigma_alpha as its rows ((e00, e01), (e10, e11)) of Python complex."""
+    a1, a2, a3 = spec.alpha
+    ch, sh = math.cosh(spec.chi), math.sinh(spec.chi)
+    return (ch + sh * a3 + 0j, sh * (a1 - 1j * a2)), (sh * (a1 + 1j * a2), ch - sh * a3 + 0j)
 
 
 def metric_matrix(spec):
     """E = cosh(chi) sigma0 + sinh(chi) sigma_alpha as a 2x2 ndarray."""
-    a1, a2, a3 = spec.alpha
-    sigma_alpha = a1 * SIGMA1 + a2 * SIGMA2 + a3 * SIGMA3
-    return math.cosh(spec.chi) * SIGMA0 + math.sinh(spec.chi) * sigma_alpha
+    import numpy as np
+
+    return np.array(_metric_entries(spec))
 
 
 def verify_intertwining(spec):
@@ -93,13 +91,15 @@ def verify_intertwining(spec):
     Returns inf instead of raising when E fails to be positive definite
     hermitian, so a caller can always log the number.
     """
-    E = metric_matrix(spec)
-    if np.abs(E - E.conj().T).max() > 100 * spec.s.tol * (1 + np.abs(E).max()):
+    E = (e00, e01), (e10, e11) = _metric_entries(spec)
+    skew = max(2 * abs(e00.imag), abs(e01 - e10.conjugate()), 2 * abs(e11.imag))  # max |(E - E*)_ij|
+    if skew > 100 * spec.s.tol * (1 + max(abs(e00), abs(e01), abs(e10), abs(e11))):
         return math.inf
-    if np.linalg.eigvalsh(E).min() <= 0:
+    if not (e00.real > 0 and e00.real * e11.real - abs(e10) ** 2 > 0):  # E00 and det E decide a hermitian 2x2
         return math.inf
-    T = spec.s.interaction.matrix
-    return float(np.abs(T.conj().T @ E - E @ T).max())
+    a, b, c, d = spec.s.interaction._entries
+    T, H = ((a, b), (c, d)), ((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate()))  # T and T*
+    return max(abs(sum(H[i][n] * E[n][j] - E[i][n] * T[n][j] for n in (0, 1))) for i in (0, 1) for j in (0, 1))
 
 
 def cosh_chi_from_poles(spec):

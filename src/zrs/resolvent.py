@@ -38,9 +38,6 @@ import numpy as np
 from .errors import AtEigenvalue, NonConvergent
 from .smatrix import build
 
-# W = sigma0 + i sigma2
-_W = np.array([[1, 1], [-1, 1]], dtype=complex)
-
 _TAIL_THRESHOLD = 1e-8
 _TRUNCATION = 40.0
 # node triples per block of _simpson: the probe's integrand on a block's
@@ -114,9 +111,9 @@ def f_transform(g, k):
     if k.imag <= 0:
         raise ValueError("transform defined for Im k > 0")
     if g.kind is TestFunctionKind.PLUS_EXPONENTIAL:
-        return FTransform(1j / (k - np.conj(g.k)), 0j)
+        return FTransform(1j / (k - complex(g.k).conjugate()), 0j)
     if g.kind is TestFunctionKind.MINUS_EXPONENTIAL:
-        return FTransform(0j, 1j / (k - np.conj(g.k)))
+        return FTransform(0j, 1j / (k - complex(g.k).conjugate()))
     from scipy.integrate import quad
 
     cutoff = _TRUNCATION / k.imag
@@ -164,14 +161,14 @@ def resolvent_diff_norm(interaction, k, g):
         raise ValueError("resolvent difference defined for Im k > 0")
     s = build(interaction)
     try:
-        with np.errstate(all="ignore"):  # an overflow is reported once, below
-            F = f_transform(g, k)
-            if s._at_pole(k, s.lams):
-                raise AtEigenvalue(f"k = {k} within tolerance of a root of p")
-            M = s.interaction.matrix - 2 * (1 + 1j * k) * s.det_t * np.eye(2)
-            vec = _W @ M @ np.array([F.plus, F.minus]) / s.p(k)
-            norm = math.sqrt((abs(vec[0]) ** 2 + abs(vec[1]) ** 2) / k.imag)
-    except OverflowError:  # abs() in the pole test, past the float range
+        F = f_transform(g, k)
+        if s._at_pole(k, s.lams):
+            raise AtEigenvalue(f"k = {k} within tolerance of a root of p")
+        a, b, c, d = s.interaction._entries
+        theta_d, p = 2 * (1 + 1j * k) * s.det_t, s.p(k)  # a p inf in both parts leaves NaN here, not 0
+        x, y = ((a - theta_d) * F.plus + b * F.minus) / p, (c * F.plus + (d - theta_d) * F.minus) / p
+        norm = math.hypot(abs(x + y), abs(y - x)) / math.sqrt(k.imag)  # W (x, y) = (x + y, y - x)
+    except (OverflowError, ZeroDivisionError):  # abs() past the float range, or p(k) = 0
         norm = math.nan
     if not math.isfinite(norm):
         raise ValueError(f"resolvent difference leaves the float range at k = {k}")

@@ -16,9 +16,9 @@ the eigenvalues of T as they are, none merged or snapped.
 """
 
 import cmath
+import math
 
 from .errors import AtPole, NotRepresentable
-from . import pauli
 from .pauli import _modulus
 from .tolerances import base_tol
 
@@ -125,38 +125,42 @@ class SMatrixFn:
         return _factor(self._eigenvalues[0], k) * _factor(self._eigenvalues[1], k)
 
     def evaluate(self, k):
-        """S(k) as a 2x2 ndarray.
+        """S(k) as a 2x2 ndarray of the rows _value gives, with its AtPole and ValueError."""
+        import numpy as np
+
+        return np.array(self._value(k))
+
+    def _value(self, k):
+        """S(k) as its rows ((s00, s01), (s10, s11)) of Python complex.
 
         Raises AtPole where a factor the record leaves, each root's orders
         times, is within tolerance of zero, or where a factor of the value is
         exactly 0, at a root the record merged or left out. The value is the
         formula above on the eigenvalues of T, unmerged, with p(0) taken as 0
         where a lam is snapped to 1/2, and sigma0 - 4T where S is constant.
-        Raises ValueError where S(k) is not finite: theta_k D, a factor or
-        their products overflow.
+        Raises ValueError where S(k) or a factor is not finite.
         """
-        import numpy as np
-
-        SIGMA0 = pauli.SIGMA0  # an ndarray, made (with numpy) on first access
-        k, T = complex(k), self.interaction.matrix
+        k = complex(k)
+        a, b, c, d = self.interaction._entries
         if self.constant:
-            return SIGMA0 - 4 * T
+            return (1 - 4 * a, 0 - 4 * b), (0 - 4 * c, 1 - 4 * d)
         lam1, lam2 = self._eigenvalues
+        f1, f2 = _factor(lam1, k), _factor(lam2, k)  # an inf factor leaves q = 0, not NaN: tested below
         try:
             if self._at_pole(k, [lam for lam, order in zip(self.lams, self.orders) for _ in range(order)]):
                 raise AtPole(f"k = {k} within tolerance of a pole of S")
             if self._cancels_k:  # p(0) = (1 - 2 lam1)(1 - 2 lam2) taken as 0, (p(k) - p(0)) / k divides 4i
-                q = -2 / (lam1 * _factor(lam2, k) + (1 - 2 * lam1) * lam2)
+                r, g = -2, lam1 * f2 + (1 - 2 * lam1) * lam2
             else:
-                q = 4j * k / _factor(lam1, k) / _factor(lam2, k)
-            theta_d = 2 * (1 + 1j * k) * self.det_t if self.det_t else 0  # 0, not inf times 0, past 1e308
-            with np.errstate(all="ignore"):  # an overflow is reported once, below
-                s = SIGMA0 + q * (T - theta_d * SIGMA0)
+                r, g = 4j * k / f1, f2
+            e = 2.0 ** max(math.frexp(abs(self.det_t))[1] - 1, 0)  # near |D|: theta_k D / e in range, scaled exactly
+            q, w = r * e / g, 2 * (1 + 1j * k) * (self.det_t / e) if self.det_t else 0  # 0, not inf times 0
+            s = (1 + q * (a / e - w), q * (b / e)), (q * (c / e), 1 + q * (d / e - w))
         except ZeroDivisionError:  # a factor at 0
             raise AtPole(f"k = {k} at a pole of S") from None
         except OverflowError:  # abs() in the pole test past the float range
             s = None
-        if s is None or not all(map(cmath.isfinite, s.flat)):
+        if s is None or not all(map(cmath.isfinite, (f1, f2) + s[0] + s[1])):
             raise ValueError(f"S(k) leaves the float range at k = {k}")
         return s
 

@@ -700,8 +700,8 @@ print(json.dumps(found))
             assert code == 0 and (json.loads(out)["similarity"], json.loads(out)["region"]) == (similarity, region)
     for (code, out), count, header in zip(found["sweep"], [n for n in rows for _ in "cj"], [1, 0] * 5):
         assert code == 0 and len(out.splitlines()) == count + header
-    # the subcommands that make an ndarray load numpy, and still answer
-    # right; no request of any of the five subcommands loaded argparse
+    # the probe, which makes ndarrays, loads numpy, and every subcommand
+    # still answers right; no request of any of the five loaded argparse
     loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
     assert "numpy" in loaded and "argparse" not in loaded
     code, out = found["eval"]
@@ -711,6 +711,30 @@ print(json.dumps(found))
     assert json.loads(out)["intertwining_residual"] < 1e-12
     code, out = found["probe"]
     assert code == 0 and json.loads(out)["label"] == "evidence" and json.loads(out)["value"] > 0
+
+
+def test_eval_and_metric_do_not_load_numpy():
+    # an eval and an applicable metric run on Python scalars, like classify
+    code = f"""
+import contextlib, io, json, sys
+import zrs.cli
+
+def run(argv, payload):
+    sys.stdin = io.StringIO(payload)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = zrs.cli.main(argv)
+    return code, out.getvalue()
+
+print(json.dumps([run(["eval", "--k=1,0"], {DELTA_REPULSIVE!r}), run(["metric"], {TWO_POLE_METRIC!r})]))
+"""
+    proc = _heavy_modules_after(code)
+    assert proc.returncode == 0, proc.stderr
+    (eval_code, eval_out), (metric_code, metric_out) = json.loads(proc.stdout.splitlines()[0])
+    assert ast.literal_eval(proc.stdout.splitlines()[-1]) == []
+    assert eval_code == 0 and json.loads(eval_out)["s"][0][0] == pytest.approx([0.2, 0.4])
+    assert metric_code == 0 and json.loads(metric_out)["applicability"] == "TwoImaginaryPoles"
+    assert json.loads(metric_out)["intertwining_residual"] < 1e-12
 
 
 def test_main_builds_no_parser(monkeypatch, capsys):

@@ -9,6 +9,7 @@ from zrs.errors import DegenerateGamma, NotApplicable
 from zrs.interaction import Interaction
 from zrs.metric import (
     Applicability,
+    MetricSpec,
     _applicability,
     construct,
     cosh_chi_from_poles,
@@ -150,6 +151,19 @@ def test_intertwining_is_exact_relation():
     T = GOLDEN.matrix
     assert np.abs(T.conj().T @ E - E @ T).max() < 1e-15
     assert np.linalg.eigvalsh(E).min() > 0
+
+
+def test_verify_intertwining_is_inf_for_e_not_positive_definite_hermitian():
+    # hand-built specs that construct never returns: a complex alpha makes E
+    # not hermitian (on the diagonal, and off it), and alpha = (0, 0, 3) at
+    # chi = 0.5 gives E = diag(cosh + 3 sinh, cosh - 3 sinh), hermitian with
+    # E11 = -0.44, so not positive definite
+    spec = construct(GOLDEN)
+    for alpha, chi in (((0, 0, 1j), spec.chi), ((0.6, 0.8j, 0), spec.chi), ((0, 0, 3), 0.5)):
+        hand_built = MetricSpec(alpha=alpha, chi=chi, kappa=math.tanh(chi), applicability=spec.applicability, s=spec.s)
+        assert verify_intertwining(hand_built) == math.inf, alpha
+    E = metric_matrix(MetricSpec((0, 0, 3), 0.5, math.tanh(0.5), spec.applicability, spec.s))
+    assert np.allclose(E, E.conj().T) and np.linalg.eigvalsh(E).min() < 0
 
 
 def test_random_applicable_interactions():

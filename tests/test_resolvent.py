@@ -12,7 +12,6 @@ from zrs.interaction import Interaction
 from zrs.pauli import SIGMA0, PauliVector
 from zrs.resolvent import (
     _BLOCK,
-    _W,
     TestFunctionKind,
     _simpson,
     _sqrt_line,
@@ -427,6 +426,7 @@ def test_blocked_simpson_matches_the_whole_array_rule():
 
 
 def test_integrand_is_the_norm_of_w_m():
+    W = np.array([[1, 1], [-1, 1]])  # sigma0 + i sigma2
     # |W (T - theta D sigma0)|_F^2 = |p'(k) / 2|^2 + C with
     # C = |t00 - t11|^2 + 2 |t01|^2 + 2 |t10|^2, for any T and any k
     rng = np.random.default_rng(21)
@@ -438,7 +438,7 @@ def test_integrand_is_the_norm_of_w_m():
         (t00, t01), (t10, t11) = i.matrix
         c0, c1, c2 = s.p_coeffs
         theta = 2 * (1 + 1j * k)
-        want = np.sum(np.abs(_W @ (i.matrix - theta * s.det_t * SIGMA0)) ** 2)
+        want = np.sum(np.abs(W @ (i.matrix - theta * s.det_t * SIGMA0)) ** 2)
         C = abs(t00 - t11) ** 2 + 2 * abs(t01) ** 2 + 2 * abs(t10) ** 2
         assert abs(c1 / 2 + c2 * k) ** 2 + C == pytest.approx(want, rel=1e-12), (i.matrix, k)
 

@@ -117,6 +117,32 @@ def test_evaluate_at_pole_raises():
         s.evaluate(-0.5j)
 
 
+def test_evaluate_keeps_theta_d_in_range_past_the_float_range():
+    # tools/verdict_diff.py's jordan draw 277: a double eigenvalue near 1e153,
+    # so |D| is near 1e306 and theta_k D alone overflows for |k| past about
+    # 100, where S is about -sigma0; evaluate scales T and D by a power of 2
+    # near |D| and q by its inverse, exactly (5.1 EPS seen)
+    x = -6.932492869258423e152 + 7.221070455196e152j
+    T = [[x, 8.936232834909765e152 - 2.503091563679214e152j], [0j, x]]
+    s = build(Interaction.from_matrix(T))
+    for k in (1681.23 - 656.07j, 1e4j, -3e5 + 2e5j, 1e100 + 1e100j):
+        want = exact_s(T, k)
+        assert abs(want[0][0] + 1) < 2e-3
+        assert relative_error(s.evaluate(k), want) <= 8 * EPS, k
+
+
+def test_evaluate_raises_where_a_factor_overflows():
+    # T = diag(1e150, 1e-10) at k = 1e160: the factor 1 - theta_k 1e150 is
+    # past the float range, though theta_k D is not; 4ik over it is 0, which
+    # made S sigma0 where exact_s is about -sigma0
+    T = [[1e150, 0], [0, 1e-10]]
+    s = build(Interaction.from_matrix(T))
+    for k in (1e160, 1e159 + 1e155j):
+        assert np.allclose(exact_s(T, k), -np.eye(2))
+        with pytest.raises(ValueError, match="leaves the float range"):
+            s.evaluate(k)
+
+
 def test_evaluate_raises_at_a_pole_the_record_left_out():
     # T = [[1, 1], [1, 1 + 1e-11]] has eigenvalues 2 and 5e-12; the record
     # takes the second as 0 and keeps no pole for it, but S has one at its
