@@ -57,12 +57,24 @@ def _is_real(z, tol):
     return abs(z.imag) <= 1000 * tol * (1 + abs(z))
 
 
-def _sheet_of(k0, tol):
-    if _is_real(k0, tol):
-        return Sheet.REAL_AXIS
-    if k0.imag > 0:
-        return Sheet.PHYSICAL
-    return Sheet.NONPHYSICAL
+def _poles(s):
+    """(sort key, report, theta, whether i k0 is real) of each pole of S in find_poles' order, theta the root's own."""
+    records = []
+    for (loc, _), order, theta in zip(s.roots, s.orders, s.thetas):
+        if not order:  # every factor at this root cancels
+            continue
+        # adding 0.0 clears the negative zeros that k = i(1 - theta/2) can carry
+        loc = complex(loc.real + 0.0, loc.imag + 0.0)
+        on_real_axis, on_axis = _is_real(loc, s.tol), _is_real(1j * loc, s.tol)
+        sheet = Sheet.REAL_AXIS if on_real_axis else Sheet.PHYSICAL if loc.imag > 0 else Sheet.NONPHYSICAL
+        # on the imaginary axis Re k is rounding noise, so those poles are ordered by Im k first
+        key = (0.0 if on_axis else loc.real, loc.imag, loc.real)
+        records.append((key, PoleReport(loc, order, sheet, loc * loc), theta, on_axis))
+    records.sort(key=lambda record: record[0])
+    # with no factor recorded, S = sigma0 + 4ik T is constant or grows linearly in k
+    if not s.roots and not s.constant:
+        records.append((None, PoleReport(None, 1, Sheet.INFINITY, None), None, False))
+    return records
 
 
 def find_poles(s):
@@ -78,22 +90,16 @@ def find_poles(s):
         Finite poles first (ordered by real then imaginary part, or on the
         imaginary axis by imaginary part first), then the pole at infinity.
     """
-    reports = []
-    for (loc, _), order in zip(s.roots, s.orders):
-        if not order:  # every factor at this root cancels
-            continue
-        # adding 0.0 clears the negative zeros that k = i(1 - theta/2) can carry
-        loc = complex(loc.real + 0.0, loc.imag + 0.0)
-        reports.append(PoleReport(loc, order, _sheet_of(loc, s.tol), loc * loc))
-    # on the imaginary axis Re k is rounding noise, so those poles are ordered by Im k first
-    reports.sort(
-        key=lambda r: (0.0 if _is_real(1j * r.location, s.tol) else r.location.real, r.location.imag, r.location.real)
-    )
+    return [p for _, p, _, _ in _poles(s)]
 
-    # with no factor recorded, S = sigma0 + 4ik T is constant or grows linearly in k
-    if not s.roots and not s.constant:
-        reports.append(PoleReport(None, 1, Sheet.INFINITY, None))
-    return reports
+
+def _merged(values, tol):
+    """values sorted, less each one within tolerance of the value kept before it."""
+    out = []
+    for z in sorted(values):
+        if not (out and abs(z - out[-1]) <= 1000 * tol * (1 + abs(z))):
+            out.append(z)
+    return out
 
 
 def spectral_singularities(s, poles=None):
@@ -104,16 +110,8 @@ def spectral_singularities(s, poles=None):
     """
     if poles is None:
         poles = find_poles(s)
-    at_infinity = any(p.sheet is Sheet.INFINITY for p in poles)
-    raw = sorted(
-        float(p.z.real) for p in poles if p.sheet is Sheet.REAL_AXIS
-    )
-    values = []
-    for z in raw:
-        if values and abs(z - values[-1]) <= 1000 * s.tol * (1 + abs(z)):
-            continue
-        values.append(z)
-    return values, at_infinity
+    values = _merged([float(p.z.real) for p in poles if p.sheet is Sheet.REAL_AXIS], s.tol)
+    return values, any(p.sheet is Sheet.INFINITY for p in poles)
 
 
 def exceptional_points(s, poles=None):
@@ -127,19 +125,17 @@ def exceptional_points(s, poles=None):
     if poles is None:
         poles = find_poles(s)
     thetas = {k: theta for (k, _), theta in zip(s.roots, s.thetas)}
-    out = []
-    for p in poles:
-        if p.sheet is not Sheet.PHYSICAL:
-            continue
-        theta0 = thetas.get(p.location)
-        nilpotent = theta0 is not None and _nilpotent(theta0, s.interaction._entries, s.tol)
-        if p.order >= 2 and not nilpotent:
-            raise InternalInconsistency(f"order-{p.order} pole at {p.location} without a nilpotent residue")
-        if p.order == 1 and nilpotent:
-            raise InternalInconsistency(f"simple pole at {p.location} with a nilpotent residue")
-        if p.order >= 2:
-            out.append(p.z)
-    return out
+    return [p.z for p in poles if p.sheet is Sheet.PHYSICAL and _exceptional(p, thetas.get(p.location), s)]
+
+
+def _exceptional(p, theta, s):
+    """Whether the physical pole p is an exceptional point, certified at theta (None for no root of s)."""
+    nilpotent = theta is not None and _nilpotent(theta, s.interaction._entries, s.tol)
+    if p.order >= 2 and not nilpotent:
+        raise InternalInconsistency(f"order-{p.order} pole at {p.location} without a nilpotent residue")
+    if p.order == 1 and nilpotent:
+        raise InternalInconsistency(f"simple pole at {p.location} with a nilpotent residue")
+    return p.order >= 2
 
 
 def _nilpotent(theta, entries, tol):
@@ -176,39 +172,6 @@ def _metric_certificate(gamma, tol):
     return None, 1 if _modulus(det) <= 100 * tol * _square(1 + abs(g0)) else 2
 
 
-def _similarity(s, poles, sing_values, sing_at_inf, excs):
-    finite = [p for p in poles if p.sheet is not Sheet.INFINITY]
-    physical = [p for p in finite if p.sheet is Sheet.PHYSICAL]
-    if _is_hermitian(s.interaction._entries, s.tol):
-        return Similarity.SELF_ADJOINT
-    if sing_values or sing_at_inf or excs:
-        return Similarity.NOT_SIMILAR
-    if any(not _is_real(p.z, s.tol) for p in physical):
-        return Similarity.NOT_SIMILAR
-    if not physical:
-        # S is holomorphic and bounded on the upper half-plane
-        return Similarity.SIMILAR_TO_SELF_ADJOINT
-    # the remaining poles are imaginary; the certificate makes their
-    # spectrum real and negative when S has exactly the expected ones
-    failure, expected = _metric_certificate(s.gamma, s.tol)
-    if failure is None:
-        # i k0 is real for a pole k0 on the imaginary axis
-        on_axis = all(_is_real(1j * p.location, s.tol) and p.order == 1 for p in finite)
-        if on_axis and len(finite) == expected:
-            return Similarity.SIMILAR_TO_SELF_ADJOINT
-    return Similarity.UNDETERMINED
-
-
-def _region(eigenvalues, sing_values, sing_at_inf, excs, similarity, tol):
-    if any(not _is_real(z, tol) for z in eigenvalues):
-        return Region.I
-    if sing_values or sing_at_inf or excs:
-        return Region.II
-    if similarity in (Similarity.SELF_ADJOINT, Similarity.SIMILAR_TO_SELF_ADJOINT):
-        return Region.III
-    return Region.UNDETERMINED
-
-
 def classify(interaction):
     """Full spectral report for an interaction.
 
@@ -220,20 +183,48 @@ def classify(interaction):
         points, the similarity verdict and the parameter-space region.
     """
     s = build(interaction)
-    poles = find_poles(s)
-    eigenvalues = tuple(p.z for p in poles if p.sheet is Sheet.PHYSICAL)
-    sing_values, sing_at_inf = spectral_singularities(s, poles)
-    excs = tuple(exceptional_points(s, poles))
-    similarity = _similarity(s, poles, sing_values, sing_at_inf, excs)
-    region = _region(eigenvalues, sing_values, sing_at_inf, excs, similarity, s.tol)
-    has_negative = any(_is_real(z, s.tol) and z.real < 0 for z in eigenvalues)
+    poles, eigenvalues, singular, excs = [], [], [], []
+    at_infinity = nonreal = negative = False
+    simple_on_axis = True
+    for _, p, theta, on_axis in _poles(s):
+        poles.append(p)
+        simple_on_axis = simple_on_axis and on_axis and p.order == 1
+        if p.sheet is Sheet.PHYSICAL:
+            eigenvalues.append(p.z)
+            if _exceptional(p, theta, s):
+                excs.append(p.z)
+            real = _is_real(p.z, s.tol)
+            nonreal = nonreal or not real
+            negative = negative or real and p.z.real < 0
+        elif p.sheet is Sheet.REAL_AXIS:
+            singular.append(float(p.z.real))
+        elif p.sheet is Sheet.INFINITY:
+            at_infinity = True
+    singular = _merged(singular, s.tol)
+    at_singularity = bool(singular) or at_infinity or bool(excs)
+    region = Region.I if nonreal else Region.II if at_singularity else Region.III
+    if _is_hermitian(interaction._entries, s.tol):
+        similarity = Similarity.SELF_ADJOINT
+    elif at_singularity or nonreal:
+        similarity = Similarity.NOT_SIMILAR
+    elif not eigenvalues:
+        # S is holomorphic and bounded on the upper half-plane
+        similarity = Similarity.SIMILAR_TO_SELF_ADJOINT
+    else:
+        # the remaining poles are imaginary and finite (a pole at infinity is a singularity); the
+        # certificate makes their spectrum real and negative when S has exactly the expected ones
+        failure, expected = _metric_certificate(s.gamma, s.tol)
+        if failure is None and simple_on_axis and len(poles) == expected:
+            similarity = Similarity.SIMILAR_TO_SELF_ADJOINT
+        else:
+            similarity, region = Similarity.UNDETERMINED, Region.UNDETERMINED
     return SpectralClassification(
         poles=tuple(poles),
-        eigenvalues=eigenvalues,
-        spectral_singularities=tuple(sing_values),
-        singularity_at_infinity=sing_at_inf,
-        exceptional_points=excs,
+        eigenvalues=tuple(eigenvalues),
+        spectral_singularities=tuple(singular),
+        singularity_at_infinity=at_infinity,
+        exceptional_points=tuple(excs),
         similarity=similarity,
         region=region,
-        has_negative_eigenvalues=has_negative,
+        has_negative_eigenvalues=negative,
     )

@@ -11,6 +11,7 @@ Xi = 4 - (ad - bc) + 2(a - d) is non-zero; there is no map back.
 """
 
 import cmath
+from functools import cached_property
 from numbers import Number
 
 from .errors import NotRepresentable
@@ -31,7 +32,7 @@ class Interaction:
     matrix : ndarray, shape (2, 2)
         The boundary matrix (read-only), built on first access and cached.
     gamma : PauliVector
-        Pauli coefficients of `matrix`.
+        Pauli coefficients of `matrix`, computed on first read and cached.
     """
 
     def __init__(self, matrix):
@@ -50,7 +51,6 @@ class Interaction:
             raise ValueError(f"expected a finite 2x2 matrix, got {[[a, b], [c, d]]}")
         # the entries of matrix as Python complex, for the scalar algebra
         self._entries = a, b, c, d
-        self.gamma = _decompose(a, b, c, d)
         self._matrix = None
 
     @property
@@ -63,6 +63,11 @@ class Interaction:
             self._matrix = np.array([[a, b], [c, d]], dtype=complex)
             self._matrix.setflags(write=False)
         return self._matrix
+
+    @cached_property
+    def gamma(self):
+        """Pauli coefficients of `matrix`, computed on first read."""
+        return _decompose(*self._entries)
 
     @classmethod
     def from_abcd(cls, a, b, c, d):
@@ -137,9 +142,10 @@ def _named(a, b, c, d):
 def _is_hermitian(entries, tol):
     """Whether [[a, b], [c, d]] is self-adjoint at tol, each entry of T - T* against the two it compares."""
     a, b, c, d = entries
-    # halved entries have finite sizes, so a difference that overflows is never measured against an inf
-    return all(
-        _modulus(u - v.conjugate()) <= 2 * tol * max(abs(u / 2), abs(v / 2)) for u, v in ((a, a), (b, c), (d, d))
+    # a - conj(a) = 2i Im a; halved entries have finite sizes, so an overflowing difference never meets an inf
+    return (
+        2 * abs(a.imag) <= 2 * tol * abs(a / 2) and 2 * abs(d.imag) <= 2 * tol * abs(d / 2)
+        and _modulus(b - c.conjugate()) <= 2 * tol * max(abs(b / 2), abs(c / 2))
     )
 
 

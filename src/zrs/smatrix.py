@@ -29,7 +29,7 @@ class SMatrixFn:
     ----------
     interaction : Interaction
     gamma : PauliVector
-        Pauli coefficients of the boundary matrix.
+        Pauli coefficients of the boundary matrix, the interaction's own.
     det_t : complex
         Determinant ad - bc of the boundary matrix [[a, b], [c, d]].
     xi : complex
@@ -71,7 +71,6 @@ class SMatrixFn:
 
     def __init__(self, interaction):
         self.interaction = interaction
-        self.gamma = interaction.gamma
         self.tol = tol = base_tol()
         a, b, c, d = interaction._entries
         g0, x, ad, bc = (a + d) / 2, (a - d) / 2, a * d, b * c  # T = g0 sigma0 + M, M = [[x, b], [c, -x]]
@@ -118,6 +117,10 @@ class SMatrixFn:
             orders[thetas.index(2.0)] -= 1
         self.roots, self.thetas, self.lams, self.orders = tuple(roots), tuple(thetas), tuple(kept), tuple(orders)
         self.constant = not any(orders) and (self._cancels_k or not any((a, b, c, d)))
+
+    @property
+    def gamma(self):
+        return self.interaction.gamma
 
     def p(self, k):
         """Characteristic polynomial det(sigma0 - theta_k T) at k, the product of its eigenvalues' factors."""

@@ -1,8 +1,11 @@
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zrs.classifier
 from oracles import exact_poles, numpy_compose
 from zrs.classifier import (
     PoleReport,
@@ -14,7 +17,7 @@ from zrs.classifier import (
     find_poles,
     spectral_singularities,
 )
-from zrs.errors import AtPole, InternalInconsistency
+from zrs.errors import AtPole, InternalInconsistency, NotRepresentable
 from zrs.interaction import FRIEDRICHS, KREIN, Interaction
 from zrs.pauli import PauliVector
 from zrs.smatrix import build
@@ -324,3 +327,65 @@ def test_reported_poles_are_poles_of_s():
                 s.evaluate(p.location)
             checked += 1
     assert checked == 8000  # two finite poles in every draw
+
+
+def _verdict_draws(draws):
+    # the first draws of each seeded family of tools/verdict_diff.py, as interactions
+    path = Path(__file__).resolve().parents[1] / "tools" / "verdict_diff.py"
+    spec = importlib.util.spec_from_file_location("verdict_diff", path)
+    vd = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(vd)
+    for name in vd.FAMILIES:
+        for x in itertools.islice(vd.draws(name), draws):
+            yield lambda x=x, name=name: Interaction.from_abcd(*x) if name == "abcd" else Interaction.from_matrix(x)
+
+
+def _sweep_corpus(monkeypatch, seed):
+    # every grid point of one round of the benchmark's sweep-mix workload, as interactions
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import corpus
+
+    for spec in corpus.sweep_specs(seed):
+        for j in range(spec["count"]):
+            point = spec["point"](j)
+            if "matrix" in point:
+                yield lambda m=point["matrix"]: Interaction.from_matrix(m)
+            else:
+                yield lambda abcd=point["couplings"]: Interaction.from_abcd(*abcd)
+
+
+def test_classify_agrees_with_the_public_helpers(monkeypatch):
+    # classify takes its poles, singularities and exceptional points in one pass; the public
+    # helpers, called on their own, give the same values bit for bit (repr tells -0.0 from 0.0)
+    checked = 0
+    for make in itertools.chain(_verdict_draws(300), _sweep_corpus(monkeypatch, 1)):
+        try:
+            i = make()
+            c = classify(i)
+        except NotRepresentable:
+            continue
+        s = build(i)
+        poles = find_poles(s)
+        assert repr(c.poles) == repr(tuple(poles))
+        assert repr(c.eigenvalues) == repr(tuple(p.z for p in poles if p.sheet is Sheet.PHYSICAL))
+        values, at_infinity = spectral_singularities(s, poles)
+        assert repr((c.spectral_singularities, c.singularity_at_infinity)) == repr((tuple(values), at_infinity))
+        assert repr(c.exceptional_points) == repr(tuple(exceptional_points(s, poles)))
+        checked += 1
+    assert checked > 6000, checked
+
+
+@pytest.mark.parametrize(
+    "i, order, message",
+    [
+        (Interaction.from_matrix([[1, 1], [0, 1]]), 2, "order-2 pole at 0.5j without a nilpotent residue"),  # Jordan T
+        (Interaction.from_abcd(-1, 0, 0, 0), 1, "simple pole at .* with a nilpotent residue"),  # attractive delta
+    ],
+)
+def test_classify_runs_the_exceptional_point_certificate(monkeypatch, i, order, message):
+    # with the nilpotency test turned around, the one physical pole of each fails its certificate
+    nilpotent = zrs.classifier._nilpotent
+    monkeypatch.setattr(zrs.classifier, "_nilpotent", lambda *args: not nilpotent(*args))
+    assert [(p.order, p.sheet) for p in find_poles(build(i))] == [(order, Sheet.PHYSICAL)]
+    with pytest.raises(InternalInconsistency, match=message):
+        classify(i)

@@ -178,9 +178,8 @@ def test_metric_one_pole_and_degenerate_outputs(monkeypatch, capsys):
     assert err == "error: Re gamma and Im gamma are collinear\n"
 
 
-def test_metric_request_builds_s_once(monkeypatch, capsys):
-    counts = {"build": 0, "base_tol": 0}
-
+def _count_calls(monkeypatch, counts, modules):
+    # each name of counts, wherever one of modules holds it, counts its calls there
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
@@ -188,16 +187,62 @@ def test_metric_request_builds_s_once(monkeypatch, capsys):
 
         return wrapper
 
-    for module in (zrs.cli, zrs.metric, zrs.classifier, zrs.smatrix, zrs.interaction):
+    for module in modules:
         for name in counts:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+
+
+def test_metric_request_builds_s_once(monkeypatch, capsys):
+    counts = {"build": 0, "base_tol": 0}
+    _count_calls(monkeypatch, counts, (zrs.cli, zrs.metric, zrs.classifier, zrs.smatrix, zrs.interaction))
     code, out, _ = run_cli(["metric"], TWO_POLE_METRIC, monkeypatch, capsys)
     assert code == 0
     assert json.loads(out)["applicability"] == "TwoImaginaryPoles"
     assert counts["build"] == 1
     # once for main's validation, once for the build
     assert counts["base_tol"] <= 2
+
+
+@pytest.mark.parametrize(
+    "argv, payload, decomposes",
+    [
+        # tilted Delta: non-real eigenvalues; DeltaPrime with d = i t: real-axis singularities;
+        # Mixed: no finite pole. No row reaches the metric certificate.
+        (["--family", "Delta", "--param=-3:3:0.25", "--dir=0.6,0.8"], "", 0),
+        (["--family", "DeltaPrime", "--param=0.25:2:0.25", "--dir=0,1"], "", 0),
+        (["--family", "Mixed", "--param=-4:4:0.5", "--dir=0.6,0.8"], "", 0),
+        # a hermitian T, a Jordan T and the two-pole T of the metric, which alone reaches the certificate
+        (
+            ["--family", "FrakTPath"],
+            json.dumps(
+                {
+                    "form": "frakT_path",
+                    "ts": [
+                        [[[1, 0], [0.5, 0]], [[0.5, 0], [-2, 0]]],
+                        json.loads(JORDAN)["t"],
+                        json.loads(TWO_POLE_METRIC)["t"],
+                    ],
+                }
+            ),
+            1,
+        ),
+    ],
+    ids=["Delta", "DeltaPrime", "Mixed", "FrakTPath"],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_rows_build_s_once(monkeypatch, capsys, argv, payload, decomposes, fmt):
+    counts = {"build": 0, "base_tol": 0, "_decompose": 0}
+    _count_calls(monkeypatch, counts, (zrs.cli, zrs.classifier, zrs.smatrix, zrs.interaction))
+    code, out, _ = run_cli(["sweep", *argv, "--format", fmt], payload, monkeypatch, capsys)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out))) if fmt == "csv" else [json.loads(line) for line in out.splitlines()]
+    assert rows and all(not row["error"] for row in rows)
+    assert counts["build"] == len(rows)
+    # main's validation, then per row the build and, for the abcd form, from_abcd's Xi test
+    assert counts["base_tol"] <= 1 + len(rows) * (1 if argv[1] == "FrakTPath" else 2)
+    # gamma is taken only where a row reaches the metric certificate
+    assert counts["_decompose"] == decomposes
 
 
 def test_sweep_delta_json(monkeypatch, capsys):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import gamma_from_abcd, numpy_compose, xi_from_abcd
 from zrs.errors import NotRepresentable
-from zrs.interaction import FRIEDRICHS, KREIN, Interaction
+from zrs.interaction import FRIEDRICHS, KREIN, Interaction, _is_hermitian
 
 small = st.floats(min_value=-10, max_value=10, allow_nan=False)
 coeff = st.builds(complex, small, small)
@@ -84,6 +84,23 @@ def test_is_hermitian_past_the_float_range():
     assert not Interaction.from_matrix([[1, 1.5e308 + 1.5e308j], [1.5e308 - 1e308j, 1]]).is_hermitian()
     # and a conjugate pair whose moduli overflow is still one
     assert Interaction.from_matrix([[1, big], [big.conjugate(), 2]]).is_hermitian()
+
+
+def test_is_hermitian_judges_each_pair_at_its_own_size():
+    # a zero entry is its own conjugate, and it does not make the test absolute: a pair of 0 and a
+    # tiny c is measured against |c|, and fails
+    assert _is_hermitian((0j, 0j, 0j, 0j), 1e-12)
+    assert _is_hermitian((0j, 1 + 2j, 1 - 2j, 0j), 1e-12)
+    assert not _is_hermitian((0j, 0j, 1e-300 + 0j, 0j), 1e-12)
+    assert not _is_hermitian((1e-300j, 0j, 0j, 0j), 1e-12)
+    # |b| >> |c|: b - conj(c) is measured against the larger, |b| / 2 times 2 tol, either way round
+    for b, c in ((1 + 0j, 1e-3 + 0j), (1e-3 + 0j, 1 + 0j)):
+        assert _is_hermitian((0j, b, c, 0j), 1.0)
+        assert not _is_hermitian((0j, b, c, 0j), 0.99)
+    # each diagonal entry against itself, not against the larger entries beside it
+    assert not _is_hermitian((1 + 1e-9j, 1e6 + 0j, 1e6 + 0j, 1 + 0j), 1e-12)
+    assert not _is_hermitian((1 + 0j, 1e6 + 0j, 1e6 + 0j, 1 + 1e-9j), 1e-12)
+    assert _is_hermitian((1 + 1e-13j, 1e6 + 0j, 1e6 + 0j, 1 - 1e-13j), 1e-12)
 
 
 def test_reference_extensions():
