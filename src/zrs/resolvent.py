@@ -23,7 +23,9 @@ as 2 |T - theta_k D sigma0|_F^2 = |2 theta_k D - tr T|^2 + C and
 2 theta_k D - tr T = -i p'(k) / 2. On the line, |k|^2 = |z|, so the probe
 takes |k + i|^2 as (|z| + 1) + 2 Im k, whose terms are all positive, and
 |p|^2 as Re p^2 + Im p^2: each within 6 ulp of its complex abs squared. The
-one complex abs per node is numpy's of z, which scales internally.
+one complex abs per node is numpy's of z, which scales internally; every
+other real-valued step runs on contiguous float buffers, |p|^2 as the
+square of p's float view with its even and odd elements added.
 
 Only f_transform with a custom test function loads scipy, when it is
 called; the probe integrates without it.
@@ -36,13 +38,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import AtEigenvalue, NonConvergent
-from .smatrix import build
+from .smatrix import _factor, build
 
 _TAIL_THRESHOLD = 1e-8
 _TRUNCATION = 40.0
 # node triples per block of _simpson: the probe's integrand on a block's
-# 2 * _BLOCK + 1 nodes and all of its buffers, about 0.7 MB, stay in cache
-_BLOCK = 4096
+# 2 * _BLOCK + 1 nodes and all of its buffers, about 0.72 MB, stay in cache
+_BLOCK = 4500
 
 
 class TestFunctionKind(Enum):
@@ -125,22 +127,11 @@ def f_transform(g, k):
                     raise NonConvergent(
                         f"|g({side}) e^{{ik|x|}}| = {tail} at the cutoff"
                     )
-    plus = quad(
-        lambda s: g.func(s) * np.exp(1j * k * s),
-        0,
-        cutoff,
-        complex_func=True,
-        epsabs=1e-10,
-        limit=200,
-    )[0]
-    minus = quad(
-        lambda s: g.func(s) * np.exp(-1j * k * s),
-        -cutoff,
-        0,
-        complex_func=True,
-        epsabs=1e-10,
-        limit=200,
-    )[0]
+    # plus integrates e^{iks} g over (0, cutoff), minus e^{-iks} g over (-cutoff, 0)
+    plus, minus = (
+        quad(lambda s: g.func(s) * np.exp(sign * 1j * k * s), a, b, complex_func=True, epsabs=1e-10, limit=200)[0]
+        for sign, a, b in ((1, 0, cutoff), (-1, -cutoff, 0))
+    )
     return FTransform(complex(plus), complex(minus))
 
 
@@ -164,8 +155,9 @@ def resolvent_diff_norm(interaction, k, g):
         F = f_transform(g, k)
         if s._at_pole(k, s.lams):
             raise AtEigenvalue(f"k = {k} within tolerance of a root of p")
-        a, b, c, d = s.interaction._entries
-        theta_d, p = 2 * (1 + 1j * k) * s.det_t, s.p(k)  # a p inf in both parts leaves NaN here, not 0
+        e = 2.0 ** max(math.frexp(abs(s.det_t))[1] - 1, 0)  # near |D|: T, theta_k D and p over e in range, exactly
+        (a, b, c, d), (lam1, lam2) = (t / e for t in s.interaction._entries), s._eigenvalues
+        theta_d, p = 2 * (1 + 1j * k) * (s.det_t / e), _factor(lam1, k) * (_factor(lam2, k) / e)  # inf p: NaN, not 0
         x, y = ((a - theta_d) * F.plus + b * F.minus) / p, (c * F.plus + (d - theta_d) * F.minus) / p
         norm = math.hypot(abs(x + y), abs(y - x)) / math.sqrt(k.imag)  # W (x, y) = (x + y, y - x)
     except (OverflowError, ZeroDivisionError):  # abs() past the float range, or p(k) = 0
@@ -203,27 +195,32 @@ def _simpson(h, n, fill):
     return h / 3 * np.sum(terms)
 
 
-def _sqrt_line(z, k, abs_z):
-    """The principal sqrt(z) into k and |z| into abs_z, for z = xi + i epsilon, ascending xi and epsilon > 0.
+def _sqrt_line(xi, abs_z, epsilon, re, im):
+    """The principal k = sqrt(z) into re + i im, for z = xi + i epsilon of modulus abs_z, ascending xi and epsilon > 0.
 
-    |z| is numpy's complex abs, which scales, so it is in range wherever |z|
-    is. k, in real arithmetic, is numpy's complex sqrt within 2 ulp in each
+    k, in real arithmetic, is numpy's complex sqrt within 2 ulp in each
     part, in about a third of its time: with t = sqrt(|z| / 2 + |xi| / 2), k
     is epsilon / (2t) + it where xi < 0, t + i epsilon / (2t) where xi > 0
     and t + it at xi = 0, so no difference cancels. Halving before the sum
-    keeps it in range unless |z| overflows.
+    keeps it in range unless |z| overflows. Where xi and epsilon are all
+    below 2^-1000, so that |z| / 2 can be subnormal, k is that of the line
+    scaled by 2^1000, scaled by 2^-500: both exact. im may be xi itself.
     """
-    re, im, xi, epsilon = k.real, k.imag, z.real, z.imag[0]
-    np.multiply(np.abs(z, out=abs_z), 0.5, out=re)
-    np.multiply(xi, 0.5, out=im)
+    if max(-xi[0], xi[-1], epsilon) < 2.0**-1000:
+        xi, epsilon = xi * 2.0**1000, epsilon * 2.0**1000
+        _sqrt_line(xi, np.abs(xi + 1j * epsilon), epsilon, re, im)
+        np.multiply(re, 2.0**-500, out=re)
+        np.multiply(im, 2.0**-500, out=im)
+        return
     # the nodes ascend: xi < 0 before j, xi = 0 from j to j0
     j, j0 = np.searchsorted(xi, 0.0), np.searchsorted(xi, 0.0, "right")
+    np.multiply(abs_z, 0.5, out=re)
+    np.multiply(xi, 0.5, out=im)
     np.sqrt(np.subtract(re[:j], im[:j], out=im[:j]), out=im[:j])
     np.true_divide(0.5 * epsilon, im[:j], out=re[:j])
     np.sqrt(np.add(re[j:], im[j:], out=re[j:]), out=re[j:])
     np.true_divide(0.5 * epsilon, re[j0:], out=im[j0:])
     im[j:j0] = re[j:j0]
-    return k
 
 
 def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
@@ -237,10 +234,11 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     spectral singularity. Evidence only, not a certificate.
 
     Memory: the (n - 1) / 2 Simpson terms (4 bytes per node) and the
-    buffers of one block of _BLOCK node triples, about 0.7 MB; a default
-    probe peaks at 1.53 MB under tracemalloc. A block whose
-    stretch of the line is far enough from the root of every recorded factor
-    of p skips the per-node pole test.
+    buffers of one block of _BLOCK node triples, three complex and three
+    float node arrays besides the block of the integrand, about 0.72 MB; a
+    default probe peaks at 1.53 MB under tracemalloc. A block whose stretch
+    of the line is far enough from the root of every recorded factor of p
+    skips the per-node pole test.
 
     Raises
     ------
@@ -276,31 +274,33 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
              for (k_j, _), lam in zip(s.roots, s.lams)]
     index = np.arange(min(n, 2 * _BLOCK + 1), dtype=float)
     cbufs = np.empty((3, index.size), dtype=complex)
-    fbufs = np.empty((3, index.size))
+    fbufs = np.empty((2, index.size))
     C = 0.0  # the module docstring's C, set in the try below, where its overflow raises
 
     def integrand(start, stop, out):
-        k, u, z = cbufs[:, : stop - start]
-        abs_z, g, d = fbufs[:, : stop - start]
+        z, k, u = cbufs[:, : stop - start]
+        re, abs_z = fbufs[:, : stop - start]
         # node i is lo + i h, the last one hi, as np.linspace lays them out; i / (n - 1) (hi - lo) where h is 0
-        xi = z.real
+        xi = im = out  # out, contiguous as re and abs_z, holds the nodes, then Im k, then the integrand
         i = np.add(index[: stop - start], start, out=xi)
         np.add(np.multiply(i, h, out=xi) if h else np.multiply(i / (n - 1), hi - lo, out=xi), lo, out=xi)
         if stop == n:
             xi[-1] = hi
-        z.imag = epsilon
         clear = all(math.hypot(max(xi[0] - z0.real, z0.real - xi[-1], 0), epsilon - z0.imag) > r for z0, r in poles)
-        _sqrt_line(z, k, abs_z)
+        z.real, z.imag = xi, epsilon
+        _sqrt_line(xi, np.abs(z, out=abs_z), epsilon, re, im)
+        k.real, k.imag = re, im
         c2k = np.multiply(c2, k, out=u)
-        p = np.add(c0, np.multiply(np.add(c1, c2k, out=z), k, out=z), out=z)  # z is read to its end
+        p = np.add(c0, np.multiply(np.add(c1, c2k, out=z), k, out=z), out=z)
         if not clear and np.any(s._at_pole(k, s.lams)):
             raise AtEigenvalue("sweep line passes through a pole")
         half_dp = np.add(c1 / 2, c2k, out=u)
-        fro2 = np.add(np.square(half_dp.real, out=out), np.square(half_dp.imag, out=g), out=out)
-        np.add(fro2, C, out=fro2)
-        # fro2 / (k.imag * |p|^2 * |k + i|^2), |p|^2 = Re p^2 + Im p^2, |k + i|^2 = (|z| + 1) + 2 Im k
-        den = np.multiply(k.imag, np.add(np.square(p.real, out=g), np.square(p.imag, out=d), out=g), out=g)
-        np.multiply(den, np.add(np.add(abs_z, 1, out=abs_z), np.multiply(k.imag, 2, out=d), out=abs_z), out=den)
+        # |p|^2 = Re p^2 + Im p^2 and |p'/2|^2 as the squares of each buffer's float view, even plus odd elements
+        p2, dp2 = np.square(p.view(float), out=p.view(float)), np.square(half_dp.view(float), out=half_dp.view(float))
+        # fro2 / (Im k |p|^2 |k + i|^2), |k + i|^2 = (|z| + 1) + 2 Im k
+        den = np.multiply(im, np.add(p2[0::2], p2[1::2], out=re), out=re)
+        np.multiply(den, np.add(np.add(abs_z, 1, out=abs_z), np.multiply(im, 2, out=im), out=abs_z), out=den)
+        fro2 = np.add(np.add(dp2[0::2], dp2[1::2], out=out), C, out=out)
         np.true_divide(fro2, den, out=out)
 
     # an overflow, an invalid operation or a division by zero would leave a

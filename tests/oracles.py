@@ -26,6 +26,10 @@ separate route, so the tests can cross-check the package against it:
 * direct_solve_probe(interaction, epsilon, xi_range, n): the probe from the
   boundary coefficients solved at each node and the norms of the
   resolvent difference, not from p, against the package's integrand;
+* decimal_resolvent_norm(T, k, g) and decimal_probe(T, epsilon, xi_range,
+  n): the resolvent difference norm and the probe's integrand in 60-digit
+  decimal on the binary values of the inputs, the probe on its own nodes
+  and Simpson weights, against the package's floating-point arithmetic;
 * numpy_compose(x): the matrix with Pauli coefficients x, for building test
   inputs and comparing Pauli coefficients as matrices;
 * abcd_numerators(a, b, c, d): the float numerators and the 4 Xi that
@@ -47,7 +51,7 @@ import numpy as np
 
 from zrs.errors import AtEigenvalue, AtPole, ZrsError
 from zrs.pauli import SIGMA0, PauliVector
-from zrs.resolvent import probe_nodes
+from zrs.resolvent import TestFunctionKind, probe_nodes
 from zrs.smatrix import build
 from zrs.tolerances import base_tol
 
@@ -410,6 +414,76 @@ def direct_solve_probe(interaction, epsilon, xi_range, n=200001):
     weights[1::2] = 4.0
     weights[0] = weights[-1] = 1.0
     return float(epsilon * (hi - lo) / (n - 1) / 3 * np.dot(weights, norms2))
+
+
+def _decimal_pair(z):
+    """The complex float z as a pair of Decimals, exact."""
+    z = complex(z)
+    return Decimal(z.real), Decimal(z.imag)
+
+
+def _abs2(z):
+    return z[0] * z[0] + z[1] * z[1]
+
+
+def _decimal_m_and_p(t, k):
+    """The entries of M = T - theta_k D sigma0 and p(k) = det(sigma0 - theta_k T), as Decimal pairs.
+
+    t holds the entries t00, t01, t10, t11 of T and k the point, as Decimal
+    pairs; every step rounds to the context precision.
+    """
+    t00, t01, t10, t11 = t
+    one, theta = (Decimal(1), Decimal(0)), (2 - 2 * k[1], 2 * k[0])  # theta_k = 2 (1 + ik)
+    theta_d = _gmul(theta, _gsub(_gmul(t00, t11), _gmul(t01, t10)))
+    p = _gsub(
+        _gmul(_gsub(one, _gmul(theta, t00)), _gsub(one, _gmul(theta, t11))), _gmul(_gmul(theta, theta), _gmul(t01, t10))
+    )
+    return (_gsub(t00, theta_d), t01, t10, _gsub(t11, theta_d)), p
+
+
+def decimal_resolvent_norm(T, k, g):
+    """resolvent_diff_norm(T, k, g) for an exponential g, in 60-digit decimal, rounded once.
+
+    The module docstring of zrs.resolvent gives the squared norm as
+    (1 / Im k) |W M F g|^2 / |p(k)|^2 with M = T - theta_k D sigma0 and
+    W = sigma0 + i sigma2, which doubles squared norms. F g is
+    i / (k - conj(g.k)) on g's own half-line. T, k and g.k are taken at
+    their binary values; p is the determinant of sigma0 - theta_k T from
+    the entries, not its factors or coefficients.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        k, kg = _decimal_pair(k), _decimal_pair(g.k)
+        m, p = _decimal_m_and_p([_decimal_pair(T[i][j]) for i in range(2) for j in range(2)], k)
+        f2 = 1 / _abs2((k[0] - kg[0], k[1] + kg[1]))  # |F g|^2 = 1 / |k - conj(g.k)|^2
+        column = (m[0], m[2]) if g.kind is TestFunctionKind.PLUS_EXPONENTIAL else (m[1], m[3])
+        return float((2 * f2 * (_abs2(column[0]) + _abs2(column[1])) / (k[1] * _abs2(p))).sqrt())
+
+
+def decimal_probe(T, epsilon, xi_range, n):
+    """The similarity probe in 60-digit decimal on the probe's own nodes and Simpson weights, rounded once.
+
+    At each node xi of np.linspace(lo, hi, probe_nodes(n)), a binary value,
+    k = sqrt(xi + i eps) by _decimal_sqrt, and the integrand is the two
+    unit-rate exponentials' squared norms of the resolvent difference
+    summed, 2 |M|_F^2 / (Im k |p(k)|^2 |k + i|^2) with M and p as in
+    decimal_resolvent_norm. The sum eps h / 3 sum (y0 + 4 y1 + y2) takes h
+    as the probe's float (hi - lo) / (n - 1), so quadrature error drops out
+    and only the probe's arithmetic is judged. Standard library only, but
+    for the nodes.
+    """
+    n = probe_nodes(n)
+    lo, hi = float(xi_range[0]), float(xi_range[1])
+    with localcontext() as ctx:
+        ctx.prec = 60
+        t = [_decimal_pair(T[i][j]) for i in range(2) for j in range(2)]
+        eps, total = Decimal(epsilon), Decimal(0)
+        for index, xi in enumerate(np.linspace(lo, hi, n).tolist()):
+            k = _decimal_sqrt(Decimal(xi), eps)
+            m, p = _decimal_m_and_p(t, k)
+            y = 2 * sum(map(_abs2, m)) / (k[1] * _abs2(p) * _abs2((k[0], k[1] + 1)))
+            total += y if index in (0, n - 1) else 4 * y if index % 2 else 2 * y
+        return float(eps * Decimal((hi - lo) / (n - 1)) / 3 * total)
 
 
 def abcd_numerators(a, b, c, d):

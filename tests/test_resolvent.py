@@ -35,11 +35,15 @@ def boundary_solve_norm(interaction, k, g):
     return np.sqrt((abs(coeff[0]) ** 2 + abs(coeff[1]) ** 2) / (2 * k.imag))
 
 
-def _line(xi, eps):
-    """z = xi + i eps as the probe lays it out, with the sign of a zero xi kept."""
-    z = np.empty(len(xi), dtype=complex)
+def _sqrt_of_line(xi, eps):
+    """(k, |z|) for z = xi + i eps as the probe forms them: |z| numpy's complex abs, k from _sqrt_line."""
+    z, k = np.empty((2, len(xi)), dtype=complex)
+    re, im = np.empty((2, len(xi)))
     z.real, z.imag = xi, eps
-    return z
+    abs_z = np.abs(z)
+    _sqrt_line(xi, abs_z, eps, re, im)
+    k.real, k.imag = re, im
+    return k, abs_z
 
 
 def test_exponential_transforms_closed_form():
@@ -179,6 +183,34 @@ def test_norm_near_a_root_by_the_origin_matches_boundary_solve():
             assert resolvent_diff_norm(i, k, g) == pytest.approx(boundary_solve_norm(i, k, g), rel=1e-7), (delta, k)
 
 
+def test_decimal_norm_matches_boundary_solve():
+    # the 60-digit reference of the module docstring's formula against the
+    # boundary solve, an independent route in floats
+    rng = np.random.default_rng(27)
+    for abcd in ((-1, 0, 0, 0), (0, 0, 0, 1j), (0.4, 0.2 + 0.1j, -0.3, 0.5)):
+        i = Interaction.from_abcd(*abcd)
+        for _ in range(5):
+            k = complex(rng.uniform(-2, 2), rng.uniform(0.2, 2))
+            for g in (plus_exponential(1j), minus_exponential(complex(rng.uniform(-1, 1), rng.uniform(0.3, 1.5)))):
+                want = boundary_solve_norm(i, k, g)
+                assert oracles.decimal_resolvent_norm(i.matrix, k, g) == pytest.approx(want, rel=1e-12)
+
+
+def test_norm_keeps_theta_d_and_p_in_range_past_the_float_range():
+    # tools/verdict_diff.py's jordan draw 485: a double eigenvalue near 1.4e153,
+    # so |D| is near 2e306, and at k = 30i theta_k D (1.1e308) and p(k)
+    # overflow though the norm is about 1.44e-4 (200-bit mpmath);
+    # resolvent_diff_norm scales T, theta_k D and p by a power of 2 near |D|,
+    # as SMatrixFn._value does, exactly (1.9e-16 relative seen)
+    x = 9.934443247428363e152 + 9.792435980519389e152j
+    T = [[x, 2.3971079235310196e153 - 3.6377463337647795e152j], [0j, x]]
+    i = Interaction.from_matrix(T)
+    assert oracles.decimal_resolvent_norm(T, 30j, plus_exponential(1j)) == pytest.approx(1.44e-4, rel=3e-3)
+    for k in (30j, -30.654255320325362 + 0.09767846938342536j):
+        for g in (plus_exponential(1j), minus_exponential(0.5 + 1j)):
+            assert resolvent_diff_norm(i, k, g) == pytest.approx(oracles.decimal_resolvent_norm(T, k, g), rel=1e-15)
+
+
 def test_norm_at_bound_state_rejected():
     i = Interaction.from_abcd(-1, 0, 0, 0)
     with pytest.raises(AtEigenvalue):
@@ -268,9 +300,9 @@ def test_probe_blocks_form_the_nodes_of_linspace(monkeypatch):
     # underflows to 0 and numpy divides by n - 1 before it multiplies
     blocks = []
 
-    def spy(z, k, abs_z):
-        blocks.append(z.real.copy())
-        return _sqrt_line(z, k, abs_z)
+    def spy(xi, abs_z, epsilon, re, im):
+        blocks.append(xi.copy())
+        return _sqrt_line(xi, abs_z, epsilon, re, im)
 
     monkeypatch.setattr(zrs.resolvent, "_sqrt_line", spy)
     i = Interaction.from_abcd(0.4, 0.2 + 0.1j, -0.3, 0.5)
@@ -389,9 +421,33 @@ def test_probe_matches_oracle_where_simpson_guards_act():
         assert 0 < got < 1e-23
 
 
+def test_probe_arithmetic_against_the_decimal_reference():
+    # the probe against its own integrand in 60-digit decimal on its own nodes
+    # and Simpson weights, so that only its arithmetic is judged, at n = 2001
+    # on the shapes of the benchmark's probes (bench/corpus.probe_entries):
+    # the bounded and divergent ladders and a resonance, a mixed, a constant
+    # and an ExampleV entry at eps = 0.01, on xi in [-10, 10]. The largest
+    # relative error, 6.8e-13, is the divergent one's at eps = 0.001, where
+    # p nears its real root on the line; the bounded ones are within 3e-16
+    e = complex(math.cos(3), math.sin(3))
+    shapes = [(Interaction.from_abcd(1, -1, 1, -1), eps) for eps in (1.0, 0.1, 0.01, 0.001)]
+    shapes += [(Interaction.from_abcd(0, 0, 0, 1j), eps) for eps in (1.0, 0.1, 0.01, 0.001)]
+    shapes += [
+        (Interaction.from_abcd(1.5, 0, 0, 0), 0.01),
+        (Interaction.from_abcd(0, 0.7 - 1.2j, 0, 0), 0.01),
+        (Interaction.from_gamma(PauliVector(0.25, math.cosh(0.5) / 4, 1j * math.sinh(0.5) / 4, 0)), 0.01),
+        (Interaction.from_abcd(-e, -1, 1, e.conjugate()), 0.01),
+    ]
+    errors = []
+    for i, eps in shapes:
+        want = oracles.decimal_probe(i.matrix, eps, (-10, 10), n=2001)
+        errors.append(abs(similarity_integral_probe(i, eps, (-10, 10), n=2001) - want) / want)
+    assert max(errors[:4]) <= 1e-15 and max(errors) <= 1e-12, errors
+
+
 def test_probe_memory_is_two_node_arrays():
     # a default probe keeps the (n - 1) / 2 Simpson terms (0.8 MB) and the
-    # buffers of one block, its nodes among them (0.7 MB), 1.53 MB at its
+    # buffers of one block, its nodes among them (0.72 MB), 1.53 MB at its
     # peak; with all nodes held it peaked at 3.00 MB, with scipy's weights for
     # given nodes and their seven buffers at 3.62 MB, with the integrand held
     # whole at 4.8 MB, built on the whole grid at once at 28.9 MB, and with
@@ -447,7 +503,7 @@ def _ulps(a, b):
     return np.abs(a.view(np.int64) - b.view(np.int64)).max(initial=0)
 
 
-# lines (xi, eps) of z = xi + i eps: wide and tiny ranges, a tiny eps, xi = -0.0 and the largest floats
+# lines (xi, eps) of z = xi + i eps: wide and tiny ranges, a tiny eps, xi = -0.0, the largest floats and subnormals
 SQRT_LINES = [
     (np.linspace(-1e200, 1e200, 4097), 1.0),
     (np.linspace(-1e-300, 1e-300, 4097), 0.5),
@@ -458,15 +514,18 @@ SQRT_LINES = [
     (np.array([-1.0, -0.0, 0.0, 1.0]), 2.0),
     (np.linspace(1e308, 1.7e308, 4097), 1.0),
     (np.linspace(-1.7e308, -1e308, 4097), 1e300),
+    (np.linspace(-1e-310, 1e-310, 4097), 1e-310),
+    (np.linspace(-1e-320, 1e-320, 4097), 1e-320),
 ]
 
 
 def test_probe_square_root_is_numpys():
     # the probe's k = sqrt(xi + i eps), in real arithmetic, is numpy's complex
     # sqrt within 2 ulp in each part: over wide and tiny ranges, at a tiny
-    # eps, at xi = -0.0 and out to the largest floats
+    # eps, at xi = -0.0, out to the largest floats and on subnormal lines,
+    # where k without its exact scaling was 713 ulp off
     for xi, eps in SQRT_LINES:
-        got = _sqrt_line(_line(xi, eps), np.empty(len(xi), dtype=complex), np.empty(len(xi)))
+        got = _sqrt_of_line(xi, eps)[0]
         want = np.sqrt(xi + 1j * eps)
         assert _ulps(got.real, want.real) <= 2 and _ulps(got.imag, want.imag) <= 2, (xi[0], xi[-1], eps)
     # a small nilpotent T keeps the probe in range out there: 0.5 |z| + 0.5 xi
@@ -492,8 +551,7 @@ def test_probe_squared_moduli_are_complex_abs_squared():
     coeffs = [SMatrixFn(Interaction.from_abcd(*abcd)).p_coeffs for abcd in ((0.4, 0.2 + 0.1j, -0.3, 0.5), (-1, 0, 0, 0))]
     with np.errstate(over="ignore", under="ignore"):
         for xi, eps in lines:
-            abs_z = np.empty(len(xi))
-            k = _sqrt_line(_line(xi, eps), np.empty(len(xi), dtype=complex), abs_z)
+            k, abs_z = _sqrt_of_line(xi, eps)
             pairs = [((abs_z + 1) + 2 * k.imag, np.abs(k + 1j) ** 2)]
             for c0, c1, c2 in coeffs:
                 p = c0 + (c1 + c2 * k) * k
