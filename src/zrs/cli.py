@@ -23,9 +23,9 @@ coefficients with no boundary matrix, 4 sweep grid guard violations.
 """
 
 import cmath
-import csv
 import json
 import math
+import operator
 import sys
 from types import SimpleNamespace
 
@@ -275,45 +275,57 @@ class _GuardError(Exception):
     pass
 
 
-# the columns of each numbered slot of a row
-_POLE_SLOTS = [tuple(f"pole{i}_{name}" for name in ("k_re", "k_im", "order", "sheet")) for i in (1, 2)]
-_EIG_SLOTS = [(f"eig{i}_re", f"eig{i}_im") for i in (1, 2)]
-_SING_SLOTS = ["sing1", "sing2"]
-_EXC_SLOTS = [("exc1_re", "exc1_im")]
+_BLANK = ("",) * 21  # the cells between an error row's parameter and its error
+_BOOL = {True: "true", False: "false"}
+_NON_FINITE = {"nan", "inf", "-inf"}  # repr of the floats json.JSONEncoder(allow_nan=False) rejects
 
 
-def _row_from(index, param, classification, error):
-    row = dict.fromkeys(CSV_COLUMNS)
-    row["index"] = index
-    row["param_re"] = _f(param.real)
-    row["param_im"] = _f(param.imag)
-    row["error"] = error
-    if classification is None:
-        return row
-    finite = [p for p in classification.poles if p.sheet is not Sheet.INFINITY]
-    for (k_re, k_im, order, sheet), p in zip(_POLE_SLOTS, finite):
-        row[k_re] = _f(p.location.real)
-        row[k_im] = _f(p.location.imag)
-        row[order] = p.order
-        row[sheet] = p.sheet.value
-    row["pole_at_infinity"] = len(finite) < len(classification.poles)
-    for (re, im), z in zip(_EIG_SLOTS, classification.eigenvalues):
-        row[re] = _f(z.real)
-        row[im] = _f(z.imag)
-    for column, x in zip(_SING_SLOTS, classification.spectral_singularities):
-        row[column] = _f(x)
-    row["singularity_at_infinity"] = classification.singularity_at_infinity
-    for (re, im), z in zip(_EXC_SLOTS, classification.exceptional_points):
-        row[re] = _f(z.real)
-        row[im] = _f(z.imag)
-    row["similarity"] = classification.similarity.value
-    row["region"] = classification.region.value
-    row["has_negative_eigenvalues"] = classification.has_negative_eigenvalues
-    return row
+def _row_cells(index, param, c, error):
+    """The text of each cell of one sweep row in CSV_COLUMNS order, "" for an empty cell.
+
+    A float is its repr (adding 0.0 turns -0.0 into 0.0), an int its repr, a
+    bool true or false and an enum its value (as _value_, which skips the
+    property behind .value). A float that is not finite raises the ValueError
+    json.JSONEncoder raises for it, in either format.
+    """
+    cells = [repr(index), repr(param.real + 0.0), repr(param.imag + 0.0)]
+    if c is None:
+        cells += _BLANK
+        cells.append(error)
+    else:
+        finite = [p for p in c.poles if p.sheet is not Sheet.INFINITY]
+        for p in finite[:2]:
+            cells += repr(p.location.real + 0.0), repr(p.location.imag + 0.0), repr(p.order), p.sheet._value_
+        cells += _BLANK[4 * len(finite) : 8]
+        cells.append(_BOOL[len(finite) < len(c.poles)])
+        for z in c.eigenvalues[:2]:
+            cells += repr(z.real + 0.0), repr(z.imag + 0.0)
+        cells += _BLANK[2 * len(c.eigenvalues) : 4]
+        for x in c.spectral_singularities[:2]:
+            cells.append(repr(x + 0.0))
+        cells += _BLANK[len(c.spectral_singularities) : 2]
+        cells.append(_BOOL[c.singularity_at_infinity])
+        for z in c.exceptional_points[:1]:
+            cells += repr(z.real + 0.0), repr(z.imag + 0.0)
+        cells += _BLANK[2 * len(c.exceptional_points) : 2]
+        cells += c.similarity._value_, c.region._value_, _BOOL[c.has_negative_eigenvalues], ""
+    if not _NON_FINITE.isdisjoint(cells):
+        raise ValueError("Out of range float values are not JSON compliant")
+    return cells
 
 
-# csv writes None as an empty cell and every other value but a bool as str()
-_CSV_BOOLS = {True: "true", False: "false"}
+# A JSON row: keys sorted, text cells quoted, empty cells null. No cell text
+# needs escaping or is "null", so a quoted "null" is an empty text cell.
+_JSON_KEYS = sorted(CSV_COLUMNS)
+_JSON_ROW = "{%s}\n" % ",".join(
+    f'"{key}":"%s"' if key.endswith("sheet") or key in ("similarity", "region", "error") else f'"{key}":%s'
+    for key in _JSON_KEYS
+)
+_JSON_ORDER = operator.itemgetter(*map(CSV_COLUMNS.index, _JSON_KEYS))
+
+
+def _json_line(cells):
+    return (_JSON_ROW % tuple([cell or "null" for cell in _JSON_ORDER(cells)])).replace('"null"', "null")
 
 
 _COUPLINGS = {  # abcd coefficients of each coupling family's swept coupling z
@@ -355,20 +367,15 @@ def _sweep_points(args):
 
 def _cmd_sweep(args):
     points = _sweep_points(args)
-    writer = None
+    write = sys.stdout.write
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+        write(",".join(CSV_COLUMNS) + "\n")
     for index, (param, constructor, arguments) in enumerate(points):
         try:
-            row = _row_from(index, param, classify(constructor(*arguments)), None)
+            cells = _row_cells(index, param, classify(constructor(*arguments)), None)
         except ZrsError as exc:
-            row = _row_from(index, param, None, type(exc).__name__)
-        if writer is not None:
-            # the row's keys are CSV_COLUMNS in order
-            writer.writerow([_CSV_BOOLS[v] if v.__class__ is bool else v for v in row.values()])
-        else:
-            _emit(row)
+            cells = _row_cells(index, param, None, type(exc).__name__)
+        write(",".join(cells) + "\n" if args.format == "csv" else _json_line(cells))
     return 0
 
 

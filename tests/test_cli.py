@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import zrs.classifier
 import zrs.cli
+import zrs.errors
 import zrs.interaction
 import zrs.metric
 import zrs.resolvent
@@ -372,6 +373,103 @@ def test_sweep_csv_matches_json(monkeypatch, capsys):
                 assert cell == "false"
             else:
                 assert cell == str(value)
+
+
+# a nilpotent T (S grows linearly in k: a pole at infinity), a scalar T, the
+# two-pole T of the metric and a T whose characteristic coefficients overflow
+_EDGE_PATH = '{"form": "frakT_path", "ts": [[[[0, 0], [1, 0]], [[0, 0], [0, 0]]], %s, %s, %s]}' % (
+    "[[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]",
+    json.dumps(json.loads(TWO_POLE_METRIC)["t"]),
+    OVERFLOW_T,
+)
+
+
+@pytest.mark.parametrize(
+    "argv, payload, shown",
+    [
+        # through Xi = 0 at t = -2
+        (["--family", "Delta", "--param=-3:3:0.25"], "", ['"error":"NotRepresentable"']),
+        # tilted: non-real eigenvalues
+        (["--family", "Delta", "--param=-3:3:0.25", "--dir=0.6,0.8"], "", ['"region":"I"']),
+        # d = i t: real-axis singularities either side of t = 0
+        (["--family", "DeltaPrime", "--param=-2:2:0.25", "--dir=0,1"], "", ['"pole1_sheet":"RealAxis"']),
+        # no finite pole
+        (["--family", "Mixed", "--param=-4:4:0.5", "--dir=0.6,0.8"], "", ['"pole1_sheet":null']),
+        # phi = 0, the exceptional points and the double poles below the real axis
+        (
+            ["--family", "ExampleV", "--param=-3.25:3.25:0.25"],
+            "",
+            ['"error":"NotRepresentable"', '"pole1_order":2,"pole1_sheet":"Physical"', '"pole1_sheet":"Nonphysical"'],
+        ),
+        # the double pole on the real axis at phi = pi / 2
+        (
+            ["--family", "ExampleV", f"--param={cmath.pi / 2!r}:{cmath.pi / 2!r}:1"],
+            "",
+            ['"pole1_order":2,"pole1_sheet":"RealAxis"'],
+        ),
+        (["--family", "FrakTPath"], _EDGE_PATH, ['"pole_at_infinity":true', '"error":"NotRepresentable"']),
+    ],
+    ids=["Delta", "Delta-tilted", "DeltaPrime", "Mixed", "ExampleV", "ExampleV-real-axis", "FrakTPath"],
+)
+def test_sweep_lines_are_those_of_json_and_csv(monkeypatch, capsys, argv, payload, shown):
+    code, json_out, err = run_cli(["sweep", *argv], payload, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    assert all(text in json_out for text in shown)
+    code, csv_out, err = run_cli(["sweep", *argv, "--format", "csv"], payload, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for line in json_out.splitlines():
+        row = json.loads(line)
+        assert line == _dump(row)
+        assert list(row) == sorted(CSV_COLUMNS)
+        assert "-0.0" not in map(repr, row.values())
+        writer.writerow(["true" if v is True else "false" if v is False else v for v in map(row.get, CSV_COLUMNS)])
+    assert csv_out == buffer.getvalue()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_stops_at_a_non_finite_cell(monkeypatch, capsys, bad, fmt):
+    argv = ["sweep", "--family", "Delta", "--param=-1:1:1", "--format", fmt]
+    code, whole, _ = run_cli(argv, "", monkeypatch, capsys)
+    assert code == 0
+    classify, calls = zrs.cli.classify, []
+
+    def classify_bad_second(interaction):
+        calls.append(interaction)
+        c = classify(interaction)
+        return c._replace(eigenvalues=(complex(bad, 0.0),)) if len(calls) == 2 else c
+
+    monkeypatch.setattr(zrs.cli, "classify", classify_bad_second)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "error: Out of range float values are not JSON compliant\n")
+    # the rows before it stay written
+    assert out == "".join(whole.splitlines(keepends=True)[: 2 if fmt == "csv" else 1])
+
+
+def test_sweep_cell_text_needs_no_quoting():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    texts = [v.value for enum in (zrs.classifier.Sheet, zrs.classifier.Similarity, zrs.classifier.Region) for v in enum]
+    texts += [cls.__name__ for cls in subclasses(zrs.errors.ZrsError)]
+    assert "NotRepresentable" in texts
+    for text in texts:
+        assert text and text.isascii() and text.isprintable(), text
+        assert not set(text) & set(',"\\'), text
+        # JSON rows write an empty cell as "null" and unquote it; a float cell reads nan or inf only when not finite
+        assert "null" not in text and text not in ("nan", "inf", "-inf"), text
+        # what csv and json write for it
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow([text, text])
+        assert buffer.getvalue() == f"{text},{text}\n"
+        assert _dump(text) == f'"{text}"'
 
 
 def test_probe_reports_evidence(monkeypatch, capsys):

@@ -4,9 +4,10 @@
 
 runs every command line of the benchmark corpus for seeds 1 to 5 (the
 cli-calls requests, each sweep in CSV and in JSON, and each probe of the
-probe ladder), then the probes of EDGE_PROBES, through zrs.cli.main() in
-this process, on the zrs sources under ROOT/src, with its payload on stdin.
-It prints one line per command line: the seed ("edge" for an edge probe),
+probe ladder), then the probes of EDGE_PROBES and each sweep of EDGE_SWEEPS
+in CSV and in JSON, through zrs.cli.main() in this process, on the zrs
+sources under ROOT/src, with its payload on stdin. It prints one line per
+command line: the seed ("edge" for an edge probe or sweep),
 the argv, the exit code and the sha256 of stdout and of stderr. Two
 checkouts answer byte for byte alike exactly when their digests are
 identical:
@@ -66,6 +67,21 @@ EDGE_PROBES = [
     (["probe", "--epsilon=1", "--xi=-1e300:1e300", "--n=2001"], (-1, 0, 0, 0)),
 ]
 
+# (argv, payload) of sweeps whose rows the benchmark corpus never writes, each run in CSV and in JSON
+_OVERFLOW_T = [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]
+_NILPOTENT_T = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
+_SCALAR_T = [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]
+EDGE_SWEEPS = [
+    # a coupling too large to normalise: a NotRepresentable row at t = 1e200
+    (["sweep", "--family=Delta", "--param=0:1e200:1e200"], ""),
+    # characteristic coefficients that overflow: a NotRepresentable row
+    (["sweep", "--family=FrakTPath"], json.dumps({"form": "frakT_path", "ts": [_SCALAR_T, _OVERFLOW_T]})),
+    # a pole at infinity (nilpotent T) and no pole at all (scalar T)
+    (["sweep", "--family=FrakTPath"], json.dumps({"form": "frakT_path", "ts": [_NILPOTENT_T, _SCALAR_T]})),
+    # real-axis singularities either side of t = 0, and none at it
+    (["sweep", "--family=DeltaPrime", "--param=-2:2:0.5", "--dir=0,1"], ""),
+]
+
 
 def command_lines(corpus, seed):
     """(argv, payload) of every benchmark command line of one seed."""
@@ -114,6 +130,9 @@ def answers(root):
     for cmd, abcd in EDGE_PROBES:
         payload = corpus.abcd_payload(*abcd)
         yield ("edge", cmd, payload, *run(zrs.cli.main, cmd, payload))
+    for cmd, payload in EDGE_SWEEPS:
+        for argv in ([*cmd, "--format", fmt] for fmt in ("csv", "json")):
+            yield ("edge", argv, payload, *run(zrs.cli.main, argv, payload))
 
 
 def _floats_apart(value, floats):
