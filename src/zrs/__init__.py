@@ -21,9 +21,6 @@ from .classifier import (
     Similarity,
     SpectralClassification,
     classify,
-    exceptional_points,
-    find_poles,
-    spectral_singularities,
 )
 
 __version__ = "0.1.0"
@@ -67,9 +64,6 @@ __all__ = [
     "Region",
     "PoleReport",
     "SpectralClassification",
-    "find_poles",
-    "spectral_singularities",
-    "exceptional_points",
     "classify",
     "Applicability",
     "MetricSpec",

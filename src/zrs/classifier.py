@@ -58,7 +58,10 @@ def _is_real(z, tol):
 
 
 def _poles(s):
-    """(sort key, report, theta, whether i k0 is real) of each pole of S in find_poles' order, theta the root's own."""
+    """(sort key, report, theta, whether i k0 is real) of each pole of S: classify's first stage, with no certificate.
+
+    Finite poles by location, each with its root's theta, then the pole at infinity with theta None.
+    """
     records = []
     for (loc, _), order, theta in zip(s.roots, s.orders, s.thetas):
         if not order:  # every factor at this root cancels
@@ -77,60 +80,9 @@ def _poles(s):
     return records
 
 
-def find_poles(s):
-    """Poles of S with effective orders, sorted by location.
-
-    Parameters
-    ----------
-    s : SMatrixFn
-
-    Returns
-    -------
-    list of PoleReport
-        Finite poles first (ordered by real then imaginary part, or on the
-        imaginary axis by imaginary part first), then the pole at infinity.
-    """
-    return [p for _, p, _, _ in _poles(s)]
-
-
-def _merged(values, tol):
-    """values sorted, less each one within tolerance of the value kept before it."""
-    out = []
-    for z in sorted(values):
-        if not (out and abs(z - out[-1]) <= 1000 * tol * (1 + abs(z))):
-            out.append(z)
-    return out
-
-
-def spectral_singularities(s, poles=None):
-    """Real-axis singular spectral points of the operator.
-
-    Returns (values, at_infinity): z = k0^2 for each real-axis pole,
-    sorted and deduplicated, plus a flag for the singularity at infinity.
-    """
-    if poles is None:
-        poles = find_poles(s)
-    values = _merged([float(p.z.real) for p in poles if p.sheet is Sheet.REAL_AXIS], s.tol)
-    return values, any(p.sheet is Sheet.INFINITY for p in poles)
-
-
-def exceptional_points(s, poles=None):
-    """Degenerate eigenvalues z where the operator has a Jordan block.
-
-    These are z = k0^2 for order-two poles k0 in the upper half-plane, each
-    certified at the theta s.thetas records for its root: N = sigma0 - theta T
-    must be nonzero with N^2 = 0. Order-one poles, and poles that are no root
-    of s, must fail that certificate; a disagreement raises InternalInconsistency.
-    """
-    if poles is None:
-        poles = find_poles(s)
-    thetas = {k: theta for (k, _), theta in zip(s.roots, s.thetas)}
-    return [p.z for p in poles if p.sheet is Sheet.PHYSICAL and _exceptional(p, thetas.get(p.location), s)]
-
-
 def _exceptional(p, theta, s):
-    """Whether the physical pole p is an exceptional point, certified at theta (None for no root of s)."""
-    nilpotent = theta is not None and _nilpotent(theta, s.interaction._entries, s.tol)
+    """Whether physical pole p is an exceptional point; InternalInconsistency where order and _nilpotent(theta) differ."""
+    nilpotent = _nilpotent(theta, s.interaction._entries, s.tol)
     if p.order >= 2 and not nilpotent:
         raise InternalInconsistency(f"order-{p.order} pole at {p.location} without a nilpotent residue")
     if p.order == 1 and nilpotent:
@@ -200,8 +152,11 @@ def classify(interaction):
             singular.append(float(p.z.real))
         elif p.sheet is Sheet.INFINITY:
             at_infinity = True
-    singular = _merged(singular, s.tol)
-    at_singularity = bool(singular) or at_infinity or bool(excs)
+    merged = []  # sorted, less each value within tolerance of the one kept before it
+    for z in sorted(singular):
+        if not (merged and abs(z - merged[-1]) <= 1000 * s.tol * (1 + abs(z))):
+            merged.append(z)
+    at_singularity = bool(merged) or at_infinity or bool(excs)
     region = Region.I if nonreal else Region.II if at_singularity else Region.III
     if _is_hermitian(interaction._entries, s.tol):
         similarity = Similarity.SELF_ADJOINT
@@ -213,7 +168,7 @@ def classify(interaction):
     else:
         # the remaining poles are imaginary and finite (a pole at infinity is a singularity); the
         # certificate makes their spectrum real and negative when S has exactly the expected ones
-        failure, expected = _metric_certificate(s.gamma, s.tol)
+        failure, expected = _metric_certificate(s.interaction.gamma, s.tol)
         if failure is None and simple_on_axis and len(poles) == expected:
             similarity = Similarity.SIMILAR_TO_SELF_ADJOINT
         else:
@@ -221,7 +176,7 @@ def classify(interaction):
     return SpectralClassification(
         poles=tuple(poles),
         eigenvalues=tuple(eigenvalues),
-        spectral_singularities=tuple(singular),
+        spectral_singularities=tuple(merged),
         singularity_at_infinity=at_infinity,
         exceptional_points=tuple(excs),
         similarity=similarity,

@@ -328,16 +328,16 @@ def _json_line(cells):
     return (_JSON_ROW % tuple([cell or "null" for cell in _JSON_ORDER(cells)])).replace('"null"', "null")
 
 
-_COUPLINGS = {  # abcd coefficients of each coupling family's swept coupling z
-    "Delta": lambda z: (z, 0, 0, 0),
-    "Mixed": lambda z: (0, z, 0, 0),
-    "DeltaPrime": lambda z: (0, 0, 0, z),
+_COUPLINGS = {  # abcd coefficients of each coupling family's swept coupling z, complex for from_abcd's fast path
+    "Delta": lambda z: (z, 0j, 0j, 0j),
+    "Mixed": lambda z: (0j, z, 0j, 0j),
+    "DeltaPrime": lambda z: (0j, 0j, 0j, z),
 }
 
 
 def _example_v_point(t):
     phase = complex(math.cos(t), math.sin(t))
-    return complex(t), Interaction.from_abcd, (-phase, -1, 1, phase.conjugate())
+    return complex(t), Interaction.from_abcd, (-phase, -1 + 0j, 1 + 0j, phase.conjugate())
 
 
 def _sweep_points(args):

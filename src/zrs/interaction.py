@@ -40,13 +40,10 @@ class Interaction:
             (a, b), (c, d) = matrix
         except (TypeError, ValueError):
             raise ValueError(f"expected a 2x2 matrix, got {matrix!r}") from None
-        # Python complex entries (from_abcd and the CLI give them) need no
-        # conversion; the Number check, not complex() alone, keeps out
-        # strings and the one-element arrays of a (2, 2, 1) array
-        if not type(a) is type(b) is type(c) is type(d) is complex:
-            if not all(isinstance(x, Number) for x in (a, b, c, d)):
-                raise ValueError(f"expected a 2x2 matrix of numbers, got {matrix!r}")
-            a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+        entries = _as_complex(a, b, c, d)
+        if entries is None:
+            raise ValueError(f"expected a 2x2 matrix of numbers, got {matrix!r}")
+        a, b, c, d = entries
         if not all(map(cmath.isfinite, (a, b, c, d))):
             raise ValueError(f"expected a finite 2x2 matrix, got {[[a, b], [c, d]]}")
         # the entries of matrix as Python complex, for the scalar algebra
@@ -79,9 +76,12 @@ class Interaction:
             If the normalization Xi vanishes (relative to the coefficient
             magnitudes), in which case no boundary matrix exists.
         ValueError
-            If a coefficient is not finite.
+            If a coefficient is not a finite number.
         """
-        a, b, c, d = complex(a), complex(b), complex(c), complex(d)
+        coefficients = _as_complex(a, b, c, d)
+        if coefficients is None:
+            raise ValueError(f"expected numeric coefficients, got {_named(a, b, c, d)}")
+        a, b, c, d = coefficients
         if not all(map(cmath.isfinite, (a, b, c, d))):
             raise ValueError(f"expected finite coefficients, got {_named(a, b, c, d)}")
         det = a * d - b * c
@@ -132,6 +132,15 @@ class Interaction:
     def __repr__(self):
         a, b, c, d = self._entries
         return f"Interaction(matrix={[[a, b], [c, d]]!r})"
+
+
+def _as_complex(a, b, c, d):
+    """a, b, c, d as Python complex, or None where one is not a Number, as strings and arrays that complex() takes."""
+    if type(a) is type(b) is type(c) is type(d) is complex:
+        return a, b, c, d
+    if all(isinstance(x, Number) for x in (a, b, c, d)):
+        return complex(a), complex(b), complex(c), complex(d)
+    return None
 
 
 def _named(a, b, c, d):

@@ -25,7 +25,6 @@ from .interaction import _is_hermitian
 class Applicability(Enum):
     TWO_IMAGINARY_POLES = "TwoImaginaryPoles"
     ONE_IMAGINARY_POLE = "OneImaginaryPole"
-    NOT_APPLICABLE = "NotApplicable"
 
 
 MetricSpec = namedtuple("MetricSpec", "alpha chi kappa applicability s")
@@ -33,16 +32,15 @@ MetricSpec.__doc__ = "Parameters of the metric operator E, and the S and applica
 
 
 def _applicability(s):
+    """The Applicability of the construction on s, or NotApplicable with the reason."""
     if _is_hermitian(s.interaction._entries, s.tol):
-        return Applicability.NOT_APPLICABLE, "already self-adjoint"
-    failure, expected = _metric_certificate(s.gamma, s.tol)
+        raise NotApplicable("already self-adjoint")
+    failure, expected = _metric_certificate(s.interaction.gamma, s.tol)
     if failure is not None:
-        return Applicability.NOT_APPLICABLE, failure
+        raise NotApplicable(failure)
     if any(mult >= 2 for _, mult in s.roots):
-        return Applicability.NOT_APPLICABLE, "pole of order 2"
-    if expected == 1:
-        return Applicability.ONE_IMAGINARY_POLE, None
-    return Applicability.TWO_IMAGINARY_POLES, None
+        raise NotApplicable("pole of order 2")
+    return Applicability.ONE_IMAGINARY_POLE if expected == 1 else Applicability.TWO_IMAGINARY_POLES
 
 
 def construct(interaction):
@@ -58,10 +56,8 @@ def construct(interaction):
         collinear, leaving no axis for sigma_alpha.
     """
     s = build(interaction)
-    applicability, reason = _applicability(s)
-    if applicability is Applicability.NOT_APPLICABLE:
-        raise NotApplicable(reason)
-    (u1, v1), (u2, v2), (u3, v3) = ((g.real, g.imag) for g in s.gamma[1:])
+    applicability = _applicability(s)
+    (u1, v1), (u2, v2), (u3, v3) = ((g.real, g.imag) for g in s.interaction.gamma[1:])
     cross = (u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1)
     norm_u, norm_v, norm_cross = math.hypot(u1, u2, u3), math.hypot(v1, v2, v3), math.hypot(*cross)  # scale inside
     if norm_cross <= 0.1 * s.tol * (1 + norm_u * norm_v):
@@ -113,5 +109,5 @@ def cosh_chi_from_poles(spec):
     if spec.applicability is not Applicability.TWO_IMAGINARY_POLES:
         raise NotApplicable("needs two imaginary poles")
     theta_plus, theta_minus = spec.s.thetas
-    norm_u = math.hypot(*(g.real for g in spec.s.gamma[1:]))
+    norm_u = math.hypot(*(g.real for g in spec.s.interaction.gamma[1:]))
     return norm_u / abs((theta_minus - theta_plus) * spec.s.det_t / 2)

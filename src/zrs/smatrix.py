@@ -28,8 +28,6 @@ class SMatrixFn:
     Attributes
     ----------
     interaction : Interaction
-    gamma : PauliVector
-        Pauli coefficients of the boundary matrix, the interaction's own.
     det_t : complex
         Determinant ad - bc of the boundary matrix [[a, b], [c, d]].
     xi : complex
@@ -118,10 +116,6 @@ class SMatrixFn:
         self.roots, self.thetas, self.lams, self.orders = tuple(roots), tuple(thetas), tuple(kept), tuple(orders)
         self.constant = not any(orders) and (self._cancels_k or not any((a, b, c, d)))
 
-    @property
-    def gamma(self):
-        return self.interaction.gamma
-
     def p(self, k):
         """Characteristic polynomial det(sigma0 - theta_k T) at k, the product of its eigenvalues' factors."""
         k = complex(k)
@@ -189,7 +183,7 @@ def _double_root(g0, x, b, c, xi2, m, tol):
     At theta0 = g0 / D, N = sigma0 - theta0 T has N D = -(xi2 sigma0 + g0 M)
     and, as M^2 = xi2 sigma0, N^2 D^2 = xi2 ((xi2 + g0^2) sigma0 + 2 g0 M).
     The root is double where |N^2| is at most 100 tol |N|^2 (max-entry norm),
-    the certificate exceptional_points applies at 1000 tol; both sides have
+    the exceptional-point certificate applies at 1000 tol; both sides have
     degree 4, so it is taken on T / m, m = max(|g0|, |x|, |b|, |c|).
     """
     # With r = |xi2| / m^2 and s = |g0| / m: |N^2 D^2| / m^4 is at least half its spectral radius,

@@ -87,7 +87,7 @@ def pauli_components(s, k):
     """
     k = complex(k)
     tol = s.tol
-    g0, g1, g2, g3 = s.gamma
+    g0, g1, g2, g3 = s.interaction.gamma
     D = s.det_t
     theta_k = 2 * (1 + 1j * k)
     c0, c1, c2 = s.p_coeffs
@@ -106,7 +106,7 @@ def pauli_components(s, k):
             raise AtPole(f"simple pole at the origin, k = {k}")
         f = 4j / q
         return PauliVector(1 + f * (g0 - theta_k * D), f * g1, f * g2, f * g3)
-    theta_plus, theta_minus = theta_roots(s.gamma, tol)
+    theta_plus, theta_minus = theta_roots(s.interaction.gamma, tol)
     if theta_plus is not None and theta_minus is not None:
         denom = (theta_k - theta_plus) * (theta_k - theta_minus)
         # p = D * denom in this branch
@@ -582,7 +582,7 @@ def numpy_nilpotent(T, theta, tol):
     """The exceptional-point certificate at a root theta of p, with N @ N on 2x2 arrays.
 
     Whether N = sigma0 - theta T is nonzero with N^2 = 0, at the thresholds
-    of classifier.exceptional_points.
+    of classifier._nilpotent, which classify runs on each physical pole.
     """
     T = np.asarray(T, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # inf, as the package's Python complex gives

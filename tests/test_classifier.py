@@ -7,16 +7,8 @@ import pytest
 
 import zrs.classifier
 from oracles import exact_poles, numpy_compose
-from zrs.classifier import (
-    PoleReport,
-    Region,
-    Sheet,
-    Similarity,
-    classify,
-    exceptional_points,
-    find_poles,
-    spectral_singularities,
-)
+from pole_stage import poles
+from zrs.classifier import PoleReport, Region, Sheet, Similarity, _exceptional, classify
 from zrs.errors import AtPole, InternalInconsistency, NotRepresentable
 from zrs.interaction import FRIEDRICHS, KREIN, Interaction
 from zrs.pauli import PauliVector
@@ -163,20 +155,19 @@ def test_phase_family_regions():
 def test_scalar_matrix_pole_order_is_capped():
     # scalar non-hermitian boundary matrix: p has a double root but S has
     # a simple pole
-    i = Interaction.from_matrix((0.3 + 0.2j) * np.eye(2))
-    poles = find_poles(build(i))
-    assert len(poles) == 1
-    assert poles[0].order == 1
-    assert not exceptional_points(build(i))
+    c = classify(Interaction.from_matrix((0.3 + 0.2j) * np.eye(2)))
+    assert len(c.poles) == 1
+    assert c.poles[0].order == 1
+    assert not c.exceptional_points
 
 
 def test_spectral_singularities_shape():
-    values, at_inf = spectral_singularities(build(Interaction.from_abcd(0, 0, 0, 1j)))
-    assert values == pytest.approx([4.0])
-    assert at_inf is False
-    values, at_inf = spectral_singularities(build(Interaction.from_matrix([[0, 1], [0, 0]])))
-    assert values == []
-    assert at_inf is True
+    c = classify(Interaction.from_abcd(0, 0, 0, 1j))
+    assert c.spectral_singularities == pytest.approx([4.0])
+    assert c.singularity_at_infinity is False
+    c = classify(Interaction.from_matrix([[0, 1], [0, 0]]))
+    assert c.spectral_singularities == ()
+    assert c.singularity_at_infinity is True
 
 
 def test_symmetric_real_axis_pair_is_deduplicated():
@@ -186,14 +177,12 @@ def test_symmetric_real_axis_pair_is_deduplicated():
     D = 0.1
     xi2 = g0 * g0 - D
     i = Interaction.from_gamma(PauliVector(g0, np.sqrt(complex(xi2)), 0, 0))
-    s = build(i)
-    c0, c1, c2 = s.p_coeffs
+    c0, c1, c2 = build(i).p_coeffs
     assert abs(c1) < 1e-14
-    poles = find_poles(s)
-    locs = sorted(p.location.real for p in poles)
+    c = classify(i)
+    locs = sorted(p.location.real for p in c.poles)
     assert np.allclose(locs, [-np.sqrt(1.5), np.sqrt(1.5)], atol=1e-12)
-    values, _ = spectral_singularities(s, poles)
-    assert values == pytest.approx([1.5])
+    assert c.spectral_singularities == pytest.approx([1.5])
 
 
 def test_similarity_class_helper():
@@ -228,13 +217,14 @@ def test_certificate_rejects_inconsistent_poles():
     # the Jordan block [[1, 1], [0, 1]] has a double pole at k = i/2 with a
     # nilpotent residue
     s = build(Interaction.from_matrix([[1, 1], [0, 1]]))
-    k0 = 0.5j
-    assert exceptional_points(s, [PoleReport(k0, 2, Sheet.PHYSICAL, k0 * k0)]) == [k0 * k0]
+    k0, (theta,) = 0.5j, s.thetas
+    assert _exceptional(PoleReport(k0, 2, Sheet.PHYSICAL, k0 * k0), theta, s) is True
+    # a made-up pole off the root, certified at its own theta_k = 2(1 + ik)
     shifted = k0 + 1e-3
     with pytest.raises(InternalInconsistency, match="without a nilpotent residue"):
-        exceptional_points(s, [PoleReport(shifted, 2, Sheet.PHYSICAL, shifted * shifted)])
+        _exceptional(PoleReport(shifted, 2, Sheet.PHYSICAL, shifted * shifted), 2 * (1 + 1j * shifted), s)
     with pytest.raises(InternalInconsistency, match="simple pole"):
-        exceptional_points(s, [PoleReport(k0, 1, Sheet.PHYSICAL, k0 * k0)])
+        _exceptional(PoleReport(k0, 1, Sheet.PHYSICAL, k0 * k0), theta, s)
 
 
 def test_jordan_block_at_large_scale_is_an_exceptional_point():
@@ -354,9 +344,9 @@ def _sweep_corpus(monkeypatch, seed):
                 yield lambda abcd=point["couplings"]: Interaction.from_abcd(*abcd)
 
 
-def test_classify_agrees_with_the_public_helpers(monkeypatch):
-    # classify takes its poles, singularities and exceptional points in one pass; the public
-    # helpers, called on their own, give the same values bit for bit (repr tells -0.0 from 0.0)
+def test_classify_agrees_with_its_pole_stage(monkeypatch):
+    # classify reads its poles and eigenvalues off its first stage, classifier._poles, in one pass;
+    # that stage on its own gives the same values bit for bit (repr tells -0.0 from 0.0)
     checked = 0
     for make in itertools.chain(_verdict_draws(300), _sweep_corpus(monkeypatch, 1)):
         try:
@@ -364,13 +354,9 @@ def test_classify_agrees_with_the_public_helpers(monkeypatch):
             c = classify(i)
         except NotRepresentable:
             continue
-        s = build(i)
-        poles = find_poles(s)
-        assert repr(c.poles) == repr(tuple(poles))
-        assert repr(c.eigenvalues) == repr(tuple(p.z for p in poles if p.sheet is Sheet.PHYSICAL))
-        values, at_infinity = spectral_singularities(s, poles)
-        assert repr((c.spectral_singularities, c.singularity_at_infinity)) == repr((tuple(values), at_infinity))
-        assert repr(c.exceptional_points) == repr(tuple(exceptional_points(s, poles)))
+        found = poles(build(i))
+        assert repr(c.poles) == repr(tuple(found))
+        assert repr(c.eigenvalues) == repr(tuple(p.z for p in found if p.sheet is Sheet.PHYSICAL))
         checked += 1
     assert checked > 6000, checked
 
@@ -384,8 +370,8 @@ def test_classify_agrees_with_the_public_helpers(monkeypatch):
 )
 def test_classify_runs_the_exceptional_point_certificate(monkeypatch, i, order, message):
     # with the nilpotency test turned around, the one physical pole of each fails its certificate
+    assert [(p.order, p.sheet) for p in classify(i).poles] == [(order, Sheet.PHYSICAL)]
     nilpotent = zrs.classifier._nilpotent
     monkeypatch.setattr(zrs.classifier, "_nilpotent", lambda *args: not nilpotent(*args))
-    assert [(p.order, p.sheet) for p in find_poles(build(i))] == [(order, Sheet.PHYSICAL)]
     with pytest.raises(InternalInconsistency, match=message):
         classify(i)

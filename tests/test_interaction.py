@@ -40,6 +40,17 @@ def test_not_representable():
         Interaction.from_abcd(-1, -1, 1, 1)
 
 
+def test_from_abcd_checks_its_inputs_as_the_constructor_does():
+    # a string or an array is no coefficient, as it is no matrix entry: both are ValueError
+    for bad in ("1", np.array([1.0, 2.0])):
+        with pytest.raises(ValueError, match="expected numeric coefficients"):
+            Interaction.from_abcd(bad, 0, 0, 0)
+        with pytest.raises(ValueError, match="expected a 2x2 matrix of numbers"):
+            Interaction([[bad, 0], [0, 0]])
+    # ints and numpy scalars beside complex, as sweeps and arrays give them, convert as complex() does
+    assert Interaction.from_abcd(1, np.float64(0.5), -1, 0j)._entries == Interaction.from_abcd(1 + 0j, 0.5, -1.0, 0)._entries
+
+
 @given(coeff, coeff, coeff, coeff)
 @settings(deadline=None, max_examples=200)
 def test_gamma_route_matches_matrix_route(a, b, c, d):

@@ -1,17 +1,22 @@
 """The names the package exports."""
 
 import zrs
-from zrs import interaction, metric, pauli, smatrix
+from zrs import classifier, interaction, metric, pauli, smatrix
 
 # names that only tests used, taken out of the package
 REMOVED = {
-    zrs: ("compose", "decompose", "PotentialABCD", "check_applicability"),
+    zrs: (
+        "compose", "decompose", "PotentialABCD", "check_applicability",
+        "find_poles", "spectral_singularities", "exceptional_points",
+    ),
+    classifier: ("find_poles", "spectral_singularities", "exceptional_points", "_merged"),
     pauli: ("compose", "decompose"),
     interaction: ("PotentialABCD",),
     metric: ("check_applicability",),
     smatrix: ("_ZERO", "_HALF_IDENTITY", "_TILTED"),
     pauli.PauliVector: ("space_part",),
-    smatrix.SMatrixFn: ("is_constant",),
+    smatrix.SMatrixFn: ("is_constant", "gamma"),
+    metric.Applicability: ("NOT_APPLICABLE",),
     interaction.Interaction.from_abcd(1, 0, 0, 0): ("origin",),
 }
 

@@ -28,7 +28,8 @@ from oracles import (
     numpy_nilpotent,
     xi_from_abcd,
 )
-from zrs.classifier import PoleReport, Sheet, classify, exceptional_points, find_poles
+from pole_stage import poles
+from zrs.classifier import PoleReport, Sheet, _exceptional, classify
 from zrs.errors import InternalInconsistency, NotRepresentable
 from zrs.interaction import Interaction
 from zrs.pauli import PauliVector
@@ -71,7 +72,7 @@ def _assert_roots_near_exact(s):
     if len(s.roots) < 2:
         (a, _), (_, d) = s.interaction.matrix.tolist()
         for (k, mult), theta in zip(s.roots, s.thetas):
-            num, den = (s.gamma.x0, s.det_t) if mult == 2 else (1, a + d)
+            num, den = (s.interaction.gamma.x0, s.det_t) if mult == 2 else (1, a + d)
             want = exact_quotient(num, den) if den else None
             if k != 0j and (want is None or abs(theta - want) > 2 * EPS * abs(want)):
                 assert mult == 1, (theta, want)  # the lone simple root, judged below
@@ -110,12 +111,12 @@ def _assert_matches_numpy(i, numpy_matrix):
     assert [(k == 0j, mult) for k, mult in s.roots] == [(k == 0j, mult) for k, mult in roots]
     _assert_roots_near_exact(s)
     thetas = dict(zip((k for k, _ in s.roots), s.thetas))
-    for p in find_poles(s):
+    for p in poles(s):
         if p.sheet is not Sheet.PHYSICAL:
             continue
-        # asked about an order-two pole, exceptional_points certifies or raises
+        # asked about an order-two pole, the certificate certifies or raises
         try:
-            exceptional_points(s, [PoleReport(p.location, 2, p.sheet, p.z)])
+            _exceptional(PoleReport(p.location, 2, p.sheet, p.z), thetas[p.location], s)
             nilpotent = True
         except InternalInconsistency:
             nilpotent = False

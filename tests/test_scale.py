@@ -100,7 +100,7 @@ def _check_metric(i):
     # each theta root carries a few eps of itself, so their gap 2 xi / D
     # carries about eps |gamma0 / xi| of itself; cosh(atanh(kappa)) carries
     # about eps cosh(chi)^2
-    g0, xi, want = spec.s.gamma.x0, spec.s.xi, math.cosh(spec.chi)
+    g0, xi, want = spec.s.interaction.gamma.x0, spec.s.xi, math.cosh(spec.chi)
     bound = 16 * EPS * (1 + abs(g0 / xi) + want * want) * want
     assert abs(cosh_chi_from_poles(spec) - want) <= bound
     return 1

@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from zrs.classifier import Sheet, find_poles
+from pole_stage import poles
+from zrs.classifier import Sheet
 from zrs.cli import main
 from zrs.interaction import Interaction
 from zrs.smatrix import build
@@ -30,11 +31,11 @@ def test_tolerance_is_read_between_calls(monkeypatch):
     # the origin root that a coarse tolerance snaps to
     i = Interaction.from_abcd(-2e-8, 0, 0, 0)
     monkeypatch.delenv("ZRS_TOLERANCE", raising=False)
-    poles = find_poles(build(i))
-    assert len(poles) == 1 and poles[0].sheet is Sheet.PHYSICAL
-    assert poles[0].location == pytest.approx(1e-8j, rel=1e-6)
+    found = poles(build(i))
+    assert len(found) == 1 and found[0].sheet is Sheet.PHYSICAL
+    assert found[0].location == pytest.approx(1e-8j, rel=1e-6)
     monkeypatch.setenv("ZRS_TOLERANCE", "1e-6")
-    assert find_poles(build(i)) == []
+    assert poles(build(i)) == []
 
 
 def test_smatrix_keeps_its_tolerance_snapshot(monkeypatch):
@@ -42,5 +43,5 @@ def test_smatrix_keeps_its_tolerance_snapshot(monkeypatch):
     s = build(Interaction.from_abcd(-2e-8, 0, 0, 0))
     monkeypatch.setenv("ZRS_TOLERANCE", "1e-6")
     assert s.tol == 1e-12
-    poles = find_poles(s)
-    assert len(poles) == 1 and poles[0].sheet is Sheet.PHYSICAL
+    found = poles(s)
+    assert len(found) == 1 and found[0].sheet is Sheet.PHYSICAL

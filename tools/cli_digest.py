@@ -4,10 +4,11 @@
 
 runs every command line of the benchmark corpus for seeds 1 to 5 (the
 cli-calls requests, each sweep in CSV and in JSON, and each probe of the
-probe ladder), then the probes of EDGE_PROBES and each sweep of EDGE_SWEEPS
-in CSV and in JSON, through zrs.cli.main() in this process, on the zrs
-sources under ROOT/src, with its payload on stdin. It prints one line per
-command line: the seed ("edge" for an edge probe or sweep),
+probe ladder), then the probes of EDGE_PROBES, each sweep of EDGE_SWEEPS
+in CSV and in JSON and the classify lines of EDGE_CLASSIFY, through
+zrs.cli.main() in this process, on the zrs sources under ROOT/src, with its
+payload on stdin. It prints one line per
+command line: the seed ("edge" for an edge probe, sweep or classify),
 the argv, the exit code and the sha256 of stdout and of stderr. Two
 checkouts answer byte for byte alike exactly when their digests are
 identical:
@@ -82,6 +83,14 @@ EDGE_SWEEPS = [
     (["sweep", "--family=DeltaPrime", "--param=-2:2:0.5", "--dir=0,1"], ""),
 ]
 
+# (argv, payload) of classify lines on matrices that ROADMAP item 7 gets wrong: T = [[0, 0], [1e9, 1]]
+# (eigenvalues 0 and 1) exits 1 with an InternalInconsistency, and T = [[0.3, 0], [1e11, i]]
+# (eigenvalues 0.3 and i) gets an order-2 pole and an exceptional point
+EDGE_CLASSIFY = [
+    (["classify"], json.dumps({"form": "frakT", "t": [[[0, 0], [0, 0]], [[1e9, 0], [1, 0]]]})),
+    (["classify"], json.dumps({"form": "frakT", "t": [[[0.3, 0], [0, 0]], [[1e11, 0], [0, 1]]]})),
+]
+
 
 def command_lines(corpus, seed):
     """(argv, payload) of every benchmark command line of one seed."""
@@ -133,6 +142,8 @@ def answers(root):
     for cmd, payload in EDGE_SWEEPS:
         for argv in ([*cmd, "--format", fmt] for fmt in ("csv", "json")):
             yield ("edge", argv, payload, *run(zrs.cli.main, argv, payload))
+    for cmd, payload in EDGE_CLASSIFY:
+        yield ("edge", cmd, payload, *run(zrs.cli.main, cmd, payload))
 
 
 def _floats_apart(value, floats):
