@@ -20,12 +20,21 @@ unitary, so the two squared norms add up to
     C = |t00 - t11|^2 + 2 |t01|^2 + 2 |t10|^2,
 
 as 2 |T - theta_k D sigma0|_F^2 = |2 theta_k D - tr T|^2 + C and
-2 theta_k D - tr T = -i p'(k) / 2. On the line, |k|^2 = |z|, so the probe
-takes |k + i|^2 as (|z| + 1) + 2 Im k, whose terms are all positive, and
-|p|^2 as Re p^2 + Im p^2: each within 6 ulp of its complex abs squared. The
-one complex abs per node is numpy's of z, which scales internally; every
-other real-valued step runs on contiguous float buffers, |p|^2 as the
-square of p's float view with its even and odd elements added.
+2 theta_k D - tr T = -i p'(k) / 2. p and p' are taken from T's eigenvalues
+lam+-, unmerged, not from the coefficients of p, whose constant term
+1 - 4 gamma0 + 4 D cancels near a lam of 1/2. Each factor of p,
+1 - theta_k lam = (1 - 2 lam) - 2i lam k, is mu (k - r) with r its root, and
+p'/2 is, up to a unit, c' + mu' k with |mu'| = |mu+ mu-|, so that
+
+    (|k - r'|^2 + C / |mu+ mu-|^2) / (Im k |k - r+|^2 |k - r-|^2 |k + i|^2)
+
+is the integrand, with the weights |mu|^2 folded into one scalar per probe.
+Each |k - r|^2 is (Re k - Re r)^2 + (Im k - Im r)^2, and on the line,
+|k|^2 = |z|, so the probe takes |k + i|^2 as (|z| + 1) + 2 Im k, whose
+terms are all positive: each within 6 ulp of its complex abs squared. A
+root past 2^_FAR, of a tiny lam or D, is taken with k scaled by a power of
+two, exactly. The one complex abs per node is numpy's of z, which scales
+internally; every other step runs on contiguous float buffers.
 
 Only f_transform with a custom test function loads scipy, when it is
 called; the probe integrates without it.
@@ -43,8 +52,10 @@ from .smatrix import _factor, build
 _TAIL_THRESHOLD = 1e-8
 _TRUNCATION = 40.0
 # node triples per block of _simpson: the probe's integrand on a block's
-# 2 * _BLOCK + 1 nodes and all of its buffers, about 0.72 MB, stay in cache
+# 2 * _BLOCK + 1 nodes and all of its buffers, about 0.58 MB, stay in cache
 _BLOCK = 4500
+# a root of the integrand's forms past 2^_FAR in modulus is taken with k scaled by a power of two
+_FAR = 64
 
 
 class TestFunctionKind(Enum):
@@ -223,6 +234,61 @@ def _sqrt_line(xi, abs_z, epsilon, re, im):
     im[j:j0] = re[j:j0]
 
 
+def _form(c, m, f):
+    """(e, r 2^-e, |mu| 2^e) of the form c + mu k, mu = m 2^f, and its root r = -c / mu.
+
+    |c + mu k|^2 = (|mu| 2^e)^2 |k 2^-e - r 2^-e|^2 for any integer e. e is
+    0 unless |r| passes 2^_FAR, as where lam or D is tiny; then 2^e is near
+    |r|, so that r 2^-e and |mu| 2^e stay in range, and every scaling is
+    exact. Where |mu| 2^e underflows to 0, r 2^-e is taken as 0.
+    """
+    e = math.frexp(abs(c))[1] - math.frexp(abs(m))[1] - f if c else 0
+    e = e if e > _FAR else 0
+    d = complex(math.ldexp(m.real, f + e), math.ldexp(m.imag, f + e))
+    return e, -c / d if d else 0j, abs(d)
+
+
+def _integrand_scalars(lams, C):
+    """The scalars of the probe's integrand (slope |k 2^-e' - r'|^2 + A) / (Im k |k + i|^2 prod |k 2^-e - r|^2).
+
+    lams are T's eigenvalues, unmerged. p is the product of the factors
+    1 - theta_k lam = (1 - 2 lam) - 2i lam k = mu (k - r) of those that are
+    not 0, and p'/2 is, up to a unit, c' + mu' k with
+    c' = -(lam+ (1 - 2 lam-) + lam- (1 - 2 lam+)) and mu' = 4i lam+ lam-,
+    so that |mu'| = |mu+| |mu-|. The weights |mu|^2 then divide out once per
+    probe: returns (roots, slope, root_dp, A) with roots the (e, r 2^-e) of each
+    factor's form, root_dp that of p'/2, slope = 2^(2 (e' - e+ - e-)) and
+    A = C / (|mu+| 2^e+ |mu-| 2^e-)^2. With one lam at 0, |p'/2|^2 = |lam|^2,
+    so the slope is 0 and A = 2^-2e / 4 + C / (|mu| 2^e)^2; with both, A = C.
+    Each lam is written m 2^f with |m| in [1/2, 1), exactly, so that no
+    product of them leaves the range.
+    """
+    parts = []
+    for lam in lams:
+        if lam:
+            f = math.frexp(abs(lam))[1]
+            parts.append((lam, complex(math.ldexp(lam.real, -f), math.ldexp(lam.imag, -f)), f))
+    forms = [_form(1 - 2 * lam, -2j * m, f) for lam, m, f in parts]
+    roots = tuple((e, r) for e, r, _ in forms)
+    if not forms:
+        return roots, 0.0, None, C
+    if len(forms) == 1:
+        e, _, w = forms[0]
+        return roots, 0.0, None, math.ldexp(0.25, -2 * e) + C / w / w
+    (lam1, m1, f1), (lam2, m2, f2) = parts
+    e, r, w = _form(-(lam1 * (1 - 2 * lam2) + lam2 * (1 - 2 * lam1)), 4j * m1 * m2, f1 + f2)
+    (e1, _, w1), (e2, _, w2) = forms
+    return roots, math.ldexp(1.0, 2 * (e - e1 - e2)) if w else 0.0, (e, r), C / (w1 * w2) / (w1 * w2)
+
+
+def _distance2(re, im, e, r, out, tmp):
+    """|k 2^-e - r|^2 into out, for k = re + i im, as (Re k 2^-e - Re r)^2 + (Im k 2^-e - Im r)^2."""
+    if e:
+        re, im = np.multiply(re, math.ldexp(1.0, -e), out=out), np.multiply(im, math.ldexp(1.0, -e), out=tmp)
+    np.square(np.subtract(re, r.real, out=out), out=out)
+    return np.add(out, np.square(np.subtract(im, r.imag, out=tmp), out=tmp), out=out)
+
+
 def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     """eps times the integral of the squared difference norm along z = xi + i eps.
 
@@ -233,12 +299,15 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     of similarity to a self-adjoint operator, growth like 1/eps locates a
     spectral singularity. Evidence only, not a certificate.
 
+    The integrand is that of the module docstring: |p|^2 from the factors
+    of p, each as the squared distance of k to its root on float buffers.
+
     Memory: the (n - 1) / 2 Simpson terms (4 bytes per node) and the
-    buffers of one block of _BLOCK node triples, three complex and three
-    float node arrays besides the block of the integrand, about 0.72 MB; a
-    default probe peaks at 1.53 MB under tracemalloc. A block whose stretch
-    of the line is far enough from the root of every recorded factor of p
-    skips the per-node pole test.
+    buffers of one block of _BLOCK node triples, one complex and five float
+    node arrays besides the block of the integrand, about 0.58 MB; a default
+    probe peaks at 1.38 MB under tracemalloc. A block whose stretch of the
+    line is far enough from the root of every recorded factor of p skips the
+    per-node pole test, and only a block that does not builds a complex k.
 
     Raises
     ------
@@ -260,7 +329,6 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
         raise ValueError("need at least 16 quadrature nodes")
     n = probe_nodes(n)
     s = build(interaction)
-    c0, c1, c2 = s.p_coeffs
     t00, t01, t10, t11 = s.interaction._entries
     lo, hi = float(lo), float(hi)
     h = (hi - lo) / (n - 1)
@@ -273,43 +341,44 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     poles = [(k_j * k_j, (kmax + abs(k_j)) * window * (0.5 / abs(lam) + 1 + kmax))
              for (k_j, _), lam in zip(s.roots, s.lams)]
     index = np.arange(min(n, 2 * _BLOCK + 1), dtype=float)
-    cbufs = np.empty((3, index.size), dtype=complex)
-    fbufs = np.empty((2, index.size))
-    C = 0.0  # the module docstring's C, set in the try below, where its overflow raises
+    z = np.empty(index.size, dtype=complex)
+    z.imag = epsilon
+    fbufs = np.empty((4, index.size))
+    roots, slope, root_dp, A = (), 0.0, None, 0.0  # set in the try below, where an overflow raises
 
     def integrand(start, stop, out):
-        z, k, u = cbufs[:, : stop - start]
-        re, abs_z = fbufs[:, : stop - start]
+        re, den, u, v = fbufs[:, : stop - start]
         # node i is lo + i h, the last one hi, as np.linspace lays them out; i / (n - 1) (hi - lo) where h is 0
-        xi = im = out  # out, contiguous as re and abs_z, holds the nodes, then Im k, then the integrand
+        xi = im = out  # out, contiguous as re, holds the nodes, then Im k, then the integrand
         i = np.add(index[: stop - start], start, out=xi)
         np.add(np.multiply(i, h, out=xi) if h else np.multiply(i / (n - 1), hi - lo, out=xi), lo, out=xi)
         if stop == n:
             xi[-1] = hi
         clear = all(math.hypot(max(xi[0] - z0.real, z0.real - xi[-1], 0), epsilon - z0.imag) > r for z0, r in poles)
-        z.real, z.imag = xi, epsilon
-        _sqrt_line(xi, np.abs(z, out=abs_z), epsilon, re, im)
-        k.real, k.imag = re, im
-        c2k = np.multiply(c2, k, out=u)
-        p = np.add(c0, np.multiply(np.add(c1, c2k, out=z), k, out=z), out=z)
-        if not clear and np.any(s._at_pole(k, s.lams)):
+        z[: stop - start].real = xi
+        _sqrt_line(xi, np.abs(z[: stop - start], out=den), epsilon, re, im)
+        if not clear and np.any(s._at_pole(re + 1j * im, s.lams)):
             raise AtEigenvalue("sweep line passes through a pole")
-        half_dp = np.add(c1 / 2, c2k, out=u)
-        # |p|^2 = Re p^2 + Im p^2 and |p'/2|^2 as the squares of each buffer's float view, even plus odd elements
-        p2, dp2 = np.square(p.view(float), out=p.view(float)), np.square(half_dp.view(float), out=half_dp.view(float))
-        # fro2 / (Im k |p|^2 |k + i|^2), |k + i|^2 = (|z| + 1) + 2 Im k
-        den = np.multiply(im, np.add(p2[0::2], p2[1::2], out=re), out=re)
-        np.multiply(den, np.add(np.add(abs_z, 1, out=abs_z), np.multiply(im, 2, out=im), out=abs_z), out=den)
-        fro2 = np.add(np.add(dp2[0::2], dp2[1::2], out=out), C, out=out)
-        np.true_divide(fro2, den, out=out)
+        # Im k |k + i|^2 prod |k 2^-e - r|^2, |k + i|^2 = (|z| + 1) + 2 Im k
+        np.multiply(np.add(np.add(den, 1, out=den), np.multiply(im, 2, out=u), out=den), im, out=den)
+        for e, r in roots:
+            np.multiply(den, _distance2(re, im, e, r, u, v), out=den)
+        if slope:  # (slope |k 2^-e' - r'|^2 + A) / den
+            num = _distance2(re, im, *root_dp, u, v)
+            if slope != 1:
+                np.multiply(num, slope, out=num)
+            np.true_divide(np.add(num, A, out=num), den, out=out)
+        else:
+            np.true_divide(A, den, out=out)
 
     # an overflow, an invalid operation or a division by zero would leave a
     # value resting on inf or NaN
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             C = np.square(np.abs(np.subtract(t00, t11))) + 2 * (np.square(np.abs(t01)) + np.square(np.abs(t10)))
+            roots, slope, root_dp, A = _integrand_scalars(s._eigenvalues, C)
             return float(epsilon * _simpson(h, n, integrand))
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:  # OverflowError: math.ldexp on the scalars
         # a pole anywhere on the line is reported ahead of the overflow,
         # wherever the blocks end: the blocks are run again, quietly, to find it
         with np.errstate(all="ignore"):

@@ -32,8 +32,6 @@ class SMatrixFn:
         Determinant ad - bc of the boundary matrix [[a, b], [c, d]].
     xi : complex
         Principal root of ((a - d)/2)^2 + bc: T has eigenvalues gamma0 +- xi.
-    p_coeffs : tuple
-        (c0, c1, c2) with p(k) = c0 + c1 k + c2 k^2.
     tol : float
         Base tolerance, read once when the function is built; every
         decision about the structure of p below is taken at it.
@@ -64,7 +62,8 @@ class SMatrixFn:
     Raises
     ------
     NotRepresentable
-        If det T, xi^2, p or a modulus overflows, from |T| of about 1e154.
+        If det T, xi^2, a coefficient of p(k) = c0 + c1 k + c2 k^2 or a
+        modulus overflows, from |T| of about 1e154.
     """
 
     def __init__(self, interaction):
@@ -74,7 +73,7 @@ class SMatrixFn:
         g0, x, ad, bc = (a + d) / 2, (a - d) / 2, a * d, b * c  # T = g0 sigma0 + M, M = [[x, b], [c, -x]]
         self.det_t = D = ad - bc
         xi2 = x * x + bc
-        self.p_coeffs = c0, c1, c2 = (1 - 4 * g0 + 4 * D, 4j * (2 * D - g0), -4 * D)
+        c0, c1, c2 = 1 - 4 * g0 + 4 * D, 4j * (2 * D - g0), -4 * D
         try:  # Python complex arithmetic overflows quietly to inf and NaN, abs raises past the float range
             abs_b, abs_c, cancelled = abs(b), abs(c), abs(ad) + abs(bc)
             t_max, m_max = max(abs(a), abs_b, abs_c, abs(d)), max(abs(x), abs_b, abs_c)

@@ -38,11 +38,13 @@ separate route, so the tests can cross-check the package against it:
   gamma, the factors of p, the characteristic data and the exceptional-point
   certificate (at the theta SMatrixFn.thetas records for a root) computed on
   numpy scalars and 2x2 arrays, against the package's Python scalar path,
-  which must give the same gamma, det T and coefficients of p bit for bit,
-  the same structure of roots and the same certificate verdicts; the probe
+  which must give the same gamma and det T bit for bit, answer only where
+  the coefficients of p are finite, and give the same structure of roots
+  and the same certificate verdicts; the probe
   oracle tests its nodes against the factors numpy_factors decides.
 """
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -51,7 +53,7 @@ import numpy as np
 
 from zrs.errors import AtEigenvalue, AtPole, ZrsError
 from zrs.pauli import SIGMA0, PauliVector
-from zrs.resolvent import TestFunctionKind, probe_nodes
+from zrs.resolvent import TestFunctionKind, _integrand_scalars, probe_nodes
 from zrs.smatrix import build
 from zrs.tolerances import base_tol
 
@@ -90,7 +92,7 @@ def pauli_components(s, k):
     g0, g1, g2, g3 = s.interaction.gamma
     D = s.det_t
     theta_k = 2 * (1 + 1j * k)
-    c0, c1, c2 = s.p_coeffs
+    c0, c1, c2 = (1 - 4 * g0 + 4 * D, 4j * (2 * D - g0), -4 * D)  # p(k) = c0 + c1 k + c2 k^2
     origin = sum(mult for root, mult in s.roots if root == 0j)
     if origin == 2 and s.scalar:
         return PauliVector(1 + 8 * D / c2, 0j, 0j, 0j)
@@ -351,11 +353,12 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
 
     The same ufuncs in the same order as the chunked package version, on
     probe-sized arrays: k = sqrt(xi + i eps) in real arithmetic from numpy's
-    complex abs of z, the integrand (|p'(k) / 2|^2 + C) / (Im k |p|^2
-    |k + i|^2) with |p|^2 and |k + i|^2 taken without a complex abs, and
-    Simpson's rule as h / 3 times the sum of y0 + 4 y1 + y2 over node
-    triples, on the nodes of np.linspace, and the pole test of each factor
-    of p on every node. The two must return the same float, or both raise AtEigenvalue.
+    complex abs of z, the integrand (slope |k 2^-e' - r'|^2 + A) /
+    (Im k |k + i|^2 prod |k 2^-e - r|^2) on the roots of p's factors and of
+    p', with the scalars of the package's _integrand_scalars, and Simpson's
+    rule as h / 3 times the sum of y0 + 4 y1 + y2 over node triples, on the
+    nodes of np.linspace, and the pole test of each factor of p on every
+    node. The two must return the same float, or both raise AtEigenvalue.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -363,29 +366,36 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
         raise ValueError("need at least 16 quadrature nodes")
     n = probe_nodes(n)
     s = build(interaction)
-    c0, c1, c2 = s.p_coeffs
     lo, hi = xi_range
     xi = np.linspace(lo, hi, n)
     # eps / (2t) + it where xi < 0, t + i eps / (2t) where xi > 0, t + it at 0
     abs_z = np.abs(xi + 1j * epsilon)
     t = np.sqrt(0.5 * abs_z + 0.5 * np.abs(xi))
     other = np.where(xi == 0, t, 0.5 * epsilon / t)
-    k = np.empty(n, dtype=complex)
-    k.real = np.where(xi < 0, other, t)
-    k.imag = np.where(xi < 0, t, other)
-    c2k = c2 * k
-    p = c0 + (c1 + c2k) * k
+    re, im = np.where(xi < 0, other, t), np.where(xi < 0, t, other)
     # each factor 1 - theta_k lam of p, (1 - 2 lam) - 2i lam k, against the size of its terms, with the
     # eigenvalues lam decided on numpy scalars, apart from the package's record
+    k = re + 1j * im
     for lam, _ in numpy_factors(interaction.matrix, s.tol)[2]:
         if (np.abs((1 - 2 * lam) - 2j * lam * k) / (1 + 2 * abs(lam) * (1 + np.abs(k))) <= s.tol).any():
             raise AtEigenvalue("sweep line passes through a pole")
     t00, t01, t10, t11 = s.interaction._entries
     C = np.square(np.abs(np.subtract(t00, t11))) + 2 * (np.square(np.abs(t01)) + np.square(np.abs(t10)))
-    half_dp = c1 / 2 + c2k
-    fro2 = half_dp.real**2 + half_dp.imag**2 + C
-    # |p|^2 from its parts, and |k + i|^2 = |k|^2 + 1 + 2 Im k with |k|^2 = |z|
-    integrand = fro2 / (k.imag * (p.real**2 + p.imag**2) * ((abs_z + 1) + 2 * k.imag))
+    roots, slope, root_dp, A = _integrand_scalars(s._eigenvalues, C)
+
+    def distance2(e, r):  # |k 2^-e - r|^2 from its parts
+        x, y = (re * math.ldexp(1.0, -e), im * math.ldexp(1.0, -e)) if e else (re, im)
+        return np.square(x - r.real) + np.square(y - r.imag)
+
+    # |k + i|^2 = |k|^2 + 1 + 2 Im k with |k|^2 = |z|
+    den = ((abs_z + 1) + 2 * im) * im
+    for e, r in roots:
+        den = den * distance2(e, r)
+    if slope:
+        num = distance2(*root_dp)
+        integrand = ((num if slope == 1 else num * slope) + A) / den
+    else:
+        integrand = A / den
     h = (hi - lo) / (n - 1)
     return float(epsilon * (h / 3 * np.sum(integrand[0:-1:2] + 4 * integrand[1::2] + integrand[2::2])))
 

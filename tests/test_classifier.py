@@ -177,7 +177,7 @@ def test_symmetric_real_axis_pair_is_deduplicated():
     D = 0.1
     xi2 = g0 * g0 - D
     i = Interaction.from_gamma(PauliVector(g0, np.sqrt(complex(xi2)), 0, 0))
-    c0, c1, c2 = build(i).p_coeffs
+    c1 = 4j * (2 * build(i).det_t - i.gamma.x0)  # p(k) = c0 + c1 k + c2 k^2
     assert abs(c1) < 1e-14
     c = classify(i)
     locs = sorted(p.location.real for p in c.poles)

@@ -18,6 +18,7 @@ REMOVED = {
     smatrix.SMatrixFn: ("is_constant", "gamma"),
     metric.Applicability: ("NOT_APPLICABLE",),
     interaction.Interaction.from_abcd(1, 0, 0, 0): ("origin",),
+    smatrix.build(interaction.Interaction.from_abcd(1, 0, 0, 0)): ("p_coeffs",),
 }
 
 

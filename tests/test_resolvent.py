@@ -13,6 +13,8 @@ from zrs.pauli import SIGMA0, PauliVector
 from zrs.resolvent import (
     _BLOCK,
     TestFunctionKind,
+    _distance2,
+    _integrand_scalars,
     _simpson,
     _sqrt_line,
     custom,
@@ -427,8 +429,9 @@ def test_probe_arithmetic_against_the_decimal_reference():
     # on the shapes of the benchmark's probes (bench/corpus.probe_entries):
     # the bounded and divergent ladders and a resonance, a mixed, a constant
     # and an ExampleV entry at eps = 0.01, on xi in [-10, 10]. The largest
-    # relative error, 6.8e-13, is the divergent one's at eps = 0.001, where
-    # p nears its real root on the line; the bounded ones are within 3e-16
+    # relative error, 8.4e-13, is the divergent one's at eps = 0.001, where
+    # k passes next to p's real root and its rounding sets the error; the
+    # bounded ones are within 1.3e-16
     e = complex(math.cos(3), math.sin(3))
     shapes = [(Interaction.from_abcd(1, -1, 1, -1), eps) for eps in (1.0, 0.1, 0.01, 0.001)]
     shapes += [(Interaction.from_abcd(0, 0, 0, 1j), eps) for eps in (1.0, 0.1, 0.01, 0.001)]
@@ -445,13 +448,53 @@ def test_probe_arithmetic_against_the_decimal_reference():
     assert max(errors[:4]) <= 1e-15 and max(errors) <= 1e-12, errors
 
 
+def test_probe_near_a_double_lam_at_a_half_against_the_decimal_reference():
+    # T = (1/2 + 1e-8) sigma0 has both roots 2e-8 i off k = 0: p's constant
+    # coefficient 1 - 4 gamma0 + 4 D cancels there, and Horner on the
+    # coefficients read 8.53e-8 and 4.86e-8, 3.3x and 6.1x low; from the
+    # factors the probe is the reference's
+    i = Interaction.from_matrix([[0.5 + 1e-8, 0], [0, 0.5 + 1e-8]])
+    for eps, value in ((1e-16, 2.7738240383e-7), (1e-17, 2.9526432662e-7)):
+        want = oracles.decimal_probe(i.matrix, eps, (-1e-15, 1e-15), n=1001)
+        assert want == pytest.approx(value, rel=1e-10)
+        assert abs(similarity_integral_probe(i, eps, (-1e-15, 1e-15), n=1001) - want) <= 1e-12 * want
+
+
+def test_probe_with_degenerate_factors_against_the_decimal_reference():
+    # a lam at 0 leaves a constant factor, one at 1/2 a root at k = 0, a
+    # double lam a double root, and a tiny lam a root past 2^_FAR, which the
+    # probe scales by a power of two: each is the reference's to rounding,
+    # and the two whose probe underflows are 0
+    cases = [
+        [[0, 0], [0, 0]],
+        [[0, 1], [0, 0]],
+        [[1, 0], [0, 0]],
+        [[1, 0], [0, 1e-200]],
+        [[1e150, 0], [0, 1]],
+        [[0.5, 0], [0, 0.5]],
+        [[0.5, 0], [0, 0]],
+        [[1e-200, 0], [0, 1e-200]],
+        [[1, 1], [0, 1]],
+        [[1 + 1j, 0], [0, 1 + 1j]],
+    ]
+    for m in cases:
+        i = Interaction.from_matrix(m)
+        want = oracles.decimal_probe(i.matrix, 0.1, (-10, 10), n=2001)
+        got = similarity_integral_probe(i, 0.1, (-10, 10), n=2001)
+        assert abs(got - want) <= 1e-15 * want, (m, got, want)
+        assert got == oracles.similarity_integral_probe(i, 0.1, (-10, 10), n=2001), m
+    assert [m for m in cases if not oracles.decimal_probe(np.array(m), 0.1, (-10, 10), n=2001)] == [cases[0], cases[7]]
+
+
 def test_probe_memory_is_two_node_arrays():
     # a default probe keeps the (n - 1) / 2 Simpson terms (0.8 MB) and the
-    # buffers of one block, its nodes among them (0.72 MB), 1.53 MB at its
-    # peak; with all nodes held it peaked at 3.00 MB, with scipy's weights for
-    # given nodes and their seven buffers at 3.62 MB, with the integrand held
-    # whole at 4.8 MB, built on the whole grid at once at 28.9 MB, and with
-    # scipy's simpson over the nodes and the integrand at 10.1 MB
+    # buffers of one block, its nodes among them (0.58 MB), 1.38 MB at its
+    # peak; with three complex buffers per block for p's Horner chain it
+    # peaked at 1.53 MB, with all nodes held at 3.00 MB, with scipy's
+    # weights for given nodes and their seven buffers at 3.62 MB, with the
+    # integrand held whole at 4.8 MB, built on the whole grid at once at
+    # 28.9 MB, and with scipy's simpson over the nodes and the integrand at
+    # 10.1 MB
     i = Interaction.from_abcd(-1, 0, 0, 0)
     similarity_integral_probe(i, 0.1, (-10, 10), n=17)
     tracemalloc.start()
@@ -484,7 +527,9 @@ def test_blocked_simpson_matches_the_whole_array_rule():
 def test_integrand_is_the_norm_of_w_m():
     W = np.array([[1, 1], [-1, 1]])  # sigma0 + i sigma2
     # |W (T - theta D sigma0)|_F^2 = |p'(k) / 2|^2 + C with
-    # C = |t00 - t11|^2 + 2 |t01|^2 + 2 |t10|^2, for any T and any k
+    # C = |t00 - t11|^2 + 2 |t01|^2 + 2 |t10|^2, for any T and any k, and
+    # p'/2 = -(lam+ (1 - 2 lam-) + lam- (1 - 2 lam+)) + 4i lam+ lam- k up to
+    # a unit, from T's eigenvalues as the probe takes them
     rng = np.random.default_rng(21)
     for _ in range(2000):
         m = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
@@ -492,11 +537,12 @@ def test_integrand_is_the_norm_of_w_m():
         k = 10 ** rng.uniform(-3, 3) * np.exp(1j * rng.uniform(0.001, np.pi - 0.001))
         s = SMatrixFn(i)
         (t00, t01), (t10, t11) = i.matrix
-        c0, c1, c2 = s.p_coeffs
+        lam1, lam2 = s._eigenvalues
         theta = 2 * (1 + 1j * k)
         want = np.sum(np.abs(W @ (i.matrix - theta * s.det_t * SIGMA0)) ** 2)
         C = abs(t00 - t11) ** 2 + 2 * abs(t01) ** 2 + 2 * abs(t10) ** 2
-        assert abs(c1 / 2 + c2 * k) ** 2 + C == pytest.approx(want, rel=1e-12), (i.matrix, k)
+        half_dp = -(lam1 * (1 - 2 * lam2) + lam2 * (1 - 2 * lam1)) + 4j * lam1 * lam2 * k
+        assert abs(half_dp) ** 2 + C == pytest.approx(want, rel=1e-12), (i.matrix, k)
 
 
 def _ulps(a, b):
@@ -538,9 +584,11 @@ def test_probe_square_root_is_numpys():
 
 def test_probe_squared_moduli_are_complex_abs_squared():
     # the probe's |k + i|^2 = (|z| + 1) + 2 Im k, from |k|^2 = |z|, and its
-    # |p|^2 = Re p^2 + Im p^2 are abs(k + 1j)**2 and abs(p)**2 within 6 ulp
-    # (5 seen), finite exactly where those are, on the lines of the square
-    # root's test and on 300 random lines across 10^+-300
+    # |k 2^-e - r|^2 = (Re k 2^-e - Re r)^2 + (Im k 2^-e - Im r)^2 for each
+    # root r of p's factors and of p' are abs(k + 1j)**2 and
+    # abs(k 2^-e - r)**2 within 6 ulp (5 seen), finite exactly where those
+    # are, on the lines of the square root's test and on 300 random lines
+    # across 10^+-300; a lam of 1e-200 puts a root past 2^_FAR, scaled
     rng = np.random.default_rng(24)
     lines = list(SQRT_LINES)
     for _ in range(300):
@@ -548,14 +596,19 @@ def test_probe_squared_moduli_are_complex_abs_squared():
         lo = scale * rng.uniform(-1, 1)
         xi = np.linspace(lo, lo + scale * 10 ** rng.uniform(-6, 0.3), 1025)
         lines.append((xi, 10 ** rng.uniform(-300, 300)))
-    coeffs = [SMatrixFn(Interaction.from_abcd(*abcd)).p_coeffs for abcd in ((0.4, 0.2 + 0.1j, -0.3, 0.5), (-1, 0, 0, 0))]
+    forms = []
+    for i in (Interaction.from_abcd(0.4, 0.2 + 0.1j, -0.3, 0.5), Interaction.from_abcd(-1, 0, 0, 0),
+              Interaction.from_matrix([[1, 0], [0, 1e-200]])):
+        roots, _, root_dp, _ = _integrand_scalars(SMatrixFn(i)._eigenvalues, 1.0)
+        forms += [*roots, root_dp] if root_dp else roots
+    assert {e > 0 for e, _ in forms} == {False, True}
     with np.errstate(over="ignore", under="ignore"):
         for xi, eps in lines:
             k, abs_z = _sqrt_of_line(xi, eps)
             pairs = [((abs_z + 1) + 2 * k.imag, np.abs(k + 1j) ** 2)]
-            for c0, c1, c2 in coeffs:
-                p = c0 + (c1 + c2 * k) * k
-                pairs.append((p.real**2 + p.imag**2, np.abs(p) ** 2))
+            for e, r in forms:
+                got = _distance2(k.real.copy(), k.imag.copy(), e, r, np.empty(k.size), np.empty(k.size))
+                pairs.append((got, np.abs(k * math.ldexp(1.0, -e) - r) ** 2))
             for got, want in pairs:
                 finite = np.isfinite(want)
                 assert (np.isfinite(got) == finite).all(), (xi[0], xi[-1], eps)

@@ -27,9 +27,10 @@ field differs: the JSON values and CSV fields of stdout other than floats,
 integers included. Then, per subcommand, the number of command lines whose
 floats differ and the largest |b - a| / max(1, |a|) over their floats.
 For the probe lines whose value differs it also solves each probe node by
-node with tests/oracles.direct_solve_probe of this checkout and prints how
-many values moved closer to that reference and how many farther, and the
-largest relative error |value - ref| / |ref| at each root over them.
+node with tests/oracles.direct_solve_probe of this checkout, prints each
+such line with its relative error |value - ref| / |ref| at each root, and
+then how many values moved closer to that reference and how many farther,
+and the largest relative error at each root over them.
 It exits 1 when a command line differs in more than floats. Each
 subprocess runs `python3 tools/cli_digest.py --answers ROOT`, which prints
 the seed, argv, payload, exit code, stdout and stderr of each command line
@@ -52,20 +53,35 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parents[1]
 BENCH = HERE / "bench"
 SEEDS = range(1, 6)
-_MIXED = (0.4, 0.2 + 0.1j, -0.3, 0.5)
-# (argv, abcd) of probes at the edges of the probe's arithmetic
+
+
+def _abcd(*abcd):
+    """The payload of the couplings abcd, as bench/corpus.abcd_payload writes it."""
+    return json.dumps({"form": "abcd", **{name: [complex(v).real, complex(v).imag] for name, v in zip("abcd", abcd)}})
+
+
+def _frakt(T):
+    """The payload of the 2x2 boundary matrix T."""
+    return json.dumps({"form": "frakT", "t": [[[complex(t).real, complex(t).imag] for t in row] for row in T]})
+
+
+_MIXED = _abcd(0.4, 0.2 + 0.1j, -0.3, 0.5)
+# (argv, payload) of probes at the edges of the probe's arithmetic
 EDGE_PROBES = [
     # through the pole k = 1 + i of a = 2i (1 + i), at the node xi = 0
-    (["probe", "--epsilon=2.0", "--xi=-1:1", "--n=17"], (-2 + 2j, 0, 0, 0)),
+    (["probe", "--epsilon=2.0", "--xi=-1:1", "--n=17"], _abcd(-2 + 2j, 0, 0, 0)),
     # spacings that round to 0, in one block and in several
     (["probe", "--epsilon=0.5", f"--xi={1e16!r}:{1e16 + 4!r}", "--n=4097"], _MIXED),
     (["probe", "--epsilon=0.5", f"--xi={1e16!r}:{1e16 + 4!r}", "--n=24577"], _MIXED),
     # spacing products that underflow to 0
     (["probe", "--epsilon=0.5", "--xi=-1e-300:1e-300", "--n=4097"], _MIXED),
     # a few triples, then one triple short of a block, a whole block, one past it
-    *((["probe", "--epsilon=0.01", "--xi=-10:10", f"--n={n}"], (0, 0, 0, 1j)) for n in (17, 8191, 8193, 8195)),
+    *((["probe", "--epsilon=0.01", "--xi=-10:10", f"--n={n}"], _abcd(0, 0, 0, 1j)) for n in (17, 8191, 8193, 8195)),
     # arithmetic that overflows on the range
-    (["probe", "--epsilon=1", "--xi=-1e300:1e300", "--n=2001"], (-1, 0, 0, 0)),
+    (["probe", "--epsilon=1", "--xi=-1e300:1e300", "--n=2001"], _abcd(-1, 0, 0, 0)),
+    # a lam of 1e-200, whose root the probe scales by a power of two, beside a lam of 1, and two of them
+    (["probe", "--epsilon=0.1", "--xi=-10:10", "--n=2001"], _frakt([[1, 0], [0, 1e-200]])),
+    (["probe", "--epsilon=0.1", "--xi=-10:10", "--n=2001"], _frakt([[1e-200, 0], [0, 1e-200]])),
 ]
 
 # (argv, payload) of sweeps whose rows the benchmark corpus never writes, each run in CSV and in JSON
@@ -136,8 +152,7 @@ def answers(root):
     for seed in SEEDS:
         for cmd, payload in command_lines(corpus, seed):
             yield (seed, cmd, payload, *run(zrs.cli.main, cmd, payload))
-    for cmd, abcd in EDGE_PROBES:
-        payload = corpus.abcd_payload(*abcd)
+    for cmd, payload in EDGE_PROBES:
         yield ("edge", cmd, payload, *run(zrs.cli.main, cmd, payload))
     for cmd, payload in EDGE_SWEEPS:
         for argv in ([*cmd, "--format", fmt] for fmt in ("csv", "json")):
@@ -234,12 +249,14 @@ def compare(root_a, root_b):
             moved[sub] += 1
             worst[sub] = max(worst[sub], delta)
             if sub == "probe":
-                probes.append((payload, out_a, out_b))
+                probes.append((seed, cmd, payload, out_a, out_b))
     for sub in sorted(lines):
         print(f"{sub}: {lines[sub]} command lines, {moved[sub]} with floats that differ,"
               f" largest |b - a| / max(1, |a|) = {worst[sub]:.2g}")
     if probes:
-        errors = list(_probe_errors(probes))
+        errors = list(_probe_errors([probe[2:] for probe in probes]))
+        for (seed, cmd, payload, _, _), (a, b) in zip(probes, errors):
+            print(f"probe {seed} {json.dumps(cmd)} {payload}: error against direct_solve_probe {a:.3g} -> {b:.3g}")
         closer, farther = sum(b < a for a, b in errors), sum(b > a for a, b in errors)
         print(f"probe against direct_solve_probe: {closer} of {len(errors)} closer, {farther} farther;"
               f" largest relative error {max(a for a, _ in errors):.3g} -> {max(b for _, b in errors):.3g}")
