@@ -373,9 +373,9 @@ def similarity_integral_probe(interaction, epsilon, xi_range, n=200001):
     t = np.sqrt(0.5 * abs_z + 0.5 * np.abs(xi))
     other = np.where(xi == 0, t, 0.5 * epsilon / t)
     re, im = np.where(xi < 0, other, t), np.where(xi < 0, t, other)
+    k = re + 1j * im
     # each factor 1 - theta_k lam of p, (1 - 2 lam) - 2i lam k, against the size of its terms, with the
     # eigenvalues lam decided on numpy scalars, apart from the package's record
-    k = re + 1j * im
     for lam, _ in numpy_factors(interaction.matrix, s.tol)[2]:
         if (np.abs((1 - 2 * lam) - 2j * lam * k) / (1 + 2 * abs(lam) * (1 + np.abs(k))) <= s.tol).any():
             raise AtEigenvalue("sweep line passes through a pole")
