@@ -5,7 +5,6 @@ from .errors import (
     AtEigenvalue,
     AtPole,
     DegenerateGamma,
-    InternalInconsistency,
     NonConvergent,
     NotApplicable,
     NotRepresentable,
@@ -48,7 +47,6 @@ __all__ = [
     "ZrsError",
     "NotRepresentable",
     "AtPole",
-    "InternalInconsistency",
     "DegenerateGamma",
     "NotApplicable",
     "NonConvergent",

@@ -7,16 +7,14 @@ cancels (one for scalar T, one at the origin for its k).
 
 A pole in the open upper half-plane is an eigenvalue z = k0^2 of the
 operator; a pole on the real axis is a spectral singularity; an order-two
-pole in the upper half-plane is an exceptional point (certified a second
-way through nilpotency of sigma0 - theta_k0 T). When p degenerates to a
-constant while T is nonzero, S grows linearly in k: a singularity at
-infinity.
+pole in the upper half-plane is an exceptional point, read off the order
+that SMatrixFn.orders records. When p degenerates to a constant while T is
+nonzero, S grows linearly in k: a singularity at infinity.
 """
 
 from collections import namedtuple
 from enum import Enum
 
-from .errors import InternalInconsistency
 from .interaction import _is_hermitian
 from .pauli import _modulus, _square
 from .smatrix import build
@@ -58,12 +56,12 @@ def _is_real(z, tol):
 
 
 def _poles(s):
-    """(sort key, report, theta, whether i k0 is real) of each pole of S: classify's first stage, with no certificate.
+    """(sort key, report, whether i k0 is real) of each pole of S: classify's first stage.
 
-    Finite poles by location, each with its root's theta, then the pole at infinity with theta None.
+    Finite poles by location, then the pole at infinity.
     """
     records = []
-    for (loc, _), order, theta in zip(s.roots, s.orders, s.thetas):
+    for (loc, _), order in zip(s.roots, s.orders):
         if not order:  # every factor at this root cancels
             continue
         # adding 0.0 clears the negative zeros that k = i(1 - theta/2) can carry
@@ -72,37 +70,12 @@ def _poles(s):
         sheet = Sheet.REAL_AXIS if on_real_axis else Sheet.PHYSICAL if loc.imag > 0 else Sheet.NONPHYSICAL
         # on the imaginary axis Re k is rounding noise, so those poles are ordered by Im k first
         key = (0.0 if on_axis else loc.real, loc.imag, loc.real)
-        records.append((key, PoleReport(loc, order, sheet, loc * loc), theta, on_axis))
+        records.append((key, PoleReport(loc, order, sheet, loc * loc), on_axis))
     records.sort(key=lambda record: record[0])
     # with no factor recorded, S = sigma0 + 4ik T is constant or grows linearly in k
     if not s.roots and not s.constant:
-        records.append((None, PoleReport(None, 1, Sheet.INFINITY, None), None, False))
+        records.append((None, PoleReport(None, 1, Sheet.INFINITY, None), False))
     return records
-
-
-def _exceptional(p, theta, s):
-    """Whether physical pole p is an exceptional point; InternalInconsistency where order and _nilpotent(theta) differ."""
-    nilpotent = _nilpotent(theta, s.interaction._entries, s.tol)
-    if p.order >= 2 and not nilpotent:
-        raise InternalInconsistency(f"order-{p.order} pole at {p.location} without a nilpotent residue")
-    if p.order == 1 and nilpotent:
-        raise InternalInconsistency(f"simple pole at {p.location} with a nilpotent residue")
-    return p.order >= 2
-
-
-def _nilpotent(theta, entries, tol):
-    """Whether N = sigma0 - theta T is nonzero and nilpotent; N^2 is taken on N / |N|, so it cannot overflow."""
-    t00, t01, t10, t11 = entries
-    n00, n01, n10, n11 = 1 - theta * t00, -theta * t01, -theta * t10, 1 - theta * t11
-    nmax = max(_modulus(n00), _modulus(n01), _modulus(n10), _modulus(n11))
-    scale = 1 + max(abs(t00), abs(t01), abs(t10), abs(t11)) * abs(theta)
-    if not nmax > 100 * tol * scale:
-        return False
-    n00, n01, n10, n11 = n00 / nmax, n01 / nmax, n10 / nmax, n11 / nmax
-    n2max = max(
-        abs(n00 * n00 + n01 * n10), abs(n00 * n01 + n01 * n11), abs(n10 * n00 + n11 * n10), abs(n10 * n01 + n11 * n11)
-    )
-    return n2max <= 1000 * tol * (1 + tol * scale / nmax) ** 2
 
 
 def _metric_certificate(gamma, tol):
@@ -138,12 +111,12 @@ def classify(interaction):
     poles, eigenvalues, singular, excs = [], [], [], []
     at_infinity = nonreal = negative = False
     simple_on_axis = True
-    for _, p, theta, on_axis in _poles(s):
+    for _, p, on_axis in _poles(s):
         poles.append(p)
         simple_on_axis = simple_on_axis and on_axis and p.order == 1
         if p.sheet is Sheet.PHYSICAL:
             eigenvalues.append(p.z)
-            if _exceptional(p, theta, s):
+            if p.order >= 2:
                 excs.append(p.z)
             real = _is_real(p.z, s.tol)
             nonreal = nonreal or not real

@@ -33,7 +33,7 @@ from .classifier import Sheet, classify
 from .errors import AtPole, NotApplicable, NotRepresentable, ZrsError
 from .interaction import Interaction
 from .smatrix import build
-from .tolerances import base_tol
+from .tolerances import _REQUEST_TOL, base_tol
 
 MAX_GRID = 10_000_000
 
@@ -486,7 +486,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = _plain_args(argv) or _build_parser().parse_args(argv)
     try:
-        base_tol()
+        token = _REQUEST_TOL.set(base_tol())
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -504,6 +504,8 @@ def main(argv=None):
     except (ZrsError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        _REQUEST_TOL.reset(token)
 
 
 if __name__ == "__main__":

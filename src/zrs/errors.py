@@ -13,10 +13,6 @@ class AtPole(ZrsError):
     """S-matrix evaluation requested at (or too close to) a pole."""
 
 
-class InternalInconsistency(ZrsError):
-    """Two independent certificates that must agree do not."""
-
-
 class DegenerateGamma(ZrsError):
     """Real and imaginary parts of the interaction vector are collinear."""
 

@@ -46,8 +46,8 @@ class SMatrixFn:
         theta of each root, in the order of roots, as found (not from the
         rounded k): w / D and 1 / w for two simple roots, with w the larger of
         gamma0 +- xi so that neither cancels; their mean gamma0 / D for a
-        double root; 1 / (a + d) for a degree-one p; 2 at the origin. The
-        certificate of exceptional points and cosh_chi_from_poles read it.
+        double root; 1 / (a + d) for a degree-one p; 2 at the origin.
+        cosh_chi_from_poles reads it.
     lams : tuple
         lam of each root's factor 1 - theta_k lam: 1 / theta, 0.5 at the origin.
     orders : tuple
@@ -181,9 +181,10 @@ def _double_root(g0, x, b, c, xi2, m, tol):
 
     At theta0 = g0 / D, N = sigma0 - theta0 T has N D = -(xi2 sigma0 + g0 M)
     and, as M^2 = xi2 sigma0, N^2 D^2 = xi2 ((xi2 + g0^2) sigma0 + 2 g0 M).
-    The root is double where |N^2| is at most 100 tol |N|^2 (max-entry norm),
-    the exceptional-point certificate applies at 1000 tol; both sides have
-    degree 4, so it is taken on T / m, m = max(|g0|, |x|, |b|, |c|).
+    The root is double where |N^2| is at most 100 tol |N|^2 (max-entry norm);
+    this is the one test of a double root, and the order it gives decides an
+    exceptional point. Both sides have degree 4, so it is taken on T / m,
+    m = max(|g0|, |x|, |b|, |c|).
     """
     # With r = |xi2| / m^2 and s = |g0| / m: |N^2 D^2| / m^4 is at least half its spectral radius,
     # r max |sqrt(xi2) +- g0|^2 / m^2, which is at least r (r + s^2); and |N D| / m^2 is at most r + s.

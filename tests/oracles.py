@@ -34,14 +34,15 @@ separate route, so the tests can cross-check the package against it:
   inputs and comparing Pauli coefficients as matrices;
 * abcd_numerators(a, b, c, d): the float numerators and the 4 Xi that
   Interaction.from_abcd divides them by;
-* numpy_decompose, numpy_factors, numpy_characteristic and numpy_nilpotent:
-  gamma, the factors of p, the characteristic data and the exceptional-point
-  certificate (at the theta SMatrixFn.thetas records for a root) computed on
-  numpy scalars and 2x2 arrays, against the package's Python scalar path,
-  which must give the same gamma and det T bit for bit, answer only where
-  the coefficients of p are finite, and give the same structure of roots
-  and the same certificate verdicts; the probe
-  oracle tests its nodes against the factors numpy_factors decides.
+* numpy_decompose, numpy_factors and numpy_characteristic: gamma, the
+  factors of p and the characteristic data computed on numpy scalars,
+  against the package's Python scalar path, which must give the same gamma
+  and det T bit for bit, answer only where the coefficients of p are
+  finite, and give the same structure of roots; the probe oracle tests its
+  nodes against the factors numpy_factors decides;
+* numpy_nilpotent(T, theta, tol): whether sigma0 - theta T is nilpotent,
+  with N @ N on 2x2 arrays, at the theta SMatrixFn.thetas records for a
+  root, against the order-two poles of the package.
 """
 
 import math
@@ -589,10 +590,11 @@ def numpy_characteristic(T, tol):
 
 
 def numpy_nilpotent(T, theta, tol):
-    """The exceptional-point certificate at a root theta of p, with N @ N on 2x2 arrays.
+    """Whether N = sigma0 - theta T is nonzero with N^2 = 0, with N @ N on 2x2 arrays.
 
-    Whether N = sigma0 - theta T is nonzero with N^2 = 0, at the thresholds
-    of classifier._nilpotent, which classify runs on each physical pole.
+    N^2 is taken on N / |N| (max-entry norm) and is zero where at most
+    1000 tol. At a double root theta of p of a non-scalar T, N is nonzero and
+    nilpotent: a test that an order-two pole of S is an exceptional point.
     """
     T = np.asarray(T, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # inf, as the package's Python complex gives

@@ -1,15 +1,16 @@
 """The names the package exports."""
 
 import zrs
-from zrs import classifier, interaction, metric, pauli, smatrix
+from zrs import classifier, errors, interaction, metric, pauli, smatrix
 
 # names that only tests used, taken out of the package
 REMOVED = {
     zrs: (
         "compose", "decompose", "PotentialABCD", "check_applicability",
-        "find_poles", "spectral_singularities", "exceptional_points",
+        "find_poles", "spectral_singularities", "exceptional_points", "InternalInconsistency",
     ),
-    classifier: ("find_poles", "spectral_singularities", "exceptional_points", "_merged"),
+    classifier: ("find_poles", "spectral_singularities", "exceptional_points", "_merged", "_exceptional", "_nilpotent"),
+    errors: ("InternalInconsistency",),
     pauli: ("compose", "decompose"),
     interaction: ("PotentialABCD",),
     metric: ("check_applicability",),

@@ -99,12 +99,15 @@ EDGE_SWEEPS = [
     (["sweep", "--family=DeltaPrime", "--param=-2:2:0.5", "--dir=0,1"], ""),
 ]
 
-# (argv, payload) of classify lines on matrices that ROADMAP item 7 gets wrong: T = [[0, 0], [1e9, 1]]
-# (eigenvalues 0 and 1) exits 1 with an InternalInconsistency, and T = [[0.3, 0], [1e11, i]]
-# (eigenvalues 0.3 and i) gets an order-2 pole and an exceptional point
+# (argv, payload) of classify lines on matrices with exact, distinct eigenvalues beside a large entry:
+# T = [[0, 0], [1e9, d]] (eigenvalues 0 and d) for d = 1 and i, one simple physical pole each, and
+# T = [[0.3, 0], [c, i]] (eigenvalues 0.3 and i): two simple poles at c = 1e10, while at c = 1e11 the
+# normwise double-root test still merges them into an order-2 pole and an exceptional point (ROADMAP item 12(b))
 EDGE_CLASSIFY = [
     (["classify"], json.dumps({"form": "frakT", "t": [[[0, 0], [0, 0]], [[1e9, 0], [1, 0]]]})),
     (["classify"], json.dumps({"form": "frakT", "t": [[[0.3, 0], [0, 0]], [[1e11, 0], [0, 1]]]})),
+    (["classify"], json.dumps({"form": "frakT", "t": [[[0, 0], [0, 0]], [[1e9, 0], [0, 1]]]})),
+    (["classify"], json.dumps({"form": "frakT", "t": [[[0.3, 0], [0, 0]], [[1e10, 0], [0, 1]]]})),
 ]
 
 
