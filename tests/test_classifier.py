@@ -191,8 +191,10 @@ def test_similarity_class_helper():
 
 
 def _near_jordan_draws():
-    """gamma = (1/(2(1 + i k0)), a + d1, i a + d2, d3): an exact Jordan block with a
-    double pole at k0 when d = 0, pulled apart by |d| = 10^e, over 3000 draws of one seed."""
+    """3000 draws of gamma = (1/(2(1 + i k0)), a + d1, i a + d2, d3), from one seed.
+
+    Each is an exact Jordan block with a double pole at k0 when d = 0, pulled apart by |d| = 10^e.
+    """
     rng = np.random.default_rng(7)
     for _ in range(3000):
         k0 = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2))

@@ -108,6 +108,7 @@ def _assert_next_calls_read_the_environment(monkeypatch, capsys):
         (3, ["classify"], '{"form": "abcd", "a": [-2, 0], "b": [0, 0], "c": [0, 0], "d": [0, 0]}', None),
         (4, ["sweep", "--family=Delta", "--param=0:1:0"], "", None),
     ],
+    ids=["exit-0", "exit-1", "exit-2-json", "exit-2-tolerance", "exit-3", "exit-4"],
 )
 def test_the_environment_is_read_again_after_a_request(monkeypatch, capsys, code, argv, payload, tolerance):
     if tolerance is None:

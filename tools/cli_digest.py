@@ -22,9 +22,9 @@ in its own subprocess:
 
     python3 tools/cli_digest.py ROOT_A ROOT_B
 
-It prints every command line whose exit code, stderr or any non-numeric
-field differs: the JSON values and CSV fields of stdout other than floats,
-integers included. Then, per subcommand, the number of command lines whose
+It prints every command line, with its payload, whose exit code, stderr or
+any non-numeric field differs: the JSON values and CSV fields of stdout
+other than floats, integers included. Then, per subcommand, the number of command lines whose
 floats differ and the largest |b - a| / max(1, |a|) over their floats.
 For the probe lines whose value differs it also solves each probe node by
 node with tests/oracles.direct_solve_probe of this checkout, prints each
@@ -245,7 +245,7 @@ def compare(root_a, root_b):
         ]
         if what:
             differences += 1
-            print(seed, json.dumps(cmd), "differs:", ", ".join(what))
+            print(seed, json.dumps(cmd), payload, "differs:", ", ".join(what))
             continue
         delta = max((abs(b - a) / max(1.0, abs(a)) for a, b in zip(floats_a, floats_b)), default=0.0)
         if delta:
