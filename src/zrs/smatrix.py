@@ -19,7 +19,6 @@ import cmath
 import math
 
 from .errors import AtPole, NotRepresentable
-from .pauli import _modulus
 from .tolerances import base_tol
 
 class SMatrixFn:
@@ -81,19 +80,23 @@ class SMatrixFn:
             t_max = cmath.inf
         if not all(map(cmath.isfinite, (D, xi2, c0, c1, c2, t_max))):
             raise NotRepresentable(f"characteristic polynomial of {interaction!r} overflows")
-        self.xi = xi = cmath.sqrt(xi2)
         self.scalar = m_max <= 100 * tol * t_max
+        xe2, bce, self.xi = x * x, bc, cmath.sqrt(xi2)  # the terms of xi^2 = x^2 + bc, and xi
+        if abs(xe2) + abs(bce) < 1e-290:  # an underflow of x^2 or bc could decide: both again, exactly, on T / e
+            e = 2.0 ** math.frexp(abs(x) + math.sqrt(abs_b) * math.sqrt(abs_c))[1]  # a power of two near their size
+            xe2, bce = (x / e) * (x / e), (b / e) * (c / e)
+            self.xi = e * cmath.sqrt(xe2 + bce)
         # S's value reads w, the larger of g0 +- xi, and D / w, which keeps a small one that g0 - xi cancels, or
         # 2 g0 - w where w^2 is below the terms D cancels, as the sqrt leaves w too rough for D / w to keep tr T
-        w = max(g0 + xi, g0 - xi, key=abs)
+        w = max(g0 + self.xi, g0 - self.xi, key=abs)
         self._eigenvalues = w, D / w if abs(w) * abs(w) > cancelled else 2 * g0 - w
         # p(theta) = (1 - theta lam+)(1 - theta lam-), lam+- = g0 +- xi: lams holds (lam, its root theta,
-        # multiplicity) of each lam that is not 0. A value vanishes where below 100 tol times the terms it cancels.
+        # multiplicity) of each lam that is not 0. D, a + d and xi^2 vanish below 100 tol times the terms they cancel
         if abs(D) <= 100 * tol * cancelled:
             # a lam at 0 leaves lam = a + d, the root of p = 1 - theta (a + d)
             lams = () if abs(a + d) <= 100 * tol * (abs(a) + abs(d)) else ((a + d, 1 / (a + d), 1),)
-        elif self.scalar or _double_root(g0, x, b, c, xi2, max(abs(g0), m_max), tol):
-            lams = ((D / g0, g0 / D, 2),)  # lam = 1 / theta, so that its factor vanishes at the root reported
+        elif self.scalar or abs(xe2 + bce) <= 100 * tol * (abs(xe2) + abs(bce)):
+            lams = ((D / g0, g0 / D, 2),) if g0 else ()  # lam = 1 / theta, its factor 0 at the root; none at lam 0
         else:
             lams = ((D / w, w / D, 1), (w, 1 / w, 1))
         roots, thetas, kept = [], [], []
@@ -129,12 +132,12 @@ class SMatrixFn:
     def _value(self, k):
         """S(k) as its rows ((s00, s01), (s10, s11)) of Python complex.
 
-        Raises AtPole where a factor the record leaves, each root's orders
-        times, is within tolerance of zero, or where a factor of the value is
-        exactly 0, at a root the record merged or left out. The value is the
-        formula above on the eigenvalues of T, unmerged, with p(0) taken as 0
-        where a lam is snapped to 1/2, and sigma0 - 4T where S is constant.
-        Raises ValueError where S(k) or a factor is not finite.
+        Raises AtPole where the factor of a root whose order is not 0 is
+        within tolerance of zero, or where a factor of the value is exactly 0,
+        at a root the record merged or left out. The value is the formula
+        above on the eigenvalues of T, unmerged, with p(0) taken as 0 where a
+        lam is snapped to 1/2, and sigma0 - 4T where S is constant. Raises
+        ValueError where S(k) or a factor is not finite.
         """
         k = complex(k)
         a, b, c, d = self.interaction._entries
@@ -143,7 +146,7 @@ class SMatrixFn:
         lam1, lam2 = self._eigenvalues
         f1, f2 = _factor(lam1, k), _factor(lam2, k)  # an inf factor leaves q = 0, not NaN: tested below
         try:
-            if self._at_pole(k, [lam for lam, order in zip(self.lams, self.orders) for _ in range(order)]):
+            if self._at_pole(k, [lam for lam, order in zip(self.lams, self.orders) if order]):
                 raise AtPole(f"k = {k} within tolerance of a pole of S")
             if self._cancels_k:  # p(0) = (1 - 2 lam1)(1 - 2 lam2) taken as 0, (p(k) - p(0)) / k divides 4i
                 r, g = -2, lam1 * f2 + (1 - 2 * lam1) * lam2
@@ -174,31 +177,6 @@ class SMatrixFn:
 def _factor(lam, k):
     """1 - theta_k lam at k, or at each k of an array, as (1 - 2 lam) - 2i lam k: exactly -ik at lam = 1/2."""
     return (1 - 2 * lam) - 2j * lam * k
-
-
-def _double_root(g0, x, b, c, xi2, m, tol):
-    """Whether T = g0 sigma0 + M, M = [[x, b], [c, -x]], has a double eigenvalue, at tol.
-
-    At theta0 = g0 / D, N = sigma0 - theta0 T has N D = -(xi2 sigma0 + g0 M)
-    and, as M^2 = xi2 sigma0, N^2 D^2 = xi2 ((xi2 + g0^2) sigma0 + 2 g0 M).
-    The root is double where |N^2| is at most 100 tol |N|^2 (max-entry norm);
-    this is the one test of a double root, and the order it gives decides an
-    exceptional point. Both sides have degree 4, so it is taken on T / m,
-    m = max(|g0|, |x|, |b|, |c|).
-    """
-    # With r = |xi2| / m^2 and s = |g0| / m: |N^2 D^2| / m^4 is at least half its spectral radius,
-    # r max |sqrt(xi2) +- g0|^2 / m^2, which is at least r (r + s^2); and |N D| / m^2 is at most r + s.
-    # So the test needs r (r + s^2) / 2 to be at most 100 tol (r + s)^2, itself at most 200 tol (r^2 + s^2),
-    # which fails for r above 400 tol while tol is below 1/400. It is skipped past twice that bound.
-    if _modulus(xi2) > 800 * tol * m * m:
-        return False
-    h0, hx, hb, hc = g0 / m, x / m, b / m, c / m
-    q, p, u = hx * hx + hb * hc, h0 * hx, h0 * h0  # q = xi2 / m^2
-    n = max(abs(q + p), abs(q - p), abs(h0 * hb), abs(h0 * hc))  # |N D| / m^2, at least |q|
-    n2 = max(abs(q + u + 2 * p), abs(q + u - 2 * p), 2 * abs(h0 * hb), 2 * abs(h0 * hc))  # |N^2 D^2| / (|q| m^4)
-    # |N^2| / |N|^2 as |q| / n times n2 / n, where neither underflows; n is 0 only where q and g0 / m
-    # underflow (D is not 0 and T not scalar here), and there +-xi, with g0 = 0, are not one eigenvalue
-    return n > 0 and abs(q) / n * (n2 / n) <= 100 * tol
 
 
 def build(interaction):

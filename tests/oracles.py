@@ -12,6 +12,9 @@ separate route, so the tests can cross-check the package against it:
 * exact_poles(T): the roots of p for the binary values of T, from their
   exact gamma0, xi^2 and det T (exact_invariants) and a 60-digit xi,
   against SMatrixFn.roots;
+* exact_invariants(T): those exact gamma0, xi^2 and det T, with x and bc,
+  the terms xi^2 = x^2 + bc cancels, against the rule for a double
+  eigenvalue of SMatrixFn;
 * exact_quotient(a, b): a / b exact, then rounded, against the divisions
   of the scalar path;
 * xi_from_abcd(a, b, c, d) and gamma_from_abcd(a, b, c, d): the
@@ -204,19 +207,19 @@ def _decimal_sqrt(x, y):
 
 
 def exact_invariants(T):
-    """(gamma0, xi^2, det T) of the binary values of T, as exact Gaussian rationals.
+    """(gamma0, xi^2, det T, x, bc) of the binary values of T, as exact Gaussian rationals.
 
-    xi^2 = gamma1^2 + gamma2^2 + gamma3^2; each value is a pair (re, im) of
-    fractions.Fraction.
+    For T = [[a, b], [c, d]], x = (a - d) / 2 and x^2 and bc are the terms
+    that xi^2 = x^2 + bc = gamma1^2 + gamma2^2 + gamma3^2 cancels. Each value
+    is a pair (re, im) of fractions.Fraction.
     """
     t00, t01, t10, t11 = (_gauss(T[i][j]) for i in range(2) for j in range(2))
     half = Fraction(1, 2)
     g0 = (half * (t00[0] + t11[0]), half * (t00[1] + t11[1]))
-    g1 = (half * (t01[0] + t10[0]), half * (t01[1] + t10[1]))
-    g2 = (-half * (t01[1] - t10[1]), half * (t01[0] - t10[0]))  # i (t01 - t10) / 2
-    g3 = (half * (t00[0] - t11[0]), half * (t00[1] - t11[1]))
-    xi2 = tuple(sum(part) for part in zip(_gmul(g1, g1), _gmul(g2, g2), _gmul(g3, g3)))
-    return g0, xi2, _gsub(_gmul(g0, g0), xi2)
+    x = (half * (t00[0] - t11[0]), half * (t00[1] - t11[1]))
+    bc = _gmul(t01, t10)
+    xi2 = tuple(map(sum, zip(_gmul(x, x), bc)))
+    return g0, xi2, _gsub(_gmul(g0, g0), xi2), x, bc
 
 
 def exact_poles(T):
@@ -230,7 +233,7 @@ def exact_poles(T):
     rounded once to the nearest float parts; a root beyond the float range
     has infinite parts.
     """
-    g0, xi2, D = exact_invariants(T)
+    g0, xi2, D, _, _ = exact_invariants(T)
     if D == (0, 0):
         if g0 == (0, 0):
             return []
@@ -535,38 +538,32 @@ def numpy_factors(T, tol):
     factors are (lam, multiplicity) for each factor 1 - theta_k lam of p that
     SMatrixFn records, lam exactly 0.5 where it is snapped to the origin.
     T is a 2x2 array. The decisions are SMatrixFn's, taken on numpy
-    complex128 scalars from the entries: a vanishing det T or trace against
-    the terms they cancel, the scalar test, the double-root test on the
-    residue at gamma0 / D, the float range of each root theta and the origin
-    test |1 - 2 lam| of each eigenvalue lam, D / gamma0 for a double one. The
-    double-root test
-    is taken on 2x2 arrays, without the bound that SMatrixFn checks first,
-    so a verdict that bound skips shows here. Callers keep the
-    characteristic data finite.
+    complex128 scalars from the entries: det T, the trace and
+    xi^2 = x^2 + bc vanish against the terms they cancel; a double
+    eigenvalue, D / gamma0, where T is scalar or xi^2 vanishes, and none
+    where gamma0 is 0; the float range of each root theta and the origin
+    test |1 - 2 lam| of each eigenvalue lam. xi^2 and xi are taken on T
+    divided by a power of two near |x| + sqrt(|bc|) at every size of the
+    terms, where SMatrixFn scales them only below 1e-290 (above it the
+    scaling changes no bit). Callers keep the characteristic data finite.
     """
     a, b, c, d = np.asarray(T, dtype=complex).ravel()
     g0, x = (a + d) / 2, (a - d) / 2
     # the package's Python complex arithmetic overflows quietly to inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         D = a * d - b * c
-        xi2 = x * x + b * c
         c0, c1, c2 = (1 - 4 * g0 + 4 * D, 4j * (2 * D - g0), -4 * D)
-        m_max = max(abs(x), abs(b), abs(c))
-        m = max(abs(g0), m_max)
+        scalar = max(abs(x), abs(b), abs(c)) <= 100 * tol * max(abs(a), abs(b), abs(c), abs(d))
+        e = np.ldexp(1.0, np.frexp(abs(x) + np.sqrt(abs(b)) * np.sqrt(abs(c)))[1])
+        xe2, bce = (x / e) * (x / e), (b / e) * (c / e)
         if abs(D) <= 100 * tol * (abs(a * d) + abs(b * c)):
             lams = [] if abs(a + d) <= 100 * tol * (abs(a) + abs(d)) else [(a + d, 1 / complex(a + d), 1)]
+        elif scalar or abs(xe2 + bce) <= 100 * tol * (abs(xe2) + abs(bce)):
+            lams = [(D / g0, complex(g0) / complex(D), 2)] if g0 else []
         else:
-            # N D / m^2 and N^2 D^2 / (q m^4) at theta0 = gamma0 / D as 2x2 arrays, q = xi^2 / m^2
-            M, h0 = np.array([[x, b], [c, -x]]) / m, g0 / m
-            q = M[0, 0] * M[0, 0] + M[0, 1] * M[1, 0]
-            n = np.abs(q * SIGMA0 + h0 * M).max()
-            n2 = np.abs((q + h0 * h0) * SIGMA0 + 2 * h0 * M).max()
-            if m_max <= 100 * tol * max(abs(a), abs(b), abs(c), abs(d)) or n > 0 and abs(q) / n * (n2 / n) <= 100 * tol:
-                lams = [(D / g0, complex(g0) / complex(D), 2)]
-            else:
-                xi = np.sqrt(xi2)
-                w = g0 + xi if abs(g0 + xi) >= abs(g0 - xi) else g0 - xi
-                lams = [(D / w, complex(w) / complex(D), 1), (w, 1 / complex(w), 1)]
+            xi = e * np.sqrt(xe2 + bce)
+            w = g0 + xi if abs(g0 + xi) >= abs(g0 - xi) else g0 - xi
+            lams = [(D / w, complex(w) / complex(D), 1), (w, 1 / complex(w), 1)]
         # a root theta with a part past 1e154 gives no root; theta is taken with Python's complex
         # division, which numpy's differs from where a divisor is subnormal
         lams = [(lam, mult) for lam, theta, mult in lams if max(abs(theta.real), abs(theta.imag)) < 1e154]

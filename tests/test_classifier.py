@@ -1,11 +1,12 @@
 import importlib.util
 import itertools
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import exact_poles, numpy_compose, numpy_nilpotent
+from oracles import exact_invariants, exact_poles, numpy_compose, numpy_nilpotent
 from pole_stage import poles
 from zrs.classifier import Region, Sheet, Similarity, classify
 from zrs.errors import AtPole, NotRepresentable
@@ -193,20 +194,24 @@ def test_similarity_class_helper():
 def _near_jordan_draws():
     """3000 draws of gamma = (1/(2(1 + i k0)), a + d1, i a + d2, d3), from one seed.
 
-    Each is an exact Jordan block with a double pole at k0 when d = 0, pulled apart by |d| = 10^e.
+    With d = 0, about one draw in seven, T = [[g0, 2a], [0, g0]] is exactly a
+    Jordan block, double as given, with a double pole at k0. Otherwise |d| =
+    10^e, e from -11 to -6, pulls it apart: xi^2 = 2a (d1 + i d2) + O(d^2),
+    with nothing cancelled, so its eigenvalues are distinct as given.
     """
     rng = np.random.default_rng(7)
     for _ in range(3000):
         k0 = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2))
         a = complex(rng.normal(), rng.normal())
         d = rng.normal(size=3) + 1j * rng.normal(size=3)
-        d *= 10.0 ** rng.integers(-11, -5) / np.linalg.norm(d)
+        e = rng.integers(-12, -5)
+        d *= (10.0**e if e > -12 else 0) / np.linalg.norm(d)
         g0 = 1 / (2 * (1 + 1j * k0))
         yield Interaction.from_gamma(PauliVector(g0, a + d[0], 1j * a + d[1], d[2]))
 
 
 def test_near_jordan_blocks_are_consistent():
-    # where the discriminant test calls the root double, the pole has order two
+    # where xi^2 vanishes against the terms it cancels, the pole has order two
     # and is the one exceptional point; otherwise two simple poles and none
     doubles = simples = 0
     for i in _near_jordan_draws():
@@ -216,6 +221,25 @@ def test_near_jordan_blocks_are_consistent():
         assert len(c.exceptional_points) == (orders == [2])
         doubles += orders == [2]
         simples += orders == [1, 1]
+    assert doubles > 300 and simples > 300
+
+
+def test_double_roots_against_the_exact_invariants():
+    # the double-eigenvalue rule judged on the exact xi^2 = x^2 + bc of the binary
+    # entries: an order-two root only where |xi^2| <= 1000 tol (|x|^2 + |bc|), ten
+    # times the rule's band, and two simple roots wherever |xi^2| is above it
+    doubles = simples = 0
+    for i in _near_jordan_draws():
+        s = build(i)
+        _, xi2, _, x, bc = (math.hypot(*map(float, v)) for v in exact_invariants(i.matrix.tolist()))
+        band = 1000 * s.tol * (x * x + bc)
+        mults = [mult for _, mult in s.roots]
+        if 2 in mults:
+            assert xi2 <= band, (i, xi2, band)
+            doubles += 1
+        if xi2 > band:
+            assert mults == [1, 1], (i, mults)
+            simples += 1
     assert doubles > 300 and simples > 300
 
 
@@ -251,14 +275,15 @@ def test_eigenvalues_zero_and_one_next_to_a_large_entry():
 
 
 def test_distinct_eigenvalues_next_to_a_large_entry():
-    # [[0.3, 0], [c, i]] has the exact eigenvalues 0.3 and i. At c = 1e10 they are
-    # two simple poles. At c = 1e11 the double-root test, which is normwise, still
-    # merges them into one order-two pole (ROADMAP item 12(b)); this pins c = 1e10 only
-    got = classify(Interaction.from_matrix([[0.3, 0], [1e10, 1j]]))
-    assert (got.similarity, got.region) == (Similarity.NOT_SIMILAR, Region.I)
-    assert [(p.order, p.sheet) for p in got.poles] == [(1, Sheet.PHYSICAL), (1, Sheet.NONPHYSICAL)]
-    assert [p.location for p in got.poles] == pytest.approx([-0.5 + 1j, -2j / 3], rel=1e-15)
-    assert got.exceptional_points == ()
+    # [[0.3, 0], [c, i]] has the exact eigenvalues 0.3 and i, whatever c: xi^2 = x^2
+    # with bc = 0, nothing cancelled, so two simple poles. A normwise double-root test,
+    # against |T| and not the terms xi^2 cancels, would merge them at c = 1e11
+    for c in (1e10, 1e11):
+        got = classify(Interaction.from_matrix([[0.3, 0], [c, 1j]]))
+        assert (got.similarity, got.region) == (Similarity.NOT_SIMILAR, Region.I)
+        assert [(p.order, p.sheet) for p in got.poles] == [(1, Sheet.PHYSICAL), (1, Sheet.NONPHYSICAL)]
+        assert [p.location for p in got.poles] == pytest.approx([-0.5 + 1j, -2j / 3], rel=1e-15)
+        assert got.exceptional_points == ()
 
 
 def test_jordan_block_at_large_scale_is_an_exceptional_point():

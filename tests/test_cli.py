@@ -152,8 +152,8 @@ def test_metric_not_applicable(monkeypatch, capsys):
         (_frakt([[[0.2, 0], [0.5, 0.1]], [[0.5, 0.1], [0.2, 0]]]), "sum of gamma_j^2 not real"),
         # gamma = (0.3, 0.2, 0.5i, 0)
         (_frakt([[[0.3, 0], [0.7, 0]], [[-0.3, 0], [0.3, 0]]]), "sum of gamma_j^2 not positive"),
-        # gamma = (100, 100, 100i (1 - 1e-13), 0): the two roots merge
-        (_frakt([[[100, 0], [199.99999999999, 0]], [[1.000444171950221e-11, 0], [100, 0]]]), "pole of order 2"),
+        # gamma = (0.3, 0, 1e3 i (1 - 5e-15), 1e3): xi^2 = x^2 + bc cancels to 5e-15 of its terms, a double root
+        (_frakt([[[1000.3, 0], [999.999999999995, 0]], [[-999.999999999995, 0], [-999.7, 0]]]), "pole of order 2"),
     ]
     for payload, reason in cases:
         code, out, err = run_cli(["metric"], payload, monkeypatch, capsys)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import theta_roots
+from oracles import exact_poles, theta_roots
 from zrs.classifier import Region, Sheet, Similarity, classify
 from zrs.errors import DegenerateGamma, NotApplicable
 from zrs.interaction import Interaction
@@ -101,9 +101,9 @@ def test_rejects_nonpositive_square():
 
 
 def test_rejects_double_pole():
-    # roots 1/(100 -+ 1.4e-5) in theta, 3e-7 apart, relative: under the
-    # nilpotency test at the merged root, a double root
-    i = Interaction.from_gamma(PauliVector(100, 100, 100j * (1 - 1e-13), 0))
+    # T = [[1000.3, b], [-b, -999.7]], b = 1e3 (1 - 5e-15): x^2 = 1e6 and bc = -b^2
+    # cancel to xi^2 = 1e-8, 5e-15 of the terms, below 100 tol (|x|^2 + |bc|): a double root
+    i = Interaction.from_gamma(PauliVector(0.3, 0, 1e3j * (1 - 5e-15), 1e3))
     assert rejection(i) == "pole of order 2"
     # a scalar T, whose double root S reports as one simple pole, has no gap
     # of two roots to read cosh chi off
@@ -122,6 +122,19 @@ def test_close_simple_poles_are_two_poles():
     c = classify(i)
     assert (c.similarity, c.region) == (Similarity.SIMILAR_TO_SELF_ADJOINT, Region.III)
     assert [(p.order, p.sheet, p.location.real) for p in c.poles] == [(1, Sheet.PHYSICAL, 0.0)] * 2
+
+
+def test_barely_split_poles_are_two_poles():
+    # T = [[100, 200 - 1e-11], [1.0004e-11, 100]] from gamma = (100, 100, 100i (1 - 1e-13), 0):
+    # x = 0, so xi^2 = bc = 2.0e-9 cancels nothing, and the distinct real eigenvalues
+    # 100 +- 4.5e-5 give two simple imaginary poles, where they are for the exact T
+    i = Interaction.from_gamma(PauliVector(100, 100, 100j * (1 - 1e-13), 0))
+    assert construct(i).applicability is Applicability.TWO_IMAGINARY_POLES
+    c = classify(i)
+    assert (c.similarity, c.region) == (Similarity.SIMILAR_TO_SELF_ADJOINT, Region.III)
+    assert [(p.order, p.sheet, p.location.real) for p in c.poles] == [(1, Sheet.PHYSICAL, 0.0)] * 2
+    assert [p.location for p in c.poles] == sorted(exact_poles(i.matrix.tolist()), key=lambda k: k.imag)
+    assert c.exceptional_points == ()
 
 
 def test_cosh_chi_from_poles_at_large_scale():

@@ -14,7 +14,7 @@ REMOVED = {
     pauli: ("compose", "decompose"),
     interaction: ("PotentialABCD",),
     metric: ("check_applicability",),
-    smatrix: ("_ZERO", "_HALF_IDENTITY", "_TILTED"),
+    smatrix: ("_ZERO", "_HALF_IDENTITY", "_TILTED", "_double_root"),
     pauli.PauliVector: ("space_part",),
     smatrix.SMatrixFn: ("is_constant", "gamma"),
     metric.Applicability: ("NOT_APPLICABLE",),

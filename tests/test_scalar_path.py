@@ -84,7 +84,7 @@ def _assert_roots_near_exact(s):
         # det T is exactly 0, and the float D is its rounding error: only the
         # root nearest the exact one, if there is one, is a root of p
         ks = [min(ks, key=lambda k: abs(k - ref)) for ref in refs]
-    _, xi2, D = (math.hypot(*map(float, x)) for x in exact_invariants(T))
+    _, xi2, D, _, _ = (math.hypot(*map(float, x)) for x in exact_invariants(T))
     m = max(abs(t) for row in T for t in row)
     for k in ks:
         ref = min(refs, key=lambda r: abs(k - r))

@@ -371,6 +371,26 @@ def test_small_matrix_is_not_constant():
         assert relative_error(s.evaluate(k), exact_s(T, k)) <= 1e-15, k
 
 
+def test_tiny_distinct_eigenvalues_stay_distinct():
+    # in diag(1e-152, 1.0000000003e-152), x^2 = 2.25e-324 underflows to 0 on the
+    # entries as given; on T divided by a power of two it does not, so the two
+    # eigenvalues give two distinct simple roots, where the exact T has them, and
+    # S between them reads each eigenvalue (one merged eigenvalue is 225 off there)
+    T = [[1e-152, 0], [0, 1.0000000003e-152]]
+    s = build(Interaction.from_matrix(T))
+    assert s.orders == (1, 1) and s.roots[0][0] != s.roots[1][0]
+    refs = sorted(exact_poles(T), key=lambda k: k.imag)
+    assert sorted((k for k, _ in s.roots), key=lambda k: k.imag) == pytest.approx(refs, rel=1e-15)
+    for k, bound in ((1e151, 1e-15), (-4.9999999992e151j, 1e-5), (3e151 + 1e151j, 1e-15)):
+        assert relative_error(s.evaluate(k), exact_s(T, k)) <= bound, k
+    # a subnormal T = [[x, b], [c, -x]] with xi^2 = x^2 + bc cancelled to eps of its
+    # terms: a double eigenvalue 0 at gamma0 = 0, though det T, 1 ulp of the
+    # subnormals, is not 0 against them. It leaves no root, and D / gamma0 is not taken
+    x, b, c = 2.238199011948628e-158, 3.89846591838834e-158, -1.2850015677856178e-158
+    s = build(Interaction.from_matrix([[x, b], [c, -x]]))
+    assert s.det_t != 0 and s.roots == ()
+
+
 def test_evaluate_reads_eigenvalues_that_keep_p():
     # the value of S takes the smaller eigenvalue as D / w where w, the
     # larger, is large against the terms D cancels, and as 2 gamma0 - w where

@@ -99,15 +99,19 @@ EDGE_SWEEPS = [
     (["sweep", "--family=DeltaPrime", "--param=-2:2:0.5", "--dir=0,1"], ""),
 ]
 
-# (argv, payload) of classify lines on matrices with exact, distinct eigenvalues beside a large entry:
-# T = [[0, 0], [1e9, d]] (eigenvalues 0 and d) for d = 1 and i, one simple physical pole each, and
-# T = [[0.3, 0], [c, i]] (eigenvalues 0.3 and i): two simple poles at c = 1e10, while at c = 1e11 the
-# normwise double-root test still merges them into an order-2 pole and an exceptional point (ROADMAP item 12(b))
+# (argv, payload) of classify lines that show the rule for a double eigenvalue, xi^2 = x^2 + bc against
+# |x^2| + |bc|. Exact, distinct eigenvalues beside a large entry: T = [[0, 0], [1e9, d]] (eigenvalues 0 and d)
+# for d = 1 and i, one simple physical pole each, and T = [[0.3, 0], [c, i]] (eigenvalues 0.3 and i), two
+# simple poles at c = 1e10 and 1e11. diag(1e-152, 1.0000000003e-152), whose x^2 underflows on the entries as
+# given: two distinct simple poles. The near-Jordan T = [[1 + i, 1], [1e-12, 1 + i]], where xi^2 = bc = 1e-12
+# cancels nothing: two simple poles and no exceptional point
 EDGE_CLASSIFY = [
     (["classify"], json.dumps({"form": "frakT", "t": [[[0, 0], [0, 0]], [[1e9, 0], [1, 0]]]})),
     (["classify"], json.dumps({"form": "frakT", "t": [[[0.3, 0], [0, 0]], [[1e11, 0], [0, 1]]]})),
     (["classify"], json.dumps({"form": "frakT", "t": [[[0, 0], [0, 0]], [[1e9, 0], [0, 1]]]})),
     (["classify"], json.dumps({"form": "frakT", "t": [[[0.3, 0], [0, 0]], [[1e10, 0], [0, 1]]]})),
+    (["classify"], json.dumps({"form": "frakT", "t": [[[1e-152, 0], [0, 0]], [[0, 0], [1.0000000003e-152, 0]]]})),
+    (["classify"], json.dumps({"form": "frakT", "t": [[[1, 1], [1, 0]], [[1e-12, 0], [1, 1]]]})),
 ]
 
 
