@@ -71,7 +71,8 @@ class SMatrixFn:
         a, b, c, d = interaction._entries
         g0, x, ad, bc = (a + d) / 2, (a - d) / 2, a * d, b * c  # T = g0 sigma0 + M, M = [[x, b], [c, -x]]
         self.det_t = D = ad - bc
-        xi2 = x * x + bc
+        xe2 = x * x
+        xi2 = xe2 + bc
         c0, c1, c2 = 1 - 4 * g0 + 4 * D, 4j * (2 * D - g0), -4 * D
         try:  # Python complex arithmetic overflows quietly to inf and NaN, abs raises past the float range
             abs_b, abs_c, cancelled = abs(b), abs(c), abs(ad) + abs(bc)
@@ -81,11 +82,11 @@ class SMatrixFn:
         if not all(map(cmath.isfinite, (D, xi2, c0, c1, c2, t_max))):
             raise NotRepresentable(f"characteristic polynomial of {interaction!r} overflows")
         self.scalar = m_max <= 100 * tol * t_max
-        xe2, bce, self.xi = x * x, bc, cmath.sqrt(xi2)  # the terms of xi^2 = x^2 + bc, and xi
-        if abs(xe2) + abs(bce) < 1e-290:  # an underflow of x^2 or bc could decide: both again, exactly, on T / e
+        self.xi = cmath.sqrt(xi2)
+        if abs(xe2) + abs(bc) < 1e-290:  # an underflow of x^2 or bc could decide: both again, exactly, on T / e
             e = 2.0 ** math.frexp(abs(x) + math.sqrt(abs_b) * math.sqrt(abs_c))[1]  # a power of two near their size
-            xe2, bce = (x / e) * (x / e), (b / e) * (c / e)
-            self.xi = e * cmath.sqrt(xe2 + bce)
+            xe2, bc = (x / e) * (x / e), (b / e) * (c / e) if b and c else bc  # b / e alone may overflow; bc is 0
+            self.xi = e * cmath.sqrt(xe2 + bc)
         # S's value reads w, the larger of g0 +- xi, and D / w, which keeps a small one that g0 - xi cancels, or
         # 2 g0 - w where w^2 is below the terms D cancels, as the sqrt leaves w too rough for D / w to keep tr T
         w = max(g0 + self.xi, g0 - self.xi, key=abs)
@@ -95,7 +96,7 @@ class SMatrixFn:
         if abs(D) <= 100 * tol * cancelled:
             # a lam at 0 leaves lam = a + d, the root of p = 1 - theta (a + d)
             lams = () if abs(a + d) <= 100 * tol * (abs(a) + abs(d)) else ((a + d, 1 / (a + d), 1),)
-        elif self.scalar or abs(xe2 + bce) <= 100 * tol * (abs(xe2) + abs(bce)):
+        elif self.scalar or abs(xe2 + bc) <= 100 * tol * (abs(xe2) + abs(bc)):
             lams = ((D / g0, g0 / D, 2),) if g0 else ()  # lam = 1 / theta, its factor 0 at the root; none at lam 0
         else:
             lams = ((D / w, w / D, 1), (w, 1 / w, 1))
@@ -109,8 +110,7 @@ class SMatrixFn:
                 kept.append(lam)
         if thetas == [2.0, 2.0]:  # both lam at 1/2: one double root
             roots, thetas, kept = [(0j, 2)], [2.0], [0.5]
-        # Which factors cancel. For scalar T the numerator T - theta_k D sigma0 = lam (1 - theta_k lam) sigma0
-        # cancels one factor. The factor 1 - theta_k / 2 = -ik of a lam at 1/2 cancels the numerator's k.
+        # Which factors cancel, as the module docstring derives: one for scalar T, and a lam at 1/2 the numerator's k
         orders = [1] * len(roots) if self.scalar else [mult for _, mult in roots]
         self._cancels_k = 2.0 in thetas
         if self._cancels_k:

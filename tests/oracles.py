@@ -542,10 +542,10 @@ def numpy_factors(T, tol):
     xi^2 = x^2 + bc vanish against the terms they cancel; a double
     eigenvalue, D / gamma0, where T is scalar or xi^2 vanishes, and none
     where gamma0 is 0; the float range of each root theta and the origin
-    test |1 - 2 lam| of each eigenvalue lam. xi^2 and xi are taken on T
-    divided by a power of two near |x| + sqrt(|bc|) at every size of the
-    terms, where SMatrixFn scales them only below 1e-290 (above it the
-    scaling changes no bit). Callers keep the characteristic data finite.
+    test |1 - 2 lam| of each eigenvalue lam. Where |x^2| + |bc| is below
+    1e-290, xi^2 and xi are taken again on T divided by a power of two near
+    |x| + sqrt(|bc|), with bc exactly 0 where b or c is. Callers keep the
+    characteristic data finite.
     """
     a, b, c, d = np.asarray(T, dtype=complex).ravel()
     g0, x = (a + d) / 2, (a - d) / 2
@@ -554,14 +554,16 @@ def numpy_factors(T, tol):
         D = a * d - b * c
         c0, c1, c2 = (1 - 4 * g0 + 4 * D, 4j * (2 * D - g0), -4 * D)
         scalar = max(abs(x), abs(b), abs(c)) <= 100 * tol * max(abs(a), abs(b), abs(c), abs(d))
-        e = np.ldexp(1.0, np.frexp(abs(x) + np.sqrt(abs(b)) * np.sqrt(abs(c)))[1])
-        xe2, bce = (x / e) * (x / e), (b / e) * (c / e)
+        e, xe2, bc = 1.0, x * x, b * c
+        if abs(xe2) + abs(bc) < 1e-290:
+            e = np.ldexp(1.0, np.frexp(abs(x) + np.sqrt(abs(b)) * np.sqrt(abs(c)))[1])
+            xe2, bc = (x / e) * (x / e), (b / e) * (c / e) if b and c else bc
         if abs(D) <= 100 * tol * (abs(a * d) + abs(b * c)):
             lams = [] if abs(a + d) <= 100 * tol * (abs(a) + abs(d)) else [(a + d, 1 / complex(a + d), 1)]
-        elif scalar or abs(xe2 + bce) <= 100 * tol * (abs(xe2) + abs(bce)):
+        elif scalar or abs(xe2 + bc) <= 100 * tol * (abs(xe2) + abs(bc)):
             lams = [(D / g0, complex(g0) / complex(D), 2)] if g0 else []
         else:
-            xi = e * np.sqrt(xe2 + bce)
+            xi = e * np.sqrt(xe2 + bc)
             w = g0 + xi if abs(g0 + xi) >= abs(g0 - xi) else g0 - xi
             lams = [(D / w, complex(w) / complex(D), 1), (w, 1 / complex(w), 1)]
         # a root theta with a part past 1e154 gives no root; theta is taken with Python's complex

@@ -286,6 +286,20 @@ def test_distinct_eigenvalues_next_to_a_large_entry():
         assert got.exceptional_points == ()
 
 
+def test_distinct_eigenvalues_that_round_to_one_float():
+    # [[1, 1], [1e-40, 1]] has the distinct eigenvalues 1 +- 1e-20: xi^2 = bc cancels
+    # nothing, so two simple roots, but xi is below eps |gamma0| and both round to 1.
+    # This pins what classify reports for them today: two simple physical poles at one
+    # float, no exceptional point, and Undetermined, as sum gamma_j^2 = 1e-40 fails the
+    # metric certificate. A change to any of it should be a stated one
+    s = build(Interaction.from_matrix([[1, 1], [1e-40, 1]]))
+    assert s.xi == 1e-20 and s.roots == ((0.5j, 1), (0.5j, 1)) and s.orders == (1, 1)
+    got = classify(Interaction.from_matrix([[1, 1], [1e-40, 1]]))
+    assert got.poles == ((0.5j, 1, Sheet.PHYSICAL, -0.25), (0.5j, 1, Sheet.PHYSICAL, -0.25))
+    assert got.eigenvalues == (-0.25, -0.25) and got.exceptional_points == ()
+    assert (got.similarity, got.region) == (Similarity.UNDETERMINED, Region.UNDETERMINED)
+
+
 def test_jordan_block_at_large_scale_is_an_exceptional_point():
     # certified at the merged root's theta0 = gamma0 / D, not at 2(1 + i k0)
     # of the rounded k0, whose rounding times |T| = 1e8 left N far from nilpotent

@@ -165,6 +165,13 @@ def test_matrices_match_numpy(a, b, c, d):
     _assert_matches_numpy(Interaction.from_matrix(m), m)
 
 
+def test_triangular_matrices_match_numpy():
+    # b or c exactly 0 beside a large other entry: bc is 0 wherever xi^2 is scaled
+    for m in ([[2e-146, 1e200], [0, 1e-146]], [[1e-300, 1e10], [0, 0]], [[1, 1e300], [0, 1 - 2**-52]]):
+        m = np.array(m, dtype=complex)
+        _assert_matches_numpy(Interaction.from_matrix(m), m)
+
+
 def test_near_jordan_blocks_match_numpy():
     # gamma = (1/(2(1 + i k0)), a + d1, i a + d2, d3) is a Jordan block with
     # a double pole at k0 when d = 0; |d| = 10^e pulls the pole apart

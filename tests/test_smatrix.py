@@ -383,6 +383,19 @@ def test_tiny_distinct_eigenvalues_stay_distinct():
     assert sorted((k for k, _ in s.roots), key=lambda k: k.imag) == pytest.approx(refs, rel=1e-15)
     for k, bound in ((1e151, 1e-15), (-4.9999999992e151j, 1e-5), (3e151 + 1e151j, 1e-15)):
         assert relative_error(s.evaluate(k), exact_s(T, k)) <= bound, k
+    # with b or c exactly 0, bc is 0 on T / e too, though b / e or c / e alone, beside a
+    # tiny x, leaves the float range: two simple roots at the exact ones, and a finite S
+    for T in ([[2e-146, 1e200], [0, 1e-146]], [[1e-146, 0], [1e200, 2e-146]]):
+        s = build(Interaction.from_matrix(T))
+        refs = sorted(exact_poles(T), key=lambda k: k.imag)
+        assert sorted((k for k, _ in s.roots), key=lambda k: k.imag) == pytest.approx(refs, rel=1e-15)
+        assert s.orders == (1, 1)
+        assert relative_error(s.evaluate(0.3), exact_s(T, 0.3)) <= 1e-15
+    T = [[1e-300, 1e10], [0, 0]]  # its root 1e300 is past the float range: none, and S finite
+    s = build(Interaction.from_matrix(T))
+    assert s.roots == ()
+    for k in (0.3, 1e145 + 1e145j):
+        assert relative_error(s.evaluate(k), exact_s(T, k)) <= 1e-15, k
     # a subnormal T = [[x, b], [c, -x]] with xi^2 = x^2 + bc cancelled to eps of its
     # terms: a double eigenvalue 0 at gamma0 = 0, though det T, 1 ulp of the
     # subnormals, is not 0 against them. It leaves no root, and D / gamma0 is not taken
