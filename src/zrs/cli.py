@@ -77,17 +77,18 @@ class SchemaError(Exception):
 
 
 def _f(x):
-    # adding 0.0 turns -0.0 into 0.0 and leaves every other float as it is
-    return float(x) + 0.0
+    # x is a Python float: adding 0.0 turns -0.0 into 0.0 and leaves every other float as it is
+    return x + 0.0
 
 
 def _pair(z):
-    z = complex(z)
-    return [_f(z.real), _f(z.imag)]
+    # z is a Python complex, each part a float that _f would take
+    return [z.real + 0.0, z.imag + 0.0]
 
 
-# json.dumps with these options builds a new encoder on every call
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+# json.dumps with these options builds a new encoder on every call. Every
+# payload is a tree built fresh for one answer, so it holds no cycle to check.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False, check_circular=False)
 
 
 def _dump(obj):
@@ -117,32 +118,35 @@ def _read_payload(args):
     return data
 
 
-def _cell(value, where):
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
-        )
-    ):
-        raise SchemaError(f"{where} must be [re, im]")
+_NUMBER = (int, float)  # a cell's parts by exact type: bool, a subclass of int, is its own type
+
+
+def _field(name, index):
+    """The field name of an error text, e.g. field 't'[1][0] for name "t" and index (1, 0)."""
+    return f"field {name!r}" + "".join(f"[{i}]" for i in index)
+
+
+def _cell(value, name, *index):
+    """The finite complex of an [re, im] cell; an error text names it as field name at index."""
+    if not isinstance(value, list) or len(value) != 2 or type(value[0]) not in _NUMBER or type(value[1]) not in _NUMBER:
+        raise SchemaError(f"{_field(name, index)} must be [re, im]")
     try:
         z = complex(value[0], value[1])
     except OverflowError:  # an integer literal beyond the float range
-        raise SchemaError(f"{where} must be finite")
+        raise SchemaError(f"{_field(name, index)} must be finite")
     if not cmath.isfinite(z):
-        raise SchemaError(f"{where} must be finite")
+        raise SchemaError(f"{_field(name, index)} must be finite")
     return z
 
 
-def _parse_matrix(raw, where):
+def _parse_matrix(raw, name, *index):
     if not isinstance(raw, list) or len(raw) != 2:
-        raise SchemaError(f"{where} must be a 2x2 matrix of [re, im] pairs")
+        raise SchemaError(f"{_field(name, index)} must be a 2x2 matrix of [re, im] pairs")
     out = []
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != 2:
-            raise SchemaError(f"{where} must be a 2x2 matrix of [re, im] pairs")
-        out.append([_cell(cell, f"{where}[{i}][{j}]") for j, cell in enumerate(row)])
+            raise SchemaError(f"{_field(name, index)} must be a 2x2 matrix of [re, im] pairs")
+        out.append([_cell(row[0], name, *index, i, 0), _cell(row[1], name, *index, i, 1)])
     return out
 
 
@@ -152,11 +156,11 @@ def _interaction_from(data):
         missing = [key for key in "abcd" if key not in data]
         if missing:
             raise SchemaError(f"missing field(s): {', '.join(missing)}")
-        return Interaction.from_abcd(*(_cell(data[key], f"field {key!r}") for key in "abcd"))
+        return Interaction.from_abcd(*[_cell(data[key], key) for key in "abcd"])
     if form == "frakT":
         if "t" not in data:
             raise SchemaError("missing field 't'")
-        return Interaction.from_matrix(_parse_matrix(data["t"], "field 't'"))
+        return Interaction.from_matrix(_parse_matrix(data["t"], "t"))
     raise SchemaError("field 'form' must be 'abcd' or 'frakT'")
 
 
@@ -166,7 +170,7 @@ def _path_from(data):
     ts = data.get("ts")
     if not isinstance(ts, list) or not ts:
         raise SchemaError("field 'ts' must be a non-empty list of 2x2 matrices")
-    return [_parse_matrix(t, f"field 'ts'[{i}]") for i, t in enumerate(ts)]
+    return [_parse_matrix(t, "ts", i) for i, t in enumerate(ts)]
 
 
 def _parse_numbers(text, option, form):
@@ -190,23 +194,23 @@ def _parse_complex(text, option):
 
 
 def _classification_payload(c):
-    poles = []
-    for p in c.poles:
-        poles.append(
-            {
-                "k": None if p.location is None else _pair(p.location),
-                "order": p.order,
-                "sheet": p.sheet.value,
-                "z": None if p.z is None else _pair(p.z),
-            }
-        )
+    # an enum's value as _value_, which skips the property behind .value
+    poles = [
+        {
+            "k": None if p.location is None else _pair(p.location),
+            "order": p.order,
+            "sheet": p.sheet._value_,
+            "z": None if p.z is None else _pair(p.z),
+        }
+        for p in c.poles
+    ]
     return {
         "eigenvalues": [_pair(z) for z in c.eigenvalues],
         "exceptional_points": [_pair(z) for z in c.exceptional_points],
         "has_negative_eigenvalues": c.has_negative_eigenvalues,
         "poles": poles,
-        "region": c.region.value,
-        "similarity": c.similarity.value,
+        "region": c.region._value_,
+        "similarity": c.similarity._value_,
         "singularity_at_infinity": c.singularity_at_infinity,
         "spectral_singularities": [_f(x) for x in c.spectral_singularities],
     }

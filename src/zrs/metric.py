@@ -50,7 +50,9 @@ def construct(interaction):
     ------
     NotApplicable
         If the construction does not apply (already self-adjoint, no metric
-        certificate, a pole of order 2), with the reason.
+        certificate, a pole of order 2), or E is not representable because
+        kappa rounds to 1 (chi = atanh(kappa) would be infinite), with the
+        reason.
     DegenerateGamma
         If the real and imaginary parts of the gamma space part are
         collinear, leaving no axis for sigma_alpha.
@@ -63,6 +65,8 @@ def construct(interaction):
     if norm_cross <= 0.1 * s.tol * (1 + norm_u * norm_v):
         raise DegenerateGamma("Re gamma and Im gamma are collinear")
     kappa = norm_v / norm_u
+    if kappa >= 1:
+        raise NotApplicable("E not representable: kappa rounds to 1")
     alpha = tuple(-x / norm_cross for x in cross)
     return MetricSpec(alpha=alpha, chi=math.atanh(kappa), kappa=kappa, applicability=applicability, s=s)
 

@@ -85,6 +85,15 @@ def test_eval_at_the_pole_classify_reports_near_half_identity(monkeypatch, capsy
     assert (code, out) == (0, f'{{"k":[0.0,{im!r}],"pole":true}}\n')
 
 
+def _numbers(value, key=None):
+    """(key, number) of each number of a loaded JSON answer, key that of the innermost object holding it."""
+    if isinstance(value, dict):
+        return [n for k, v in value.items() for n in _numbers(v, k)]
+    if isinstance(value, list):
+        return [n for v in value for n in _numbers(v, key)]
+    return [(key, value)] if type(value) in (int, float) else []
+
+
 def test_classify_output_is_canonical(monkeypatch, capsys):
     code, out1, _ = run_cli(["classify"], DERIVATIVE, monkeypatch, capsys)
     assert code == 0
@@ -98,6 +107,26 @@ def test_classify_output_is_canonical(monkeypatch, capsys):
     assert data["spectral_singularities"] == pytest.approx([4.0])
     assert data["poles"][0]["sheet"] == "RealAxis"
     assert data["poles"][0]["order"] == 1
+    # every answer: its keys sorted at every level, its numbers floats but the counts order and n
+    answers = [
+        (["classify"], DERIVATIVE),
+        (["classify"], JORDAN),
+        (["classify"], '{"form": "frakT", "t": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}'),  # a pole at infinity
+        (["eval", "--k=1,0.5"], DELTA_ATTRACTIVE),
+        (["eval", "--k=0,1"], DELTA_ATTRACTIVE),  # at the pole
+        (["eval", "--k=2,0"], '{"form": "frakT", "t": [[[0.5, 0], [0, 0]], [[0, 0], [0, 0]]]}'),  # S constant
+        (["metric"], TWO_POLE_METRIC),
+        (["metric"], _frakt([[[0.4, 0], [0.8, 0]], [[0.2, 0], [0.4, 0]]])),  # one pole
+        (["metric"], DELTA_ATTRACTIVE),  # not applicable
+        (["probe", "--epsilon=1", "--xi=-2:2", "--n=101"], DELTA_ATTRACTIVE),
+    ]
+    for argv, payload in answers:
+        code, out, err = run_cli(argv, payload, monkeypatch, capsys)
+        assert (code, err) == (0, ""), argv
+        data = json.loads(out)
+        assert out == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n", argv
+        for key, x in _numbers(data):
+            assert type(x) is (int if key in ("order", "n") else float), (argv, key, x)
 
 
 def test_classify_normalizes_signed_zero(monkeypatch, capsys):
@@ -604,6 +633,57 @@ def test_exit_code_2_on_malformed_input(monkeypatch, capsys):
         code, out, err = run_cli(argv, text, monkeypatch, capsys)
         assert code == 2, (argv, text)
         assert out == "" and err.startswith("error:") and err.count("\n") == 1, (argv, err)
+
+
+def _abcd_cells(a="[0, 0]", b="[0, 0]", c="[0, 0]", d="[0, 0]"):
+    return '{"form": "abcd", "a": %s, "b": %s, "c": %s, "d": %s}' % (a, b, c, d)
+
+
+@pytest.mark.parametrize(
+    "argv, payload, err",
+    [
+        (["classify"], _abcd_cells(a="[1]"), "field 'a' must be [re, im]"),
+        (["classify"], _abcd_cells(a="1"), "field 'a' must be [re, im]"),
+        (["eval", "--k=1,0"], _abcd_cells(b="[true, 0]"), "field 'b' must be [re, im]"),
+        (["metric"], _abcd_cells(c='[1, "0"]'), "field 'c' must be [re, im]"),
+        (["classify"], _abcd_cells(a="[NaN, 0]"), "field 'a' must be finite"),
+        (["probe", "--epsilon=1", "--xi=-1:1"], _abcd_cells(d="[Infinity, 0]"), "field 'd' must be finite"),
+        (["classify"], _abcd_cells(b="[0, 1%s]" % ("0" * 400)), "field 'b' must be finite"),
+        (["classify"], '{"form": "abcd", "a": [0, 0], "c": [0, 0]}', "missing field(s): b, d"),
+        (["classify"], '{"form": "frakT", "t": [[[0, 0], [0, 0]], [[0, false], [0, 0]]]}',
+         "field 't'[1][0] must be [re, im]"),
+        (["classify"], '{"form": "frakT", "t": [[[0, 0], [0, 0]], [[0, 0]]]}',
+         "field 't' must be a 2x2 matrix of [re, im] pairs"),
+        (["sweep", "--family=FrakTPath"], '{"form": "frakT_path", "ts": [[[[0, 0], [0, 0]], [[0, 0, 0], [0, 0]]]]}',
+         "field 'ts'[0][1][0] must be [re, im]"),
+        (["sweep", "--family=FrakTPath"], '{"form": "frakT_path", "ts": [%s, [[[0, 0], [0, 0]]]]}' % OVERFLOW_T,
+         "field 'ts'[1] must be a 2x2 matrix of [re, im] pairs"),
+    ],
+    ids=["short", "number", "bool", "string", "nan", "infinity", "huge", "missing", "t_cell", "t_shape",
+         "ts_cell", "ts_shape"],
+)
+def test_schema_errors_name_the_field(argv, payload, err, monkeypatch, capsys):
+    assert run_cli(argv, payload, monkeypatch, capsys) == (2, "", f"error: {err}\n")
+
+
+def test_metric_where_kappa_rounds_to_one(monkeypatch, capsys):
+    # T = [[0, 0], [c, 1]] has eigenvalues 0 and 1, and classify calls it similar to a self-adjoint
+    # operator; kappa = (1 + 1/c^2)^(-1/2) rounds to 1 from about c = 1e8, where E is not representable
+    for c in (1e8, 1e9, 1e12):
+        payload = _frakt([[[0, 0], [0, 0]], [[c, 0], [1, 0]]])
+        code, out, err = run_cli(["classify"], payload, monkeypatch, capsys)
+        assert (code, err) == (0, "")
+        assert (json.loads(out)["similarity"], json.loads(out)["region"]) == ("SimilarToSelfAdjoint", "III")
+        code, out, err = run_cli(["metric"], payload, monkeypatch, capsys)
+        assert (code, out, err) == (0, '{"applicable":false,"reason":"E not representable: kappa rounds to 1"}\n', "")
+    code, out, err = run_cli(["metric"], _frakt([[[0, 0], [0, 0]], [[1e7, 0], [1, 0]]]), monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"alpha":[9.99999999999995e-08,0.0,0.999999999999995],"applicability":"OneImaginaryPole",'
+        '"applicable":true,"chi":16.81164263023336,"cosh_chi_from_poles":null,'
+        '"e":[[[20007997.572905034,0.0],[1.000399878645247,0.0]],[[1.000399878645247,0.0],[9.872019290924072e-08,0.0]]],'
+        '"intertwining_residual":0.013197949552839816,"kappa":0.999999999999995}\n'
+    )
 
 
 def test_exit_code_2_on_missing_input_file(monkeypatch, capsys):

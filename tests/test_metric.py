@@ -148,6 +148,15 @@ def test_cosh_chi_from_poles_at_large_scale():
         assert cosh_chi_from_poles(spec) == pytest.approx(math.cosh(spec.chi), rel=1e-14)
 
 
+def test_rejects_kappa_that_rounds_to_one():
+    # T = [[0, 0], [c, 1]] has eigenvalues 0 and 1 and kappa = (1 + 1/c^2)^(-1/2): from
+    # about c = 1e8 it rounds to 1, and chi = atanh(kappa) would be infinite
+    for c in (1e8, 1e9, 1e12):
+        assert rejection(Interaction.from_matrix([[0, 0], [c, 1]])) == "E not representable: kappa rounds to 1"
+    spec = construct(Interaction.from_matrix([[0, 0], [1e7, 1]]))
+    assert spec.kappa < 1 and math.isfinite(spec.chi)
+
+
 def test_collinear_parts_raise():
     # v parallel to u, small enough that the orthogonality test passes
     # but large enough that the matrix is not hermitian

@@ -5,10 +5,11 @@
 runs every command line of the benchmark corpus for seeds 1 to 5 (the
 cli-calls requests, each sweep in CSV and in JSON, and each probe of the
 probe ladder), then the probes of EDGE_PROBES, each sweep of EDGE_SWEEPS
-in CSV and in JSON and the classify lines of EDGE_CLASSIFY, through
+in CSV and in JSON, the classify lines of EDGE_CLASSIFY and the command
+lines of EDGE_INPUTS, through
 zrs.cli.main() in this process, on the zrs sources under ROOT/src, with its
 payload on stdin. It prints one line per
-command line: the seed ("edge" for an edge probe, sweep or classify),
+command line: the seed ("edge" for a command line of an edge list),
 the argv, the exit code and the sha256 of stdout and of stderr. Two
 checkouts answer byte for byte alike exactly when their digests are
 identical:
@@ -115,6 +116,31 @@ EDGE_CLASSIFY = [
 ]
 
 
+def _cells(**cells):
+    """The abcd payload of zero couplings with the cells given put in as they are."""
+    return json.dumps({"form": "abcd", **dict.fromkeys("abcd", [0, 0]), **cells})
+
+
+# (argv, payload) of malformed inputs, one for each error text of the input schema, and of metric on
+# T = [[0, 0], [c, 1]] (eigenvalues 0 and 1), where kappa = (1 + 1/c^2)^(-1/2) rounds to 1 from about c = 1e8
+_ZERO_T = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+EDGE_INPUTS = [
+    (["classify"], _cells(a=[1])),
+    (["classify"], _cells(a=1)),
+    (["classify"], _cells(b=[True, 0])),
+    (["classify"], _cells(c=[1, "0"])),
+    (["classify"], _cells(a=[math.nan, 0])),
+    (["classify"], _cells(d=[math.inf, 0])),
+    (["classify"], _cells(b=[0, 10**400])),
+    (["classify"], json.dumps({"form": "abcd", "a": [0, 0], "c": [0, 0]})),
+    (["classify"], json.dumps({"form": "frakT", "t": [[[0, 0], [0, 0]], [[0, False], [0, 0]]]})),
+    (["classify"], json.dumps({"form": "frakT", "t": [[[0, 0], [0, 0]], [[0, 0]]]})),
+    (["sweep", "--family=FrakTPath"], json.dumps({"form": "frakT_path", "ts": [[[[0, 0], [0, 0]], [[0, 0, 0], [0, 0]]]]})),
+    (["sweep", "--family=FrakTPath"], json.dumps({"form": "frakT_path", "ts": [_ZERO_T, [[[0, 0], [0, 0]]]]})),
+    *((["metric"], _frakt([[0, 0], [c, 1]])) for c in (1e7, 1e8, 1e9)),
+]
+
+
 def command_lines(corpus, seed):
     """(argv, payload) of every benchmark command line of one seed."""
     for op in corpus.cli_ops(seed):
@@ -164,7 +190,7 @@ def answers(root):
     for cmd, payload in EDGE_SWEEPS:
         for argv in ([*cmd, "--format", fmt] for fmt in ("csv", "json")):
             yield ("edge", argv, payload, *run(zrs.cli.main, argv, payload))
-    for cmd, payload in EDGE_CLASSIFY:
+    for cmd, payload in EDGE_CLASSIFY + EDGE_INPUTS:
         yield ("edge", cmd, payload, *run(zrs.cli.main, cmd, payload))
 
 
