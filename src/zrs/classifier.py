@@ -14,6 +14,7 @@ nonzero, S grows linearly in k: a singularity at infinity.
 
 from collections import namedtuple
 from enum import Enum
+from operator import itemgetter
 
 from .interaction import _is_hermitian
 from .pauli import _modulus, _square
@@ -51,8 +52,12 @@ SpectralClassification = namedtuple(
 )
 
 
-def _is_real(z, tol):
-    return abs(z.imag) <= 1000 * tol * (1 + abs(z))
+def _is_real(z, tol1000):
+    """Whether |Im z| is at most 1000 tol (1 + |z|), given tol1000 = 1000 tol."""
+    return abs(z.imag) <= tol1000 * (1 + abs(z))
+
+
+_by_key = itemgetter(0)
 
 
 def _poles(s):
@@ -60,18 +65,19 @@ def _poles(s):
 
     Finite poles by location, then the pole at infinity.
     """
-    records = []
+    records, tol1000 = [], 1000 * s.tol
     for (loc, _), order in zip(s.roots, s.orders):
         if not order:  # every factor at this root cancels
             continue
         # adding 0.0 clears the negative zeros that k = i(1 - theta/2) can carry
         loc = complex(loc.real + 0.0, loc.imag + 0.0)
-        on_real_axis, on_axis = _is_real(loc, s.tol), _is_real(1j * loc, s.tol)
+        on_real_axis, on_axis = _is_real(loc, tol1000), _is_real(1j * loc, tol1000)
         sheet = Sheet.REAL_AXIS if on_real_axis else Sheet.PHYSICAL if loc.imag > 0 else Sheet.NONPHYSICAL
         # on the imaginary axis Re k is rounding noise, so those poles are ordered by Im k first
         key = (0.0 if on_axis else loc.real, loc.imag, loc.real)
         records.append((key, PoleReport(loc, order, sheet, loc * loc), on_axis))
-    records.sort(key=lambda record: record[0])
+    if len(records) > 1:
+        records.sort(key=_by_key)
     # with no factor recorded, S = sigma0 + 4ik T is constant or grows linearly in k
     if not s.roots and not s.constant:
         records.append((None, PoleReport(None, 1, Sheet.INFINITY, None), False))
@@ -108,6 +114,7 @@ def classify(interaction):
         points, the similarity verdict and the parameter-space region.
     """
     s = build(interaction)
+    tol1000 = 1000 * s.tol
     poles, eigenvalues, singular, excs = [], [], [], []
     at_infinity = nonreal = negative = False
     simple_on_axis = True
@@ -118,7 +125,7 @@ def classify(interaction):
             eigenvalues.append(p.z)
             if p.order >= 2:
                 excs.append(p.z)
-            real = _is_real(p.z, s.tol)
+            real = _is_real(p.z, tol1000)
             nonreal = nonreal or not real
             negative = negative or real and p.z.real < 0
         elif p.sheet is Sheet.REAL_AXIS:
@@ -126,8 +133,8 @@ def classify(interaction):
         elif p.sheet is Sheet.INFINITY:
             at_infinity = True
     merged = []  # sorted, less each value within tolerance of the one kept before it
-    for z in sorted(singular):
-        if not (merged and abs(z - merged[-1]) <= 1000 * s.tol * (1 + abs(z))):
+    for z in sorted(singular) if singular else ():
+        if not (merged and abs(z - merged[-1]) <= tol1000 * (1 + abs(z))):
             merged.append(z)
     at_singularity = bool(merged) or at_infinity or bool(excs)
     region = Region.I if nonreal else Region.II if at_singularity else Region.III
@@ -146,13 +153,7 @@ def classify(interaction):
             similarity = Similarity.SIMILAR_TO_SELF_ADJOINT
         else:
             similarity, region = Similarity.UNDETERMINED, Region.UNDETERMINED
+    # in the order of SpectralClassification's fields
     return SpectralClassification(
-        poles=tuple(poles),
-        eigenvalues=tuple(eigenvalues),
-        spectral_singularities=tuple(merged),
-        singularity_at_infinity=at_infinity,
-        exceptional_points=tuple(excs),
-        similarity=similarity,
-        region=region,
-        has_negative_eigenvalues=negative,
+        tuple(poles), tuple(eigenvalues), tuple(merged), at_infinity, tuple(excs), similarity, region, negative
     )

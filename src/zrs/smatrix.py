@@ -62,48 +62,61 @@ class SMatrixFn:
     ------
     NotRepresentable
         If det T, xi^2, a coefficient of p(k) = c0 + c1 k + c2 k^2 or a
-        modulus overflows, from |T| of about 1e154.
+        modulus overflows, from |T| of about 1e154. The coefficients are
+        formed and tested only where max |T_ij| is not below 1e150: below
+        it every part of ad, bc and x^2 is at most 2e300, so D, xi^2 and
+        the coefficients are all finite.
     """
 
     def __init__(self, interaction):
         self.interaction = interaction
         self.tol = tol = base_tol()
+        tol100 = 100 * tol
         a, b, c, d = interaction._entries
         g0, x, ad, bc = (a + d) / 2, (a - d) / 2, a * d, b * c  # T = g0 sigma0 + M, M = [[x, b], [c, -x]]
         self.det_t = D = ad - bc
         xe2 = x * x
         xi2 = xe2 + bc
-        c0, c1, c2 = 1 - 4 * g0 + 4 * D, 4j * (2 * D - g0), -4 * D
         try:  # Python complex arithmetic overflows quietly to inf and NaN, abs raises past the float range
-            abs_b, abs_c, cancelled = abs(b), abs(c), abs(ad) + abs(bc)
+            abs_b, abs_c, abs_bc = abs(b), abs(c), abs(bc)
+            cancelled = abs(ad) + abs_bc
             t_max, m_max = max(abs(a), abs_b, abs_c, abs(d)), max(abs(x), abs_b, abs_c)
         except OverflowError:
             t_max = cmath.inf
-        if not all(map(cmath.isfinite, (D, xi2, c0, c1, c2, t_max))):
+        # below 1e150 the parts of ad, bc and x^2 are at most 2e300, so D, xi^2 and p's c0, c1, c2 are all finite
+        if not t_max < 1e150 and not all(
+            map(cmath.isfinite, (D, xi2, 1 - 4 * g0 + 4 * D, 4j * (2 * D - g0), -4 * D, t_max))
+        ):
             raise NotRepresentable(f"characteristic polynomial of {interaction!r} overflows")
-        self.scalar = m_max <= 100 * tol * t_max
-        self.xi = cmath.sqrt(xi2)
-        if abs(xe2) + abs(bc) < 1e-290:  # an underflow of x^2 or bc could decide: both again, exactly, on T / e
+        self.scalar = m_max <= tol100 * t_max
+        xi_terms = abs(xe2) + abs_bc
+        if xi_terms < 1e-290:  # an underflow of x^2 or bc could decide: both again, exactly, on T / e
             e = 2.0 ** math.frexp(abs(x) + math.sqrt(abs_b) * math.sqrt(abs_c))[1]  # a power of two near their size
             xe2, bc = (x / e) * (x / e), (b / e) * (c / e) if b and c else bc  # b / e alone may overflow; bc is 0
-            self.xi = e * cmath.sqrt(xe2 + bc)
+            xi2, xi_terms = xe2 + bc, abs(xe2) + abs(bc)
+            self.xi = xi = e * cmath.sqrt(xi2)
+        else:
+            self.xi = xi = cmath.sqrt(xi2)
         # S's value reads w, the larger of g0 +- xi, and D / w, which keeps a small one that g0 - xi cancels, or
-        # 2 g0 - w where w^2 is below the terms D cancels, as the sqrt leaves w too rough for D / w to keep tr T
-        w = max(g0 + self.xi, g0 - self.xi, key=abs)
-        self._eigenvalues = w, D / w if abs(w) * abs(w) > cancelled else 2 * g0 - w
+        # 2 g0 - w where w^2 is below the terms D cancels, as the sqrt leaves w too rough for D / w to keep tr T;
+        # g0 + xi is w on a tie and where a modulus is NaN
+        wp, wm = g0 + xi, g0 - xi
+        w = wm if abs(wm) > abs(wp) else wp
+        aw = abs(w)
+        self._eigenvalues = w, D / w if aw * aw > cancelled else 2 * g0 - w
         # p(theta) = (1 - theta lam+)(1 - theta lam-), lam+- = g0 +- xi: lams holds (lam, its root theta,
         # multiplicity) of each lam that is not 0. D, a + d and xi^2 vanish below 100 tol times the terms they cancel
-        if abs(D) <= 100 * tol * cancelled:
+        if abs(D) <= tol100 * cancelled:
             # a lam at 0 leaves lam = a + d, the root of p = 1 - theta (a + d)
-            lams = () if abs(a + d) <= 100 * tol * (abs(a) + abs(d)) else ((a + d, 1 / (a + d), 1),)
-        elif self.scalar or abs(xe2 + bc) <= 100 * tol * (abs(xe2) + abs(bc)):
+            lams = () if abs(a + d) <= tol100 * (abs(a) + abs(d)) else ((a + d, 1 / (a + d), 1),)
+        elif self.scalar or abs(xi2) <= tol100 * xi_terms:
             lams = ((D / g0, g0 / D, 2),) if g0 else ()  # lam = 1 / theta, its factor 0 at the root; none at lam 0
         else:
             lams = ((D / w, w / D, 1), (w, 1 / w, 1))
         roots, thetas, kept = [], [], []
         for lam, theta, mult in lams:
             if max(abs(theta.real), abs(theta.imag)) < 1e154:  # past it no z = k^2 is in the float range
-                if abs(1 - 2 * lam) <= 100 * tol:  # lam = 1/2 at k = 0, asked of 1 - 2 lam
+                if abs(1 - 2 * lam) <= tol100:  # lam = 1/2 at k = 0, asked of 1 - 2 lam
                     lam, theta = 0.5, 2.0
                 roots.append((1j * (1 - theta / 2), mult))
                 thetas.append(theta)

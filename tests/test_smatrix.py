@@ -1,3 +1,4 @@
+import cmath
 import importlib.util
 import itertools
 from pathlib import Path
@@ -130,6 +131,32 @@ def test_evaluate_keeps_theta_d_in_range_past_the_float_range():
         want = exact_s(T, k)
         assert abs(want[0][0] + 1) < 2e-3
         assert relative_error(s.evaluate(k), want) <= 8 * EPS, k
+
+
+def test_not_representable_exactly_where_p_overflows():
+    # build raises NotRepresentable exactly where D, xi^2, a coefficient of
+    # p(k) = c0 + c1 k + c2 k^2 or max |T_ij|, taken here in float arithmetic,
+    # is not finite, across the overflow boundary near |T| = 1e154: for
+    # diag(1e154, 1e154), D = 1e308 is finite and c2 = -4D is not
+    raised = kept = 0
+    for e in np.arange(148, 156.01, 0.25):
+        s = 10.0**e
+        for T in ([[s, 2 * s], [3 * s, 4 * s]], [[s, 0], [0, s]], [[s, s], [0, s]], [[s, 1e-300], [1e-10, s / 2]]):
+            (a, b), (c, d) = [[complex(z) for z in row] for row in T]
+            g0, x, D = (a + d) / 2, (a - d) / 2, a * d - b * c
+            values = (D, x * x + b * c, 1 - 4 * g0 + 4 * D, 4j * (2 * D - g0), -4 * D, max(map(abs, (a, b, c, d))))
+            if all(map(cmath.isfinite, values)):
+                build(Interaction.from_matrix(T))
+                kept += 1
+            else:
+                with pytest.raises(NotRepresentable):
+                    build(Interaction.from_matrix(T))
+                raised += 1
+    assert raised > 30 and kept > 30, (raised, kept)
+    D = 1e154 * 1e154
+    assert cmath.isfinite(D) and not cmath.isfinite(-4 * D)
+    with pytest.raises(NotRepresentable):
+        build(Interaction.from_matrix([[1e154, 0], [0, 1e154]]))
 
 
 def test_evaluate_raises_where_a_factor_overflows():

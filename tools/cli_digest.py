@@ -113,6 +113,11 @@ EDGE_CLASSIFY = [
     (["classify"], json.dumps({"form": "frakT", "t": [[[0.3, 0], [0, 0]], [[1e10, 0], [0, 1]]]})),
     (["classify"], json.dumps({"form": "frakT", "t": [[[1e-152, 0], [0, 0]], [[0, 0], [1.0000000003e-152, 0]]]})),
     (["classify"], json.dumps({"form": "frakT", "t": [[[1, 1], [1, 0]], [[1e-12, 0], [1, 1]]]})),
+    # either side of the overflow of D, xi^2 or a coefficient of p near |T| = 1e154: s [[1, 2], [3, 4]],
+    # diag(1e154, 1e154) (D = 1e308 is finite, c2 = -4D is not) and a Jordan block whose D overflows
+    *((["classify"], _frakt([[s, 2 * s], [3 * s, 4 * s]])) for s in (1e149, 1e150, 1e151, 1e153, 1e154)),
+    (["classify"], _frakt([[1e154, 0], [0, 1e154]])),
+    (["classify"], _frakt([[1.5e154, 1.5e154], [0, 1.5e154]])),
 ]
 
 

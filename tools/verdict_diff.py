@@ -109,6 +109,19 @@ def _near_jordan(rng):
     return _compose(1 / (2 * (1 + 1j * k0)), a + d[0], 1j * a + d[1], d[2])
 
 
+def _near_jordan_tiny(rng):
+    # near-jordan's T with |d| = 10^U(-40, -12), its entries written out,
+    # [[g0 + d3, 2a + d1 - i d2], [d1 + i d2, g0 - d3]], as composing gamma
+    # rounds d away against a: |xi| is about sqrt(2 |a| |d|), below
+    # eps |gamma0| where |d| is below about 1e-32
+    k0 = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2))
+    a = complex(*rng.normal(size=2))
+    d = _cnormal(rng, 3)
+    d *= 10.0 ** rng.uniform(-40, -12) / np.linalg.norm(d)
+    g0 = 1 / (2 * (1 + 1j * k0))
+    return [[g0 + d[2], 2 * a + d[0] - 1j * d[1]], [d[0] + 1j * d[1], g0 - d[2]]]
+
+
 def _near_half(rng):
     # sigma0 / 2 plus a complex normal matrix of size 10^U(-12, -3)
     return np.eye(2) / 2 + _cnormal(rng, 2, 2) * 10.0 ** rng.uniform(-12, -3)
@@ -130,6 +143,15 @@ def _hermitian_small_diag(rng):
     return [[a, b], [b.conjugate(), d]]
 
 
+def _huge(rng):
+    # complex normal T times 10^U(146, 156), across the overflow of p's coefficients near |T| = 1e154; one
+    # off-diagonal entry is set to 0 in a quarter of the draws and scaled by 1e-300 in another quarter
+    t = _cnormal(rng, 2, 2) * 10.0 ** rng.uniform(146, 156)
+    j, u = rng.integers(0, 2), rng.uniform()
+    t[j, 1 - j] *= 0.0 if u < 0.25 else 1e-300 if u < 0.5 else 1.0
+    return t
+
+
 def _abcd(rng):
     # coupling coefficients (a, b, c, d), each complex normal times 10^U(-1, 1)
     return tuple((_cnormal(rng, 4) * 10.0 ** rng.uniform(-1, 1, size=4)).tolist())
@@ -149,6 +171,8 @@ FAMILIES = {
     "near-scalar": (_near_scalar, 1910),
     "abcd": (_abcd, 1911),
     "hermitian-small-diag": (_hermitian_small_diag, 2201),
+    "huge": (_huge, 3401),
+    "near-jordan-tiny": (_near_jordan_tiny, 3402),
 }
 
 
