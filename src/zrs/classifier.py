@@ -17,7 +17,6 @@ from enum import Enum
 from operator import itemgetter
 
 from .interaction import _is_hermitian
-from .pauli import _modulus, _square
 from .smatrix import build
 
 
@@ -84,23 +83,22 @@ def _poles(s):
     return records
 
 
-def _metric_certificate(gamma, tol):
-    """Whether gamma0 is real and sum gamma_j^2 real and positive.
+def _metric_certificate(s):
+    """The first condition of the metric certificate that s fails, as its reason, or None.
 
-    Under this certificate S has one imaginary pole when det T vanishes and
-    two otherwise. Returns (failure, expected): the first failed condition
-    and None, or None and that pole count.
+    The certificate: gamma0 real, and sum gamma_j^2 = xi^2 real and
+    positive, each as the build of s formed it from T's entries (xi^2
+    before any rescale). Then T's eigenvalues gamma0 +- xi are real and
+    distinct, and each root that s records lies on the imaginary axis.
     """
-    g0, g1, g2, g3 = gamma
-    sq = g1 * g1 + g2 * g2 + g3 * g3
-    if abs(g0.imag) > 100 * tol * (1 + abs(g0)):
-        return "gamma0 not real", None
-    if abs(sq.imag) > 100 * tol * (1 + _modulus(sq)):
-        return "sum of gamma_j^2 not real", None
-    if sq.real <= 100 * tol:
-        return "sum of gamma_j^2 not positive", None
-    det = g0 * g0 - sq
-    return None, 1 if _modulus(det) <= 100 * tol * _square(1 + abs(g0)) else 2
+    g0, xi2, tol100 = s._g0, s._xi2, 100 * s.tol
+    if abs(g0.imag) > tol100 * (1 + abs(g0)):
+        return "gamma0 not real"
+    if abs(xi2.imag) > tol100 * (1 + abs(xi2)):
+        return "sum of gamma_j^2 not real"
+    if xi2.real <= tol100:
+        return "sum of gamma_j^2 not positive"
+    return None
 
 
 def classify(interaction):
@@ -147,9 +145,8 @@ def classify(interaction):
         similarity = Similarity.SIMILAR_TO_SELF_ADJOINT
     else:
         # the remaining poles are imaginary and finite (a pole at infinity is a singularity); the
-        # certificate makes their spectrum real and negative when S has exactly the expected ones
-        failure, expected = _metric_certificate(s.interaction.gamma, s.tol)
-        if failure is None and simple_on_axis and len(poles) == expected:
+        # certificate makes their spectrum real and negative when every root recorded is one of them
+        if simple_on_axis and len(poles) == len(s.roots) and _metric_certificate(s) is None:
             similarity = Similarity.SIMILAR_TO_SELF_ADJOINT
         else:
             similarity, region = Similarity.UNDETERMINED, Region.UNDETERMINED

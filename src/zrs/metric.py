@@ -35,12 +35,12 @@ def _applicability(s):
     """The Applicability of the construction on s, or NotApplicable with the reason."""
     if _is_hermitian(s.interaction._entries, s.tol):
         raise NotApplicable("already self-adjoint")
-    failure, expected = _metric_certificate(s.interaction.gamma, s.tol)
+    failure = _metric_certificate(s)
     if failure is not None:
         raise NotApplicable(failure)
     if any(mult >= 2 for _, mult in s.roots):
         raise NotApplicable("pole of order 2")
-    return Applicability.ONE_IMAGINARY_POLE if expected == 1 else Applicability.TWO_IMAGINARY_POLES
+    return Applicability.TWO_IMAGINARY_POLES if len(s.roots) == 2 else Applicability.ONE_IMAGINARY_POLE
 
 
 def construct(interaction):

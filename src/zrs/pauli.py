@@ -6,10 +6,10 @@ The metric construction reads its axis off them; the characteristic data
 of SMatrixFn are taken from the entries of M instead.
 
 The package does this algebra on Python complex and float scalars, with
-Python's own complex division and cmath.sqrt. The helpers at the end give
-a modulus or a square that overflows as inf, where Python raises. numpy is
-imported only where an ndarray is made: by the read-only SIGMA0 to SIGMA3,
-built on first access.
+Python's own complex division and cmath.sqrt. The helper at the end gives
+a modulus that overflows as inf, where Python raises. numpy is imported
+only where an ndarray is made: by the read-only SIGMA0 to SIGMA3, built on
+first access.
 """
 
 import math
@@ -57,13 +57,5 @@ def _modulus(z):
     """
     try:
         return abs(z)
-    except OverflowError:
-        return math.inf
-
-
-def _square(x):
-    """x ** 2 of a float, or inf where it overflows (Python raises there)."""
-    try:
-        return x ** 2
     except OverflowError:
         return math.inf

@@ -77,9 +77,10 @@ class SMatrixFn:
         self.det_t = D = ad - bc
         xe2 = x * x
         xi2 = xe2 + bc
+        self._g0, self._xi2 = g0, xi2  # unscaled, as the metric certificate reads them
         try:  # Python complex arithmetic overflows quietly to inf and NaN, abs raises past the float range
             abs_b, abs_c, abs_bc = abs(b), abs(c), abs(bc)
-            cancelled = abs(ad) + abs_bc
+            cancelled, xi_terms, abs_xi2 = abs(ad) + abs_bc, abs(xe2) + abs_bc, abs(xi2)
             t_max, m_max = max(abs(a), abs_b, abs_c, abs(d)), max(abs(x), abs_b, abs_c)
         except OverflowError:
             t_max = cmath.inf
@@ -89,11 +90,11 @@ class SMatrixFn:
         ):
             raise NotRepresentable(f"characteristic polynomial of {interaction!r} overflows")
         self.scalar = m_max <= tol100 * t_max
-        xi_terms = abs(xe2) + abs_bc
         if xi_terms < 1e-290:  # an underflow of x^2 or bc could decide: both again, exactly, on T / e
             e = 2.0 ** math.frexp(abs(x) + math.sqrt(abs_b) * math.sqrt(abs_c))[1]  # a power of two near their size
             xe2, bc = (x / e) * (x / e), (b / e) * (c / e) if b and c else bc  # b / e alone may overflow; bc is 0
-            xi2, xi_terms = xe2 + bc, abs(xe2) + abs(bc)
+            xi2 = xe2 + bc
+            xi_terms, abs_xi2 = abs(xe2) + abs(bc), abs(xi2)
             self.xi = xi = e * cmath.sqrt(xi2)
         else:
             self.xi = xi = cmath.sqrt(xi2)
@@ -109,7 +110,7 @@ class SMatrixFn:
         if abs(D) <= tol100 * cancelled:
             # a lam at 0 leaves lam = a + d, the root of p = 1 - theta (a + d)
             lams = () if abs(a + d) <= tol100 * (abs(a) + abs(d)) else ((a + d, 1 / (a + d), 1),)
-        elif self.scalar or abs(xi2) <= tol100 * xi_terms:
+        elif self.scalar or abs_xi2 <= tol100 * xi_terms:
             lams = ((D / g0, g0 / D, 2),) if g0 else ()  # lam = 1 / theta, its factor 0 at the root; none at lam 0
         else:
             lams = ((D / w, w / D, 1), (w, 1 / w, 1))

@@ -235,13 +235,13 @@ def test_metric_request_builds_s_once(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, payload, decomposes",
+    "argv, payload",
     [
         # tilted Delta: non-real eigenvalues; DeltaPrime with d = i t: real-axis singularities;
         # Mixed: no finite pole. No row reaches the metric certificate.
-        (["--family", "Delta", "--param=-3:3:0.25", "--dir=0.6,0.8"], "", 0),
-        (["--family", "DeltaPrime", "--param=0.25:2:0.25", "--dir=0,1"], "", 0),
-        (["--family", "Mixed", "--param=-4:4:0.5", "--dir=0.6,0.8"], "", 0),
+        (["--family", "Delta", "--param=-3:3:0.25", "--dir=0.6,0.8"], ""),
+        (["--family", "DeltaPrime", "--param=0.25:2:0.25", "--dir=0,1"], ""),
+        (["--family", "Mixed", "--param=-4:4:0.5", "--dir=0.6,0.8"], ""),
         # a hermitian T, a Jordan T and the two-pole T of the metric, which alone reaches the certificate
         (
             ["--family", "FrakTPath"],
@@ -255,13 +255,12 @@ def test_metric_request_builds_s_once(monkeypatch, capsys):
                     ],
                 }
             ),
-            1,
         ),
     ],
     ids=["Delta", "DeltaPrime", "Mixed", "FrakTPath"],
 )
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_sweep_rows_build_s_once(monkeypatch, capsys, argv, payload, decomposes, fmt):
+def test_sweep_rows_build_s_once(monkeypatch, capsys, argv, payload, fmt):
     counts = {"build": 0, "base_tol": 0, "_decompose": 0}
     _count_calls(monkeypatch, counts, (zrs.cli, zrs.classifier, zrs.smatrix, zrs.interaction))
     code, out, _ = run_cli(["sweep", *argv, "--format", fmt], payload, monkeypatch, capsys)
@@ -271,8 +270,8 @@ def test_sweep_rows_build_s_once(monkeypatch, capsys, argv, payload, decomposes,
     assert counts["build"] == len(rows)
     # main's validation, then per row the build and, for the abcd form, from_abcd's Xi test
     assert counts["base_tol"] <= 1 + len(rows) * (1 if argv[1] == "FrakTPath" else 2)
-    # gamma is taken only where a row reaches the metric certificate
-    assert counts["_decompose"] == decomposes
+    # no row decomposes T: the metric certificate reads what the build formed
+    assert counts["_decompose"] == 0
 
 
 def test_sweep_delta_json(monkeypatch, capsys):
@@ -658,9 +657,12 @@ def _abcd_cells(a="[0, 0]", b="[0, 0]", c="[0, 0]", d="[0, 0]"):
          "field 'ts'[0][1][0] must be [re, im]"),
         (["sweep", "--family=FrakTPath"], '{"form": "frakT_path", "ts": [%s, [[[0, 0], [0, 0]]]]}' % OVERFLOW_T,
          "field 'ts'[1] must be a 2x2 matrix of [re, im] pairs"),
+        (["classify"], '{"form": "frakT"}', "missing field 't'"),
+        (["sweep", "--family=FrakTPath"], '{"form": "frakT", "t": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+         "FrakTPath sweeps need input with form 'frakT_path'"),
     ],
     ids=["short", "number", "bool", "string", "nan", "infinity", "huge", "missing", "t_cell", "t_shape",
-         "ts_cell", "ts_shape"],
+         "ts_cell", "ts_shape", "t_missing", "path_form"],
 )
 def test_schema_errors_name_the_field(argv, payload, err, monkeypatch, capsys):
     assert run_cli(argv, payload, monkeypatch, capsys) == (2, "", f"error: {err}\n")
@@ -728,6 +730,11 @@ def test_exit_code_3_on_unrepresentable_coefficients(monkeypatch, capsys):
         # det = inf - inf makes Xi NaN, which counts as vanishing
         abcd % (("1e200, 0",) * 4),
         '{"form": "frakT", "t": %s}' % OVERFLOW_T,
+        # x^2 = ((a - d)/2)^2 with finite parts and a modulus past the float range, D and p's
+        # coefficients finite: a bare OverflowError and exit 1 before
+        _frakt([[[2.68e154, 4e153], [0, 0]], [[0, 0], [0, 0]]]),
+        _frakt([[[2.6770239483403554e154, -2.575183112425368e153], [-4.7840485422316355e153, 5.471804441174003e153]],
+                [[0, 0], [8.041911602603752e-147, -1.5185952936927392e-146]]]),
     ]
     for payload in payloads + overflows:
         code, _, err = run_cli(["classify"], payload, monkeypatch, capsys)
@@ -759,6 +766,9 @@ def test_exit_code_4_on_grid_guards(monkeypatch, capsys):
         ["sweep", "--family", "Delta", "--param", "0:1:0"], "", monkeypatch, capsys
     )
     assert code == 4
+    assert run_cli(["sweep", "--family=Delta", "--param=1:0:0.5"], "", monkeypatch, capsys) == (
+        4, "", "error: empty parameter grid\n"
+    )
     code, _, err = run_cli(
         ["sweep", "--family", "Delta", "--param", "0:10000000:0.0001"],
         "",

@@ -93,6 +93,8 @@ def test_is_hermitian_past_the_float_range():
     assert not Interaction.from_matrix([[big, 0], [0, 1]]).is_hermitian()
     assert not Interaction.from_matrix([[big, 0], [0, 1.7e308 - 1e308j]]).is_hermitian()
     assert not Interaction.from_matrix([[1, 1.5e308 + 1.5e308j], [1.5e308 - 1e308j, 1]]).is_hermitian()
+    # b - conj(c) = b has finite parts and a modulus past the float range, where abs raises
+    assert not Interaction([[0, 1.5e308 + 1.5e308j], [0, 0]]).is_hermitian()
     # and a conjugate pair whose moduli overflow is still one
     assert Interaction.from_matrix([[1, big], [big.conjugate(), 2]]).is_hermitian()
 

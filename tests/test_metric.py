@@ -1,4 +1,7 @@
+import importlib.util
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +138,49 @@ def test_barely_split_poles_are_two_poles():
     assert [(p.order, p.sheet, p.location.real) for p in c.poles] == [(1, Sheet.PHYSICAL, 0.0)] * 2
     assert [p.location for p in c.poles] == sorted(exact_poles(i.matrix.tolist()), key=lambda k: k.imag)
     assert c.exceptional_points == ()
+
+
+def test_a_small_eigenvalue_is_a_pole_for_the_certificate_too():
+    # T = [[1, i], [0, -1e-11]] has the real, distinct eigenvalues 1 and -1e-11, and S two
+    # simple physical poles, at k = 0.5i and 5e10 i; D = -1e-11 is not 0 against the
+    # terms it cancels, though it is below 100 tol (1 + |gamma0|)^2
+    i = Interaction.from_matrix([[1, 1j], [0, -1e-11]])
+    c = classify(i)
+    assert (c.similarity, c.region) == (Similarity.SIMILAR_TO_SELF_ADJOINT, Region.III)
+    assert [(p.order, p.sheet, p.location.real) for p in c.poles] == [(1, Sheet.PHYSICAL, 0.0)] * 2
+    assert [p.location for p in c.poles] == pytest.approx(
+        sorted(exact_poles(i.matrix.tolist()), key=lambda k: k.imag), rel=1e-12
+    )
+    spec = construct(i)
+    assert spec.applicability is Applicability.TWO_IMAGINARY_POLES
+    assert cosh_chi_from_poles(spec) == pytest.approx(math.cosh(spec.chi), abs=1e-12)
+
+
+def _verdict_draws(name, draws):
+    # the first draws of one seeded family of tools/verdict_diff.py, as interactions
+    path = Path(__file__).resolve().parents[1] / "tools" / "verdict_diff.py"
+    spec = importlib.util.spec_from_file_location("verdict_diff", path)
+    vd = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(vd)
+    return (Interaction.from_matrix(x) for x in itertools.islice(vd.draws(name), draws))
+
+
+@pytest.mark.parametrize("family", ["certificate", "hermitian-small-diag"])
+def test_two_imaginary_poles_exactly_where_two_roots_are_recorded(family):
+    # wherever construct returns a spec, its kind is the number of roots the build recorded,
+    # and cosh chi read off two of them agrees with the spec's
+    specs = two = 0
+    for i in _verdict_draws(family, 2000):
+        try:
+            spec = construct(i)
+        except (NotApplicable, DegenerateGamma):
+            continue
+        specs += 1
+        assert (spec.applicability is Applicability.TWO_IMAGINARY_POLES) == (len(spec.s.roots) == 2), i
+        if len(spec.s.roots) == 2:
+            two += 1
+            assert cosh_chi_from_poles(spec) == pytest.approx(math.cosh(spec.chi), rel=1e-12), i
+    assert specs > 1000 and two > 1000, (specs, two)
 
 
 def test_cosh_chi_from_poles_at_large_scale():

@@ -11,7 +11,7 @@ REMOVED = {
     ),
     classifier: ("find_poles", "spectral_singularities", "exceptional_points", "_merged", "_exceptional", "_nilpotent"),
     errors: ("InternalInconsistency",),
-    pauli: ("compose", "decompose"),
+    pauli: ("compose", "decompose", "_square"),
     interaction: ("PotentialABCD",),
     metric: ("check_applicability",),
     smatrix: ("_ZERO", "_HALF_IDENTITY", "_TILTED", "_double_root"),

@@ -71,6 +71,10 @@ def test_function_evaluation():
     h = minus_exponential(1j)
     assert h(-2.0) == pytest.approx(np.exp(-2.0))
     assert h(1.0) == 0
+    # a custom g evaluates its callable on x as a float array, and gives a complex at a scalar x
+    c = custom(lambda x: x * (1 + 1j))
+    assert c(2) == 2 + 2j and type(c(2)) is complex
+    assert np.array_equal(c([1, -3.0]), [1 + 1j, -3 - 3j])
 
 
 def test_exponentials_vanish_quietly_off_their_support():

@@ -159,6 +159,23 @@ def test_not_representable_exactly_where_p_overflows():
         build(Interaction.from_matrix([[1e154, 0], [0, 1e154]]))
 
 
+def test_not_representable_where_a_modulus_overflows():
+    # x^2 = ((a - d)/2)^2 has finite parts and a modulus past the float range, while D and
+    # the coefficients of p are finite: build raised a bare OverflowError from abs there
+    for T in (
+        [[2.68e154 + 4e153j, 0], [0, 0]],
+        [[2.6770239483403554e154 - 2.575183112425368e153j, -4.7840485422316355e153 + 5.471804441174003e153j],
+         [0, 8.041911602603752e-147 - 1.5185952936927392e-146j]],
+    ):
+        (a, b), (c, d) = T
+        g0, x, D = (a + d) / 2, (a - d) / 2, a * d - b * c
+        assert all(map(cmath.isfinite, (D, x * x, 1 - 4 * g0 + 4 * D, 4j * (2 * D - g0), -4 * D)))
+        with pytest.raises(OverflowError):
+            abs(x * x)
+        with pytest.raises(NotRepresentable):
+            build(Interaction.from_matrix(T))
+
+
 def test_evaluate_raises_where_a_factor_overflows():
     # T = diag(1e150, 1e-10) at k = 1e160: the factor 1 - theta_k 1e150 is
     # past the float range, though theta_k D is not; 4ik over it is 0, which

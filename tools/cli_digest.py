@@ -118,6 +118,10 @@ EDGE_CLASSIFY = [
     *((["classify"], _frakt([[s, 2 * s], [3 * s, 4 * s]])) for s in (1e149, 1e150, 1e151, 1e153, 1e154)),
     (["classify"], _frakt([[1e154, 0], [0, 1e154]])),
     (["classify"], _frakt([[1.5e154, 1.5e154], [0, 1.5e154]])),
+    # x^2 with finite parts and a modulus past the float range, D and p's coefficients finite
+    (["classify"], _frakt([[2.68e154 + 4e153j, 0], [0, 0]])),
+    # eigenvalues 1 and -1e-11: D is not 0 against the terms it cancels, two simple imaginary poles
+    (["classify"], _frakt([[1, 1j], [0, -1e-11]])),
 ]
 
 
@@ -127,7 +131,8 @@ def _cells(**cells):
 
 
 # (argv, payload) of malformed inputs, one for each error text of the input schema, and of metric on
-# T = [[0, 0], [c, 1]] (eigenvalues 0 and 1), where kappa = (1 + 1/c^2)^(-1/2) rounds to 1 from about c = 1e8
+# T = [[0, 0], [c, 1]] (eigenvalues 0 and 1), where kappa = (1 + 1/c^2)^(-1/2) rounds to 1 from about c = 1e8,
+# and on EDGE_CLASSIFY's [[1, i], [0, -1e-11]]
 _ZERO_T = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
 EDGE_INPUTS = [
     (["classify"], _cells(a=[1])),
@@ -142,7 +147,10 @@ EDGE_INPUTS = [
     (["classify"], json.dumps({"form": "frakT", "t": [[[0, 0], [0, 0]], [[0, 0]]]})),
     (["sweep", "--family=FrakTPath"], json.dumps({"form": "frakT_path", "ts": [[[[0, 0], [0, 0]], [[0, 0, 0], [0, 0]]]]})),
     (["sweep", "--family=FrakTPath"], json.dumps({"form": "frakT_path", "ts": [_ZERO_T, [[[0, 0], [0, 0]]]]})),
+    (["classify"], json.dumps({"form": "frakT"})),
+    (["sweep", "--family=FrakTPath"], json.dumps({"form": "frakT", "t": _ZERO_T})),
     *((["metric"], _frakt([[0, 0], [c, 1]])) for c in (1e7, 1e8, 1e9)),
+    (["metric"], _frakt([[1, 1j], [0, -1e-11]])),
 ]
 
 
@@ -162,7 +170,11 @@ def command_lines(corpus, seed):
 
 
 def run(main, argv, payload):
-    """(exit code, stdout, stderr) of one in-process call of main."""
+    """(exit code, stdout, stderr) of one in-process call of main.
+
+    An exception main lets out is exit code 1, as for the command line, with
+    the last line of its traceback as stderr.
+    """
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin, sys.stdout, sys.stderr
     sys.stdin, sys.stdout, sys.stderr = io.StringIO(payload), out, err
@@ -171,6 +183,9 @@ def run(main, argv, payload):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+        except Exception as exc:
+            code = 1
+            err.write(f"{type(exc).__name__}: {exc}\n")
     finally:
         sys.stdin, sys.stdout, sys.stderr = saved
     return code, out.getvalue(), err.getvalue()

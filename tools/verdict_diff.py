@@ -1,32 +1,45 @@
-"""Verdict transitions of `classify` between two checkouts, over seeded families.
+"""Verdict transitions of `classify` and `metric.construct` between two checkouts, over seeded families.
 
     python3 tools/verdict_diff.py ROOT_A ROOT_B
 
-draws every family in FAMILIES at its fixed seed, classifies each draw with
-the zrs sources under ROOT_A/src and then under ROOT_B/src, each checkout in
-its own subprocess, and prints one block per family:
+draws every family in FAMILIES at its fixed seed, classifies each draw and
+runs the metric construction on it with the zrs sources under ROOT_A/src
+and then under ROOT_B/src, each checkout in its own subprocess, and prints
+one block per family:
 
     family hermitian-diag: 4000 draws, seed 1906; exit 1: 628 -> 628; SelfAdjoint in region I: 37 -> 0;
     SelfAdjoint with an exceptional point: 554 -> 554
          37  SelfAdjoint/I 1P 1P ep0  ->  SelfAdjoint/III 1P 1P ep0
+    family hermitian-small-diag: 4000 draws, seed 2201; exit 1: 0 -> 0; SelfAdjoint in region I: 0 -> 0;
+    SelfAdjoint with an exceptional point: 0 -> 0
+      metric: TwoImaginaryPoles 2249 -> 3171; OneImaginaryPole 922 -> 0; DegenerateGamma: Re gamma and
+    Im gamma are collinear 799 -> 799; NotApplicable: already self-adjoint 30 -> 30
+        922  metric: OneImaginaryPole  ->  TwoImaginaryPoles
 
-where the family line, printed as one line, is wrapped here. A self-adjoint
-operator has neither a non-real eigenvalue nor a Jordan block, so the two
-SelfAdjoint counts read 0 on working code.
+where each family and metric line, printed as one line, is wrapped here,
+and the first block's metric line is left out. A self-adjoint operator has
+neither a non-real eigenvalue nor a Jordan block, so the two SelfAdjoint
+counts read 0 on working code.
 
 A verdict is the similarity and region, the order and sheet of each pole
 (P physical, R real axis, N nonphysical, inf the pole at infinity) and the
 number of exceptional points; a draw that raises gets the error class and
 the command line's exit code instead (3 for NotRepresentable, 1 for any
 other error). Each row under a family counts the draws whose verdict went
-from the left one to the right one. A tree compared with itself prints the
-family lines only, and two runs on the same trees print identical output:
-the draws depend only on this file and the installed numpy.
+from the left one to the right one. The metric line counts each outcome of
+`construct` on either side: its applicability kind, the error class and
+reason of NotApplicable (the `metric` subcommand's not-applicable answer)
+and of DegenerateGamma, or the error class and exit code of any other
+error. The rows under it, marked `metric:`, count the draws whose outcome
+moved. A tree compared with itself prints the family and metric lines only,
+and two runs on the same trees print identical output: the draws depend
+only on this file and the installed numpy.
 
     python3 tools/verdict_diff.py --verdicts ROOT
 
-prints the verdict of every draw at one checkout, one tab-separated line
-(family, index, verdict) per draw; that is what each subprocess runs.
+prints the verdict and metric outcome of every draw at one checkout, one
+tab-separated line (family, index, verdict, outcome) per draw; that is what
+each subprocess runs.
 """
 
 import subprocess
@@ -185,31 +198,62 @@ def draws(name):
         yield x if name == "abcd" else [[complex(z) for z in row] for row in x]
 
 
-def verdict(name, x):
-    """The verdict of classify on one draw, as one line of text."""
-    from zrs import Interaction, classify  # from the checkout main puts on sys.path
+def _interaction(name, x):
+    from zrs import Interaction  # from the checkout main puts on sys.path
+
+    return Interaction.from_abcd(*x) if name == "abcd" else Interaction.from_matrix(x)
+
+
+def _error(exc):
+    """The error class of a draw that raises, with the command line's exit code for it."""
     from zrs.errors import NotRepresentable
 
+    return f"{type(exc).__name__} (exit {3 if isinstance(exc, NotRepresentable) else 1})"
+
+
+def verdict(name, x):
+    """The verdict of classify on one draw, as one line of text."""
+    from zrs import classify
+
     try:
-        c = classify(Interaction.from_abcd(*x) if name == "abcd" else Interaction.from_matrix(x))
-    except NotRepresentable:
-        return "NotRepresentable (exit 3)"
-    except Exception as exc:  # the command line exits 1 on every other error
-        return f"{type(exc).__name__} (exit 1)"
+        c = classify(_interaction(name, x))
+    except Exception as exc:  # the command line exits 1 on every error but NotRepresentable
+        return _error(exc)
     poles = " ".join(f"{p.order}{_SHEETS[p.sheet.value]}" for p in c.poles) or "-"
     return f"{c.similarity.value}/{c.region.value} {poles} ep{len(c.exceptional_points)}"
 
 
+def outcome(name, x):
+    """The outcome of metric.construct on one draw, as one line of text."""
+    from zrs.errors import DegenerateGamma, NotApplicable
+    from zrs.metric import construct
+
+    try:
+        return construct(_interaction(name, x)).applicability.value
+    except (NotApplicable, DegenerateGamma) as exc:  # with the reason the metric subcommand prints
+        return f"{type(exc).__name__}: {exc}"
+    except Exception as exc:
+        return _error(exc)
+
+
 def _verdicts(root):
-    """{family: [verdict of each draw]} at one checkout, from a subprocess."""
+    """{family: [verdict of each draw]} and {family: [outcome of each draw]} at one checkout, from a subprocess."""
     run = subprocess.run(
         [sys.executable, __file__, "--verdicts", str(root)], capture_output=True, text=True, check=True
     )
-    out = {name: [] for name in FAMILIES}
+    verdicts, outcomes = {name: [] for name in FAMILIES}, {name: [] for name in FAMILIES}
     for line in run.stdout.splitlines():
-        name, _, v = line.split("\t")
-        out[name].append(v)
-    return out
+        name, _, v, o = line.split("\t")
+        verdicts[name].append(v)
+        outcomes[name].append(o)
+    return verdicts, outcomes
+
+
+def _moves(a, b, mark=""):
+    """One row per transition from a to b, the most frequent first."""
+    moves = Counter((va, vb) for va, vb in zip(a, b) if va != vb)
+    for (va, vb), n in sorted(moves.items(), key=lambda item: (-item[1], item[0])):
+        print(f"  {n:5d}  {mark}{va}  ->  {vb}")
 
 
 def main(argv):
@@ -217,7 +261,7 @@ def main(argv):
         sys.path.insert(0, str(Path(argv[1]).resolve() / "src"))
         for name in FAMILIES:
             for index, x in enumerate(draws(name)):
-                print(name, index, verdict(name, x), sep="\t")
+                print(name, index, verdict(name, x), outcome(name, x), sep="\t")
         return 0
     if len(argv) != 2:
         print("usage: verdict_diff.py ROOT_A ROOT_B", file=sys.stderr)
@@ -227,7 +271,7 @@ def main(argv):
         if not (root / "src" / "zrs" / "classifier.py").is_file():
             print(f"error: no zrs sources under {root / 'src'}", file=sys.stderr)
             return 2
-    a, b = (_verdicts(root) for root in roots)
+    (a, metric_a), (b, metric_b) = (_verdicts(root) for root in roots)
     for name, (_, seed) in FAMILIES.items():
         exit1 = [sum(v.endswith("(exit 1)") for v in side[name]) for side in (a, b)]
         region1 = [sum(v.startswith("SelfAdjoint/I ") for v in side[name]) for side in (a, b)]
@@ -237,9 +281,11 @@ def main(argv):
             f" SelfAdjoint in region I: {region1[0]} -> {region1[1]};"
             f" SelfAdjoint with an exceptional point: {ep[0]} -> {ep[1]}"
         )
-        moves = Counter((va, vb) for va, vb in zip(a[name], b[name]) if va != vb)
-        for (va, vb), n in sorted(moves.items(), key=lambda item: (-item[1], item[0])):
-            print(f"  {n:5d}  {va}  ->  {vb}")
+        _moves(a[name], b[name])
+        count_a, count_b = Counter(metric_a[name]), Counter(metric_b[name])
+        kinds = sorted(count_a.keys() | count_b.keys(), key=lambda o: (-count_a[o], -count_b[o], o))
+        print("  metric: " + "; ".join(f"{o} {count_a[o]} -> {count_b[o]}" for o in kinds))
+        _moves(metric_a[name], metric_b[name], "metric: ")
     return 0
 
 
