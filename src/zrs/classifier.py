@@ -7,9 +7,12 @@ cancels (one for scalar T, one at the origin for its k).
 
 A pole in the open upper half-plane is an eigenvalue z = k0^2 of the
 operator; a pole on the real axis is a spectral singularity; an order-two
-pole in the upper half-plane is an exceptional point, read off the order
-that SMatrixFn.orders records. When p degenerates to a constant while T is
-nonzero, S grows linearly in k: a singularity at infinity.
+pole in the upper half-plane is an exceptional point. When p degenerates to
+a constant while T is nonzero, S grows linearly in k: a singularity at
+infinity. Each pole's sheet and the reality of its lam are read off
+SMatrixFn.k_real and SMatrixFn.lam_real: z = k0^2 is real, and negative,
+exactly where lam is. Where the poles leave similarity open,
+SMatrixFn._not_similar decides it.
 """
 
 from collections import namedtuple
@@ -51,54 +54,30 @@ SpectralClassification = namedtuple(
 )
 
 
-def _is_real(z, tol1000):
-    """Whether |Im z| is at most 1000 tol (1 + |z|), given tol1000 = 1000 tol."""
-    return abs(z.imag) <= tol1000 * (1 + abs(z))
-
-
 _by_key = itemgetter(0)
 
 
 def _poles(s):
-    """(sort key, report, whether i k0 is real) of each pole of S: classify's first stage.
+    """(sort key, report, whether its lam is real) of each pole of S: classify's first stage.
 
     Finite poles by location, then the pole at infinity.
     """
-    records, tol1000 = [], 1000 * s.tol
-    for (loc, _), order in zip(s.roots, s.orders):
+    records = []
+    for (loc, _), order, lam_real, k_real in zip(s.roots, s.orders, s.lam_real, s.k_real):
         if not order:  # every factor at this root cancels
             continue
         # adding 0.0 clears the negative zeros that k = i(1 - theta/2) can carry
         loc = complex(loc.real + 0.0, loc.imag + 0.0)
-        on_real_axis, on_axis = _is_real(loc, tol1000), _is_real(1j * loc, tol1000)
-        sheet = Sheet.REAL_AXIS if on_real_axis else Sheet.PHYSICAL if loc.imag > 0 else Sheet.NONPHYSICAL
-        # on the imaginary axis Re k is rounding noise, so those poles are ordered by Im k first
-        key = (0.0 if on_axis else loc.real, loc.imag, loc.real)
-        records.append((key, PoleReport(loc, order, sheet, loc * loc), on_axis))
+        sheet = Sheet.REAL_AXIS if k_real else Sheet.PHYSICAL if loc.imag > 0 else Sheet.NONPHYSICAL
+        # a real lam puts k on the imaginary axis, where Re k is rounding noise: those poles are ordered by Im k first
+        key = (0.0 if lam_real else loc.real, loc.imag, loc.real)
+        records.append((key, PoleReport(loc, order, sheet, loc * loc), lam_real))
     if len(records) > 1:
         records.sort(key=_by_key)
     # with no factor recorded, S = sigma0 + 4ik T is constant or grows linearly in k
     if not s.roots and not s.constant:
         records.append((None, PoleReport(None, 1, Sheet.INFINITY, None), False))
     return records
-
-
-def _metric_certificate(s):
-    """The first condition of the metric certificate that s fails, as its reason, or None.
-
-    The certificate: gamma0 real, and sum gamma_j^2 = xi^2 real and
-    positive, each as the build of s formed it from T's entries (xi^2
-    before any rescale). Then T's eigenvalues gamma0 +- xi are real and
-    distinct, and each root that s records lies on the imaginary axis.
-    """
-    g0, xi2, tol100 = s._g0, s._xi2, 100 * s.tol
-    if abs(g0.imag) > tol100 * (1 + abs(g0)):
-        return "gamma0 not real"
-    if abs(xi2.imag) > tol100 * (1 + abs(xi2)):
-        return "sum of gamma_j^2 not real"
-    if xi2.real <= tol100:
-        return "sum of gamma_j^2 not positive"
-    return None
 
 
 def classify(interaction):
@@ -112,27 +91,24 @@ def classify(interaction):
         points, the similarity verdict and the parameter-space region.
     """
     s = build(interaction)
-    tol1000 = 1000 * s.tol
     poles, eigenvalues, singular, excs = [], [], [], []
     at_infinity = nonreal = negative = False
-    simple_on_axis = True
-    for _, p, on_axis in _poles(s):
+    for _, p, lam_real in _poles(s):
         poles.append(p)
-        simple_on_axis = simple_on_axis and on_axis and p.order == 1
         if p.sheet is Sheet.PHYSICAL:
             eigenvalues.append(p.z)
             if p.order >= 2:
                 excs.append(p.z)
-            real = _is_real(p.z, tol1000)
-            nonreal = nonreal or not real
-            negative = negative or real and p.z.real < 0
+            # z = k^2 is real exactly when lam is, and then negative on this sheet
+            nonreal = nonreal or not lam_real
+            negative = negative or lam_real
         elif p.sheet is Sheet.REAL_AXIS:
             singular.append(float(p.z.real))
         elif p.sheet is Sheet.INFINITY:
             at_infinity = True
     merged = []  # sorted, less each value within tolerance of the one kept before it
     for z in sorted(singular) if singular else ():
-        if not (merged and abs(z - merged[-1]) <= tol1000 * (1 + abs(z))):
+        if not (merged and abs(z - merged[-1]) <= 1000 * s.tol * (1 + abs(z))):
             merged.append(z)
     at_singularity = bool(merged) or at_infinity or bool(excs)
     region = Region.I if nonreal else Region.II if at_singularity else Region.III
@@ -140,16 +116,11 @@ def classify(interaction):
         similarity = Similarity.SELF_ADJOINT
     elif at_singularity or nonreal:
         similarity = Similarity.NOT_SIMILAR
-    elif not eigenvalues:
-        # S is holomorphic and bounded on the upper half-plane
+    elif not eigenvalues or s._not_similar() is None:
+        # S is holomorphic and bounded on the upper half-plane, or T has real, distinct eigenvalues
         similarity = Similarity.SIMILAR_TO_SELF_ADJOINT
     else:
-        # the remaining poles are imaginary and finite (a pole at infinity is a singularity); the
-        # certificate makes their spectrum real and negative when every root recorded is one of them
-        if simple_on_axis and len(poles) == len(s.roots) and _metric_certificate(s) is None:
-            similarity = Similarity.SIMILAR_TO_SELF_ADJOINT
-        else:
-            similarity, region = Similarity.UNDETERMINED, Region.UNDETERMINED
+        similarity, region = Similarity.UNDETERMINED, Region.UNDETERMINED
     # in the order of SpectralClassification's fields
     return SpectralClassification(
         tuple(poles), tuple(eigenvalues), tuple(merged), at_infinity, tuple(excs), similarity, region, negative

@@ -1,8 +1,9 @@
 """Metric (positive intertwining) operators for non-self-adjoint interactions.
 
-When gamma0 is real and the space part of gamma has a real positive square,
-write gamma_j = u_j + i v_j (j = 1..3). Then u and v are orthogonal with
-|u| > |v|, and with
+When T has real, distinct eigenvalues gamma0 +- xi (as SMatrixFn records
+them: each lam real, xi real and not 0), gamma0 is real and the space part of
+gamma has the real positive square xi^2. Write gamma_j = u_j + i v_j (j = 1..3).
+Then u and v are orthogonal with |u| > |v|, and with
 
     kappa = |v| / |u|,  chi = atanh(kappa),  alpha = -(u x v)/|u x v|
 
@@ -18,7 +19,6 @@ from enum import Enum
 
 from .errors import DegenerateGamma, NotApplicable
 from .smatrix import build
-from .classifier import _metric_certificate
 from .interaction import _is_hermitian
 
 
@@ -32,14 +32,14 @@ MetricSpec.__doc__ = "Parameters of the metric operator E, and the S and applica
 
 
 def _applicability(s):
-    """The Applicability of the construction on s, or NotApplicable with the reason."""
-    if _is_hermitian(s.interaction._entries, s.tol):
-        raise NotApplicable("already self-adjoint")
-    failure = _metric_certificate(s)
-    if failure is not None:
-        raise NotApplicable(failure)
-    if any(mult >= 2 for _, mult in s.roots):
-        raise NotApplicable("pole of order 2")
+    """The Applicability of the construction on s, or NotApplicable with the reason.
+
+    It applies where T is not hermitian and SMatrixFn._not_similar finds no
+    reason, the rule by which classify says SimilarToSelfAdjoint/III.
+    """
+    reason = "already self-adjoint" if _is_hermitian(s.interaction._entries, s.tol) else s._not_similar()
+    if reason is not None:
+        raise NotApplicable(reason)
     return Applicability.TWO_IMAGINARY_POLES if len(s.roots) == 2 else Applicability.ONE_IMAGINARY_POLE
 
 
@@ -49,20 +49,21 @@ def construct(interaction):
     Raises
     ------
     NotApplicable
-        If the construction does not apply (already self-adjoint, no metric
-        certificate, a pole of order 2), or E is not representable because
-        kappa rounds to 1 (chi = atanh(kappa) would be infinite), with the
-        reason.
+        If the construction does not apply (already self-adjoint, no finite
+        pole, a pole of order 2, an eigenvalue not real, a pole on the real
+        axis), or E is not representable because kappa rounds to 1
+        (chi = atanh(kappa) would be infinite), with the reason.
     DegenerateGamma
         If the real and imaginary parts of the gamma space part are
-        collinear, leaving no axis for sigma_alpha.
+        collinear, |u x v| at most 0.1 tol |u| |v|, leaving no axis for
+        sigma_alpha.
     """
     s = build(interaction)
     applicability = _applicability(s)
     (u1, v1), (u2, v2), (u3, v3) = ((g.real, g.imag) for g in s.interaction.gamma[1:])
     cross = (u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1)
     norm_u, norm_v, norm_cross = math.hypot(u1, u2, u3), math.hypot(v1, v2, v3), math.hypot(*cross)  # scale inside
-    if norm_cross <= 0.1 * s.tol * (1 + norm_u * norm_v):
+    if norm_cross <= 0.1 * s.tol * norm_u * norm_v:
         raise DegenerateGamma("Re gamma and Im gamma are collinear")
     kappa = norm_v / norm_u
     if kappa >= 1:

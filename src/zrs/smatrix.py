@@ -52,6 +52,16 @@ class SMatrixFn:
     orders : tuple
         Order of the pole of S at each root: its multiplicity less the factors
         the numerator cancels, 0 where none is left.
+    lam_real : tuple
+        Whether the lam of each root is real: |Im lam| at most 1000 tol |lam|.
+        A lam that the zero test of D drops counts as 0, which is real.
+    k_real : tuple
+        Whether each root lies on the real axis, a spectral singularity where
+        its order is not 0: |Im k| at most 1000 tol (1 + |k|).
+    xi_real : bool
+        Whether xi is real and not 0, against the terms |x^2| + |bc| of xi^2,
+        not lam: |Im xi^2| at most 1000 tol and Re xi^2 above 100 tol times
+        them. lam = 1 +- 5e-10i pass lam_real, but xi^2 = -2.5e-19.
     scalar : bool
         Whether the boundary matrix is a multiple of sigma0.
     constant : bool
@@ -71,13 +81,12 @@ class SMatrixFn:
     def __init__(self, interaction):
         self.interaction = interaction
         self.tol = tol = base_tol()
-        tol100 = 100 * tol
+        tol100, tol1000 = 100 * tol, 1000 * tol
         a, b, c, d = interaction._entries
         g0, x, ad, bc = (a + d) / 2, (a - d) / 2, a * d, b * c  # T = g0 sigma0 + M, M = [[x, b], [c, -x]]
         self.det_t = D = ad - bc
         xe2 = x * x
         xi2 = xe2 + bc
-        self._g0, self._xi2 = g0, xi2  # unscaled, as the metric certificate reads them
         try:  # Python complex arithmetic overflows quietly to inf and NaN, abs raises past the float range
             abs_b, abs_c, abs_bc = abs(b), abs(c), abs(bc)
             cancelled, xi_terms, abs_xi2 = abs(ad) + abs_bc, abs(xe2) + abs_bc, abs(xi2)
@@ -98,6 +107,7 @@ class SMatrixFn:
             self.xi = xi = e * cmath.sqrt(xi2)
         else:
             self.xi = xi = cmath.sqrt(xi2)
+        self.xi_real = abs(xi2.imag) <= tol1000 * xi_terms and xi2.real > tol100 * xi_terms
         # S's value reads w, the larger of g0 +- xi, and D / w, which keeps a small one that g0 - xi cancels, or
         # 2 g0 - w where w^2 is below the terms D cancels, as the sqrt leaves w too rough for D / w to keep tr T;
         # g0 + xi is w on a tie and where a modulus is NaN
@@ -114,23 +124,40 @@ class SMatrixFn:
             lams = ((D / g0, g0 / D, 2),) if g0 else ()  # lam = 1 / theta, its factor 0 at the root; none at lam 0
         else:
             lams = ((D / w, w / D, 1), (w, 1 / w, 1))
-        roots, thetas, kept = [], [], []
+        roots, thetas, kept, lam_real, k_real = [], [], [], [], []
         for lam, theta, mult in lams:
             if max(abs(theta.real), abs(theta.imag)) < 1e154:  # past it no z = k^2 is in the float range
                 if abs(1 - 2 * lam) <= tol100:  # lam = 1/2 at k = 0, asked of 1 - 2 lam
                     lam, theta = 0.5, 2.0
-                roots.append((1j * (1 - theta / 2), mult))
+                k = 1j * (1 - theta / 2)
+                roots.append((k, mult))
                 thetas.append(theta)
                 kept.append(lam)
+                lam_real.append(abs(lam.imag) <= tol1000 * abs(lam))
+                k_real.append(abs(k.imag) <= tol1000 * (1 + abs(k)))
         if thetas == [2.0, 2.0]:  # both lam at 1/2: one double root
-            roots, thetas, kept = [(0j, 2)], [2.0], [0.5]
+            roots, thetas, kept, lam_real, k_real = [(0j, 2)], [2.0], [0.5], [True], [True]
         # Which factors cancel, as the module docstring derives: one for scalar T, and a lam at 1/2 the numerator's k
         orders = [1] * len(roots) if self.scalar else [mult for _, mult in roots]
         self._cancels_k = 2.0 in thetas
         if self._cancels_k:
             orders[thetas.index(2.0)] -= 1
         self.roots, self.thetas, self.lams, self.orders = tuple(roots), tuple(thetas), tuple(kept), tuple(orders)
+        self.lam_real, self.k_real = tuple(lam_real), tuple(k_real)
         self.constant = not any(orders) and (self._cancels_k or not any((a, b, c, d)))
+
+    def _not_similar(self):
+        """The first reason the roots fail to show T similar to a hermitian matrix, or None where T has real,
+        distinct eigenvalues and no pole (a root of order not 0) on the real axis."""
+        if not self.roots:
+            return "no finite pole"
+        if any(mult >= 2 for _, mult in self.roots):
+            return "pole of order 2"
+        if not (self.xi_real and all(self.lam_real)):
+            return "eigenvalue not real"
+        if any(k_real and order for k_real, order in zip(self.k_real, self.orders)):
+            return "pole on the real axis"
+        return None
 
     def p(self, k):
         """Characteristic polynomial det(sigma0 - theta_k T) at k, the product of its eigenvalues' factors."""

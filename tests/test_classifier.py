@@ -290,14 +290,35 @@ def test_distinct_eigenvalues_that_round_to_one_float():
     # [[1, 1], [1e-40, 1]] has the distinct eigenvalues 1 +- 1e-20: xi^2 = bc cancels
     # nothing, so two simple roots, but xi is below eps |gamma0| and both round to 1.
     # This pins what classify reports for them today: two simple physical poles at one
-    # float, no exceptional point, and Undetermined, as sum gamma_j^2 = 1e-40 fails the
-    # metric certificate. A change to any of it should be a stated one
+    # float, no exceptional point, and SimilarToSelfAdjoint/III, as both lam are real and
+    # neither is double. A change to any of it should be a stated one
     s = build(Interaction.from_matrix([[1, 1], [1e-40, 1]]))
     assert s.xi == 1e-20 and s.roots == ((0.5j, 1), (0.5j, 1)) and s.orders == (1, 1)
     got = classify(Interaction.from_matrix([[1, 1], [1e-40, 1]]))
     assert got.poles == ((0.5j, 1, Sheet.PHYSICAL, -0.25), (0.5j, 1, Sheet.PHYSICAL, -0.25))
     assert got.eigenvalues == (-0.25, -0.25) and got.exceptional_points == ()
+    assert (got.similarity, got.region) == (Similarity.SIMILAR_TO_SELF_ADJOINT, Region.III)
+
+
+def test_similarity_asks_the_split_and_the_multiplicity():
+    # T = [[1, 5e-10], [-5e-10, 1]] is normal with eigenvalues 1 +- 5e-10i: each lam passes its own
+    # reality test, 1000 tol |lam|, but the split is not real, xi^2 = -2.5e-19 exactly
+    s = build(Interaction.from_matrix([[1, 5e-10], [-5e-10, 1]]))
+    assert all(s.lam_real) and not s.xi_real and s._not_similar() == "eigenvalue not real"
+    got = classify(Interaction.from_matrix([[1, 5e-10], [-5e-10, 1]]))
     assert (got.similarity, got.region) == (Similarity.UNDETERMINED, Region.UNDETERMINED)
+    # the Jordan block [[1, 5e-11], [0, 1]] is scalar within 100 tol, so its double root has order 1,
+    # but the root is still double: not shown similar
+    s = build(Interaction.from_matrix([[1, 5e-11], [0, 1]]))
+    assert s.roots == ((0.5j, 2),) and s.orders == (1,) and s._not_similar() == "pole of order 2"
+    got = classify(Interaction.from_matrix([[1, 5e-11], [0, 1]]))
+    assert (got.similarity, got.region) == (Similarity.UNDETERMINED, Region.UNDETERMINED)
+    # the distinct real eigenvalues 1/2 and 1: the root of 1/2 cancels to order 0 and is no pole
+    s = build(Interaction.from_matrix([[0.5, 1], [0, 1]]))
+    assert s.orders == (0, 1) and s._not_similar() is None
+    got = classify(Interaction.from_matrix([[0.5, 1], [0, 1]]))
+    assert (got.similarity, got.region) == (Similarity.SIMILAR_TO_SELF_ADJOINT, Region.III)
+    assert got.poles == ((0.5j, 1, Sheet.PHYSICAL, -0.25),)
 
 
 def test_jordan_block_at_large_scale_is_an_exceptional_point():

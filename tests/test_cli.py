@@ -175,14 +175,18 @@ def _frakt(t):
 def test_metric_not_applicable(monkeypatch, capsys):
     cases = [
         (DELTA_ATTRACTIVE, "already self-adjoint"),
-        # gamma = (0.1 + 0.2i, 0.5, 0.3i, 0)
-        (_frakt([[[0.1, 0.2], [0.8, 0]], [[0.2, 0], [0.1, 0.2]]]), "gamma0 not real"),
-        # gamma = (0.2, 0.5 + 0.1i, 0, 0)
-        (_frakt([[[0.2, 0], [0.5, 0.1]], [[0.5, 0.1], [0.2, 0]]]), "sum of gamma_j^2 not real"),
-        # gamma = (0.3, 0.2, 0.5i, 0)
-        (_frakt([[[0.3, 0], [0.7, 0]], [[-0.3, 0], [0.3, 0]]]), "sum of gamma_j^2 not positive"),
+        # gamma = (0.1 + 0.2i, 0.5, 0.3i, 0): eigenvalues 0.5 + 0.2i and -0.3 + 0.2i
+        (_frakt([[[0.1, 0.2], [0.8, 0]], [[0.2, 0], [0.1, 0.2]]]), "eigenvalue not real"),
+        # gamma = (0.2, 0.5 + 0.1i, 0, 0): eigenvalues 0.2 +- (0.5 + 0.1i)
+        (_frakt([[[0.2, 0], [0.5, 0.1]], [[0.5, 0.1], [0.2, 0]]]), "eigenvalue not real"),
+        # gamma = (0.3, 0.2, 0.5i, 0): xi^2 = -0.21, eigenvalues 0.3 +- 0.458i
+        (_frakt([[[0.3, 0], [0.7, 0]], [[-0.3, 0], [0.3, 0]]]), "eigenvalue not real"),
         # gamma = (0.3, 0, 1e3 i (1 - 5e-15), 1e3): xi^2 = x^2 + bc cancels to 5e-15 of its terms, a double root
         (_frakt([[[1000.3, 0], [999.999999999995, 0]], [[-999.999999999995, 0], [-999.7, 0]]]), "pole of order 2"),
+        # eigenvalues 1 +- 5e-10i, each real within 1000 tol of itself, but xi^2 = -2.5e-19 (not DegenerateGamma)
+        (_frakt([[[1, 0], [5e-10, 0]], [[-5e-10, 0], [1, 0]]]), "eigenvalue not real"),
+        # a Jordan block within 100 tol of scalar: one root of multiplicity 2, whose order the scalar rule sets to 1
+        (_frakt([[[1, 0], [5e-11, 0]], [[0, 0], [1, 0]]]), "pole of order 2"),
     ]
     for payload, reason in cases:
         code, out, err = run_cli(["metric"], payload, monkeypatch, capsys)
@@ -238,11 +242,11 @@ def test_metric_request_builds_s_once(monkeypatch, capsys):
     "argv, payload",
     [
         # tilted Delta: non-real eigenvalues; DeltaPrime with d = i t: real-axis singularities;
-        # Mixed: no finite pole. No row reaches the metric certificate.
+        # Mixed: no finite pole. No row reaches the similarity rule on the recorded lam.
         (["--family", "Delta", "--param=-3:3:0.25", "--dir=0.6,0.8"], ""),
         (["--family", "DeltaPrime", "--param=0.25:2:0.25", "--dir=0,1"], ""),
         (["--family", "Mixed", "--param=-4:4:0.5", "--dir=0.6,0.8"], ""),
-        # a hermitian T, a Jordan T and the two-pole T of the metric, which alone reaches the certificate
+        # a hermitian T, a Jordan T and the two-pole T of the metric, which alone reaches that rule
         (
             ["--family", "FrakTPath"],
             json.dumps(
@@ -270,7 +274,7 @@ def test_sweep_rows_build_s_once(monkeypatch, capsys, argv, payload, fmt):
     assert counts["build"] == len(rows)
     # main's validation, then per row the build and, for the abcd form, from_abcd's Xi test
     assert counts["base_tol"] <= 1 + len(rows) * (1 if argv[1] == "FrakTPath" else 2)
-    # no row decomposes T: the metric certificate reads what the build formed
+    # no row decomposes T: the similarity rule reads the reality of each lam the build recorded
     assert counts["_decompose"] == 0
 
 
@@ -686,6 +690,20 @@ def test_metric_where_kappa_rounds_to_one(monkeypatch, capsys):
         '"e":[[[20007997.572905034,0.0],[1.000399878645247,0.0]],[[1.000399878645247,0.0],[9.872019290924072e-08,0.0]]],'
         '"intertwining_residual":0.013197949552839816,"kappa":0.999999999999995}\n'
     )
+
+
+def test_metric_where_the_build_records_no_root(monkeypatch, capsys):
+    # T = [[10, 10], [-10 + 2e-10, -10]] has D = -2e-9, below the zero test of D against the terms it
+    # cancels, and trace 0: the build takes both eigenvalues as 0 and records no root, so S has only the
+    # pole at infinity, and metric does not apply
+    payload = _frakt([[[10, 0], [10, 0]], [[-10 + 2e-10, 0], [-10, 0]]])
+    code, out, err = run_cli(["classify"], payload, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    assert (got["similarity"], got["region"], got["singularity_at_infinity"]) == ("NotSimilar", "II", True)
+    assert got["poles"] == [{"k": None, "order": 1, "sheet": "Infinity", "z": None}]
+    code, out, err = run_cli(["metric"], payload, monkeypatch, capsys)
+    assert (code, out, err) == (0, '{"applicable":false,"reason":"no finite pole"}\n', "")
 
 
 def test_exit_code_2_on_missing_input_file(monkeypatch, capsys):

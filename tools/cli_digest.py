@@ -100,6 +100,32 @@ EDGE_SWEEPS = [
     (["sweep", "--family=DeltaPrime", "--param=-2:2:0.5", "--dir=0,1"], ""),
 ]
 
+# boundary matrices at the reality tests of the build, |Im lam| <= 1000 tol |lam| for each lam and xi real
+# against the terms of xi^2, each run under classify and under metric: a T whose small lam is non-real by
+# 1.2e-8 of itself, at z about -5e4; the README's golden case times 1e-6, whose real eigenvalues lie far
+# below any absolute floor; [[1, 1], [1e-40, 1]], with the real eigenvalues 1 +- 1e-20 at one float;
+# [[10, 10], [-10 + 2e-10, -10]], whose eigenvalues +-4.5e-5 the zero test of D drops, so no root is
+# recorded; the second draw of tools/verdict_diff.py's huge family, two non-real lam near 1e147, where
+# z = k^2 is -1 + O(1 / |lam|); [[1, 5e-10], [-5e-10, 1]], whose lam 1 +- 5e-10i each pass their own test
+# while xi^2 = -2.5e-19; the Jordan block [[1, 5e-11], [0, 1]] within 100 tol of scalar; and [[0.5, 1],
+# [0, 1]], the real eigenvalues 1/2 and 1 with the root of 1/2 cancelled
+_REALITY_T = [
+    [
+        [0.7299997009029834 + 0.9872302749364882j, 0.5237948324755939 + 1.0772623052273085j],
+        [1.366484421622804 - 1.2872791452005945j, 1.5381110545331373 - 0.9872302749364882j],
+    ],
+    [[1.25e-7, 3.75e-7], [1.25e-7, 1.25e-7]],
+    [[1, 1], [1e-40, 1]],
+    [[10, 10], [-10 + 2e-10, -10]],
+    [
+        [-3.3193297948038157e146 + 3.5339785607434233e146j, 6.534217463913541e146 - 6.481377229652391e146j],
+        [3.955296592320753e146 + 9.94907951268762e146j, -1.2641067331688928e147 - 2.9151417525357558e147j],
+    ],
+    [[1, 5e-10], [-5e-10, 1]],
+    [[1, 5e-11], [0, 1]],
+    [[0.5, 1], [0, 1]],
+]
+
 # (argv, payload) of classify lines that show the rule for a double eigenvalue, xi^2 = x^2 + bc against
 # |x^2| + |bc|. Exact, distinct eigenvalues beside a large entry: T = [[0, 0], [1e9, d]] (eigenvalues 0 and d)
 # for d = 1 and i, one simple physical pole each, and T = [[0.3, 0], [c, i]] (eigenvalues 0.3 and i), two
@@ -122,6 +148,7 @@ EDGE_CLASSIFY = [
     (["classify"], _frakt([[2.68e154 + 4e153j, 0], [0, 0]])),
     # eigenvalues 1 and -1e-11: D is not 0 against the terms it cancels, two simple imaginary poles
     (["classify"], _frakt([[1, 1j], [0, -1e-11]])),
+    *((["classify"], _frakt(T)) for T in _REALITY_T),
 ]
 
 
@@ -132,7 +159,7 @@ def _cells(**cells):
 
 # (argv, payload) of malformed inputs, one for each error text of the input schema, and of metric on
 # T = [[0, 0], [c, 1]] (eigenvalues 0 and 1), where kappa = (1 + 1/c^2)^(-1/2) rounds to 1 from about c = 1e8,
-# and on EDGE_CLASSIFY's [[1, i], [0, -1e-11]]
+# and on EDGE_CLASSIFY's [[1, i], [0, -1e-11]] and _REALITY_T
 _ZERO_T = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
 EDGE_INPUTS = [
     (["classify"], _cells(a=[1])),
@@ -151,6 +178,7 @@ EDGE_INPUTS = [
     (["sweep", "--family=FrakTPath"], json.dumps({"form": "frakT", "t": _ZERO_T})),
     *((["metric"], _frakt([[0, 0], [c, 1]])) for c in (1e7, 1e8, 1e9)),
     (["metric"], _frakt([[1, 1j], [0, -1e-11]])),
+    *((["metric"], _frakt(T)) for T in _REALITY_T),
 ]
 
 

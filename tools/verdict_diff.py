@@ -127,9 +127,23 @@ def _near_jordan_tiny(rng):
     # [[g0 + d3, 2a + d1 - i d2], [d1 + i d2, g0 - d3]], as composing gamma
     # rounds d away against a: |xi| is about sqrt(2 |a| |d|), below
     # eps |gamma0| where |d| is below about 1e-32
-    k0 = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2))
+    return _tiny_split(rng, complex(rng.uniform(-2, 2), rng.uniform(0.05, 2)))
+
+
+def _near_jordan_tiny_axis(rng):
+    # near-jordan-tiny's T with k0 = i U(0.05, 0.9) on the imaginary axis, so gamma0 = 1 / (2 (1 - Im k0))
+    # is real, and a > 0 and d = (d0, 0, d2) >= 0 real, so xi^2 = d2^2 + d0 (2a + d0) is real and positive:
+    # a real T with the real, distinct eigenvalues gamma0 +- xi, which round to one float where |d| is below
+    # about 1e-32
+    return _tiny_split(rng, 1j * rng.uniform(0.05, 0.9), real=True)
+
+
+def _tiny_split(rng, k0, real=False):
+    # the T of near-jordan-tiny with its double pole pulled apart from k0; real takes a and d as above
     a = complex(*rng.normal(size=2))
     d = _cnormal(rng, 3)
+    if real:
+        a, d = abs(a), np.abs(d) * (1, 0, 1)
     d *= 10.0 ** rng.uniform(-40, -12) / np.linalg.norm(d)
     g0 = 1 / (2 * (1 + 1j * k0))
     return [[g0 + d[2], 2 * a + d[0] - 1j * d[1]], [d[0] + 1j * d[1], g0 - d[2]]]
@@ -186,6 +200,7 @@ FAMILIES = {
     "hermitian-small-diag": (_hermitian_small_diag, 2201),
     "huge": (_huge, 3401),
     "near-jordan-tiny": (_near_jordan_tiny, 3402),
+    "near-jordan-tiny-axis": (_near_jordan_tiny_axis, 3601),
 }
 
 
